@@ -33,8 +33,9 @@ from .exceptional import (
 )
 from .io_utils import csv_lines, format_json, write_atomic
 from .polynomials import eval_jacobi, eval_laguerre
+from .spectral import Grid, eigen_lowest
 from .systems import reduce_system, system_from_json, system_to_dict, wavefunction
-from .verify import isospectral_compare
+from .verify import isospectral_compare, variant_operator
 
 _USAGE_ERRORS = (UsageError, ParameterError, DomainError)
 _NUMERIC_ERRORS = (ConsistencyError, AccuracyError, NumericError, SingularityError)
@@ -64,9 +65,13 @@ def _parse_points(args) -> np.ndarray:
         if not values:
             raise UsageError("--points lists no values")
         return np.asarray(values)
+    if args.range is None:
+        raise UsageError("give the evaluation points with --points or --range")
     lo, hi = args.range
     if not lo < hi:
         raise UsageError(f"range needs lo < hi, got {lo} {hi}")
+    if args.count < 1:
+        raise UsageError(f"--count must be positive, got {args.count}")
     return np.linspace(lo, hi, args.count)
 
 
@@ -132,13 +137,8 @@ def cmd_spectrum(args) -> int:
 
 
 def _grid_eigenfunctions(reduced, levels, grid_points):
-    from .spectral import Grid, apply_coordinate_weight, discretize, eigen_lowest
-
     grid = Grid(*reduced.grid_domain, grid_points)
-    op = discretize(reduced.operator_potential, grid)
-    if reduced.eigen_weight is not None:
-        op = apply_coordinate_weight(op, reduced.eigen_weight)
-    return eigen_lowest(op, levels)
+    return eigen_lowest(variant_operator(reduced, "original", grid), levels, vectors=True)
 
 
 def cmd_plot_data(args) -> int:

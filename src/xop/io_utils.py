@@ -61,13 +61,24 @@ def format_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _umask() -> int:
+    # the umask can only be read by setting it; the placeholder 0o077 keeps
+    # any file created meanwhile private rather than world-writable
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: str, text: str) -> None:
+    """Replace `path` with `text` in one step; the file gets the mode a plain
+    open() would give it (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -105,20 +105,24 @@ def apply_coordinate_weight(op: TridiagonalOperator,
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Ascending eigenvalues with L2-normalized grid eigenfunctions.
+    """Ascending eigenvalues with L2-normalized grid eigenfunctions, or with
+    eigenfunctions None for a values-only solve (`eigen_lowest(...,
+    vectors=False)`, which is how `verify` and `spectrum` solve).
 
     converged=False marks a raw single-grid solve; extrapolate() produces a
     converged result carrying a Richardson error estimate.
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray  # one column per state
+    eigenfunctions: np.ndarray | None  # one column per state
     grid: Grid
     converged: bool
     extrapolation_error: float
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenfunctions"):
+            if getattr(self, name) is None:
+                continue
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -128,20 +132,31 @@ class SpectrumResult:
             raise UsageError("extrapolation error must be finite")
 
 
-def eigen_lowest(op: TridiagonalOperator, count: int) -> SpectrumResult:
-    """Lowest `count` eigenpairs by Sturm-sequence bisection plus inverse
-    iteration (LAPACK stebz/stein); deterministic for identical inputs."""
+def eigen_lowest(op: TridiagonalOperator, count: int, *,
+                 vectors: bool = True) -> SpectrumResult:
+    """Lowest `count` eigenvalues by Sturm-sequence bisection (LAPACK stebz),
+    and with `vectors` their eigenfunctions by inverse iteration (stein);
+    deterministic for identical inputs.
+
+    The eigenvalues do not depend on `vectors`: both solves run stebz with
+    the same tolerance on one unsplit block.  `verify` and `spectrum` solve
+    values-only; only `spectrum --psi-out` asks for the eigenfunctions.
+    """
     n = op.diag.size
     if count < 1:
         raise UsageError(f"count must be positive, got {count}")
     if count > 16 or count >= n / 10:
         raise UsageError(f"count = {count} too large for grid of {n} points")
     try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            op.diag, op.off, select="i", select_range=(0, count - 1)
+        solved = scipy.linalg.eigh_tridiagonal(
+            op.diag, op.off, eigvals_only=not vectors,
+            select="i", select_range=(0, count - 1),
         )
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"tridiagonal eigensolve failed: {exc}") from exc
+    if not vectors:
+        return SpectrumResult(solved, None, op.grid, False, 0.0)
+    vals, vecs = solved
     h = op.grid.spacing
     # unit discrete L2 norm and a deterministic sign (largest entry positive)
     for j in range(vals.size):
@@ -155,7 +170,8 @@ def eigen_lowest(op: TridiagonalOperator, count: int) -> SpectrumResult:
 def extrapolate(coarse: SpectrumResult, fine: SpectrumResult) -> SpectrumResult:
     """Richardson extrapolation of two solves of the same problem assuming
     O(h^2) eigenvalue error; the fine grid must halve the coarse spacing
-    (n -> 2n or 2n+1)."""
+    (n -> 2n or 2n+1).  The result carries the fine solve's eigenfunctions,
+    None for values-only solves."""
     if (coarse.grid.lo, coarse.grid.hi) != (fine.grid.lo, fine.grid.hi):
         raise UsageError("grids cover different intervals")
     nc, nf = coarse.grid.n_points, fine.grid.n_points

@@ -13,6 +13,7 @@ from .exceptional import gram_matrix, max_offdiag_ratio
 from .spectral import (
     Grid,
     SpectrumResult,
+    TridiagonalOperator,
     apply_coordinate_weight,
     discretize,
     eigen_lowest,
@@ -27,6 +28,7 @@ __all__ = [
     "VerificationReport",
     "isospectral_compare",
     "solve_variant",
+    "variant_operator",
 ]
 
 _RESIDUAL_DEGREES = (1, 2, 3)
@@ -88,24 +90,31 @@ class VerificationReport:
         }
 
 
-def solve_variant(reduced: ReducedSystem, variant: str, levels: int,
-                  grid_points: int, domain: tuple[float, float] | None = None) -> SpectrumResult:
-    """Extrapolated spectrum of one potential variant on the default grids."""
-    lo, hi = domain if domain is not None else reduced.grid_domain
+def variant_operator(reduced: ReducedSystem, variant: str, grid: Grid) -> TridiagonalOperator:
+    """Finite-difference operator of one potential variant on `grid`, reduced
+    to symmetric form by the system's coordinate weight when it has one."""
     if variant == "original":
         potential = reduced.operator_potential
     elif variant == "extended":
         potential = reduced.operator_extended
     else:
         raise UsageError(f"variant must be 'original' or 'extended', got {variant!r}")
+    op = discretize(potential, grid)
+    if reduced.eigen_weight is not None:
+        op = apply_coordinate_weight(op, reduced.eigen_weight)
+    return op
+
+
+def solve_variant(reduced: ReducedSystem, variant: str, levels: int,
+                  grid_points: int, domain: tuple[float, float] | None = None) -> SpectrumResult:
+    """Extrapolated eigenvalues of one potential variant on the default grids
+    (values-only: the result's eigenfunctions are None)."""
+    lo, hi = domain if domain is not None else reduced.grid_domain
     coarse_grid = Grid(lo, hi, grid_points)
-    results = []
-    for grid in (coarse_grid, coarse_grid.refined()):
-        op = discretize(potential, grid)
-        if reduced.eigen_weight is not None:
-            op = apply_coordinate_weight(op, reduced.eigen_weight)
-        results.append(eigen_lowest(op, levels))
-    return extrapolate(*results)
+    return extrapolate(*(
+        eigen_lowest(variant_operator(reduced, variant, grid), levels, vectors=False)
+        for grid in (coarse_grid, coarse_grid.refined())
+    ))
 
 
 def _closed_form_residual(reduced: ReducedSystem, levels: int) -> float:

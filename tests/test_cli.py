@@ -48,6 +48,17 @@ def test_eval_poly_pole_inside_domain_exits_2(capsys):
     assert "pole inside domain" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "--points or --range"),
+    (["--range", "0", "1", "--count", "-3"], "--count"),
+    (["--range", "0", "1", "--count", "0"], "--count"),
+])
+def test_eval_poly_bad_points_exit_2(extra, message, capsys):
+    code, _, err = run(["eval-poly", "--family", LAG_CLASSICAL, "--n", "1"] + extra, capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_eval_poly_coeffs_out(tmp_path, capsys):
     path = tmp_path / "coeffs.json"
     code, _, _ = run(
@@ -225,6 +236,18 @@ def test_verify_report_files_are_byte_stable(tmp_path, capsys):
     run(["verify", "--config", str(path)], capsys)
     second = (tmp_path / "reports" / "report_0_DiracOscillator.json").read_bytes()
     assert first == second
+
+
+def test_written_files_get_umask_mode(tmp_path, capsys):
+    # mkstemp creates its files at 0o600; reports are shared like any output
+    previous = os.umask(0o022)
+    try:
+        code, _, _ = run(["verify", "--config", str(write_config(tmp_path))], capsys)
+    finally:
+        os.umask(previous)
+    assert code == 0
+    mode = os.stat(tmp_path / "reports" / "report_0_DiracOscillator.json").st_mode
+    assert mode & 0o777 == 0o644
 
 
 def test_psi_out(tmp_path, capsys):

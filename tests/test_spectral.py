@@ -6,6 +6,8 @@ import pytest
 from xop import (
     DiracOscillator,
     Grid,
+    HartmannAngularI,
+    HartmannAngularII,
     HartmannRadial,
     HydrogenLike,
     SingularityError,
@@ -17,7 +19,9 @@ from xop import (
     extrapolate,
     hydrogen_standard_energy,
     reduce_system,
+    solve_variant,
 )
+from xop.verify import variant_operator
 
 
 def solve(lo, hi, n, potential, count, weight=None):
@@ -98,6 +102,41 @@ def test_determinism():
     b = solve(0.0, 20.0, 800, lambda r: r**2 / 4, 3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
+
+
+def _hydrogen_coupling_operator():
+    reduced = reduce_system(HydrogenLike(s=0.9, lambda_c=1.9))
+    return variant_operator(reduced, "original", Grid(0.0, 80.0, 3000))
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, 1500)),
+    _hydrogen_coupling_operator,
+], ids=["plain", "coordinate_weighted"])
+def test_values_only_solve_matches_eigenpair_solve(make_op):
+    op = make_op()
+    values_only = eigen_lowest(op, 4, vectors=False)
+    pairs = eigen_lowest(op, 4, vectors=True)
+    assert np.array_equal(values_only.eigenvalues, pairs.eigenvalues)
+    assert values_only.eigenfunctions is None
+    assert pairs.eigenfunctions.shape == (op.diag.size, 4)
+
+
+@pytest.mark.parametrize("params", [
+    HartmannRadial(l=1, omega=1.0), DiracOscillator(l=0),
+    HydrogenLike(s=0.9, lambda_c=1.9),
+    HartmannAngularI(lambda_a=1.0, s=2.5), HartmannAngularII(lambda_a=2.0, s=4.0),
+], ids=lambda params: type(params).__name__)
+def test_solve_variant_is_values_only_with_eigenpair_values(params):
+    reduced = reduce_system(params)
+    result = solve_variant(reduced, "extended", 4, 500)
+    assert result.eigenfunctions is None
+    coarse = Grid(*reduced.grid_domain, 500)
+    pairs = extrapolate(*(
+        eigen_lowest(variant_operator(reduced, "extended", grid), 4, vectors=True)
+        for grid in (coarse, coarse.refined())
+    ))
+    assert np.array_equal(result.eigenvalues, pairs.eigenvalues)
 
 
 # --- extrapolation ----------------------------------------------------------------
