@@ -35,7 +35,7 @@ from .io_utils import csv_lines, format_json, write_atomic
 from .polynomials import eval_jacobi, eval_laguerre
 from .spectral import Grid, eigen_lowest
 from .systems import reduce_system, system_from_json, system_to_dict, wavefunction
-from .verify import isospectral_compare, variant_operator
+from .verify import isospectral_compare, solve_variant, variant_operator
 
 _USAGE_ERRORS = (UsageError, ParameterError, DomainError)
 _NUMERIC_ERRORS = (ConsistencyError, AccuracyError, NumericError, SingularityError)
@@ -88,7 +88,7 @@ def cmd_eval_poly(args) -> int:
         pair = x1_polynomial(family, args.n)
         poly = pair.polynomial
         values = poly(x)
-    _emit(csv_lines(["x", "value"], zip(x.tolist(), values.tolist())), args.out)
+    _emit(csv_lines(["x", "value"], [x, values]), args.out)
     if args.coeffs_out:
         if poly is None:
             from .exceptional import family_members
@@ -101,38 +101,31 @@ def cmd_eval_poly(args) -> int:
 def cmd_gram(args) -> int:
     family = _parse_family(args.family)
     g = gram_matrix(family, args.n_max)
-    rows = [(i, j, float(g[i, j])) for i in range(g.shape[0]) for j in range(g.shape[1])]
-    _emit(csv_lines(["i", "j", "value"], rows), args.out)
+    i, j = np.indices(g.shape)
+    _emit(csv_lines(["i", "j", "value"], [i.ravel(), j.ravel(), g.ravel()]), args.out)
     return 0
 
 
 def cmd_spectrum(args) -> int:
     params = system_from_json(args.system)
-    if args.levels < 1:
-        raise UsageError(f"levels must be positive, got {args.levels}")
-    report = isospectral_compare(params, args.levels, grid_points=args.grid_points)
-    rows = [
-        (n, report.eigenvalues_original[n], report.eigenvalues_extended[n],
-         report.spectral_diffs[n])
-        for n in range(args.levels)
-    ]
+    reduced = reduce_system(params)
+    original = solve_variant(reduced, "original", args.levels, args.grid_points)
+    extended = solve_variant(reduced, "extended", args.levels, args.grid_points)
+    columns = [np.arange(args.levels), original.eigenvalues, extended.eigenvalues,
+               np.abs(extended.eigenvalues - original.eigenvalues)]
     if args.format == "json":
         payload = {"system": system_to_dict(params), "levels": [
             {"level": n, "E_original": e_o, "E_extended": e_e, "abs_diff": d}
-            for n, e_o, e_e, d in rows
+            for n, e_o, e_e, d in zip(*(column.tolist() for column in columns))
         ]}
         _emit(format_json(payload) + "\n", args.out)
     else:
-        _emit(csv_lines(["level", "E_original", "E_extended", "abs_diff"], rows), args.out)
+        _emit(csv_lines(["level", "E_original", "E_extended", "abs_diff"], columns), args.out)
     if args.psi_out:
-        reduced = reduce_system(params)
         result = _grid_eigenfunctions(reduced, args.levels, args.grid_points)
         header = ["x"] + [f"psi_{n}" for n in range(args.levels)]
-        grid_rows = [
-            [float(x)] + [float(v) for v in result.eigenfunctions[i, :]]
-            for i, x in enumerate(result.grid.points)
-        ]
-        write_atomic(args.psi_out, csv_lines(header, grid_rows))
+        write_atomic(args.psi_out,
+                     csv_lines(header, [result.grid.points, *result.eigenfunctions.T]))
     return 0
 
 
@@ -143,6 +136,10 @@ def _grid_eigenfunctions(reduced, levels, grid_points):
 
 def cmd_plot_data(args) -> int:
     params = system_from_json(args.system)
+    if args.count < 1:
+        raise UsageError(f"--count must be positive, got {args.count}")
+    if args.levels < 0:
+        raise UsageError(f"--levels must be non-negative, got {args.levels}")
     reduced = reduce_system(params)
     lo, hi = args.range
     if not (reduced.domain.contains(lo) and reduced.domain.contains(hi) and lo < hi):
@@ -151,21 +148,14 @@ def cmd_plot_data(args) -> int:
             f"({reduced.domain.lo}, {reduced.domain.hi})"
         )
     x = np.linspace(lo, hi, args.count)
-    v_orig = reduced.original(x)
-    v_shift = reduced.shift(x)
-    v_ext = reduced.extended(x)
     if args.variant == "original":
         indices = list(range(args.levels))
     else:
         indices = list(range(1, args.levels + 1))
     psis = [wavefunction(params, args.variant, n)(x).val for n in indices]
     header = ["x", "V_original", "V_e", "V_extended"] + [f"psi_{n}" for n in indices]
-    rows = [
-        [float(x[i]), float(v_orig[i]), float(v_shift[i]), float(v_ext[i])]
-        + [float(p[i]) for p in psis]
-        for i in range(x.size)
-    ]
-    _emit(csv_lines(header, rows), args.out)
+    columns = [x, reduced.original(x), reduced.shift(x), reduced.extended(x), *psis]
+    _emit(csv_lines(header, columns), args.out)
     return 0
 
 

@@ -1,15 +1,23 @@
 """Deterministic output formatting: 17 significant digits in JSON (round-trip
-safe), 12 in CSV (readable), atomic file replacement."""
+safe), 12 in CSV (readable), atomic file replacement.
+
+CSV tables are built from numeric columns: integer columns print as decimal
+integers, float columns with 12 significant digits (`%.12g`, the same digits
+as `format(v, ".12g")`), and non-finite values as NaN, Infinity and -Infinity
+in both formats."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 
-__all__ = ["format_json", "format_csv_value", "csv_lines", "write_atomic"]
+import numpy as np
+
+__all__ = ["format_json", "csv_lines", "write_atomic"]
 
 _JSON_DIGITS = 17
-_CSV_DIGITS = 12
+_CSV_FLOAT = "%.12g"
 
 
 def _fmt_float(value: float, digits: int) -> str:
@@ -21,19 +29,36 @@ def _fmt_float(value: float, digits: int) -> str:
     return text
 
 
-def format_csv_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value, _CSV_DIGITS)
-    return str(value)
+def _column_format(column: np.ndarray) -> str:
+    if column.dtype.kind in "iu":
+        return "%d"
+    if column.dtype.kind == "f":
+        return _CSV_FLOAT
+    raise TypeError(f"CSV columns must be integer or float, got dtype {column.dtype}")
 
 
-def csv_lines(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_csv_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+def csv_lines(header: list[str], columns) -> str:
+    """CSV text of `header` over equal-length 1-D integer or float `columns`.
+
+    The whole body is formatted by one `%` over the row-major values; float
+    columns use 12 significant digits and spell non-finite values NaN,
+    Infinity and -Infinity."""
+    columns = [np.asarray(column) for column in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    rows = columns[0].size if columns else 0
+    if any(column.ndim != 1 or column.size != rows for column in columns):
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    head = ",".join(header) + "\n"
+    if rows == 0:
+        return head
+    row_format = ",".join(_column_format(column) for column in columns)
+    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    body = "\n".join([row_format] * rows) % values
+    if not all(np.isfinite(c).all() for c in columns if c.dtype.kind == "f"):
+        # %g writes nan, inf and -inf; no finite number contains those letters
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return head + body + "\n"
 
 
 def format_json(obj, indent: int = 0) -> str:

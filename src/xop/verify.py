@@ -108,7 +108,10 @@ def variant_operator(reduced: ReducedSystem, variant: str, grid: Grid) -> Tridia
 def solve_variant(reduced: ReducedSystem, variant: str, levels: int,
                   grid_points: int, domain: tuple[float, float] | None = None) -> SpectrumResult:
     """Extrapolated eigenvalues of one potential variant on the default grids
-    (values-only: the result's eigenfunctions are None)."""
+    (values-only: the result's eigenfunctions are None); `levels` must lie in
+    1..8."""
+    if not 1 <= levels <= 8:
+        raise UsageError(f"levels must lie in 1..8, got {levels}")
     lo, hi = domain if domain is not None else reduced.grid_domain
     coarse_grid = Grid(lo, hi, grid_points)
     return extrapolate(*(
@@ -141,8 +144,6 @@ def isospectral_compare(params: SystemParams, levels: int = 4, *,
     Eigenvalues are energies, except for the hydrogen-like system where the
     eigenproblem is the coupling form and they are the quantized couplings.
     """
-    if not 1 <= levels <= 8:
-        raise UsageError(f"levels must lie in 1..8, got {levels}")
     reduced = reduce_system(params)
     original = solve_variant(reduced, "original", levels, grid_points, domain)
     extended = solve_variant(reduced, "extended", levels, grid_points, domain)

@@ -167,6 +167,17 @@ def test_plot_data_range_outside_domain_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--count", "-3"], "--count"),
+    (["--count", "0"], "--count"),
+    (["--levels", "-1"], "--levels"),
+])
+def test_plot_data_bad_counts_exit_2(extra, message, capsys):
+    code, _, err = run(["plot-data", "--system", DIRAC, "--range", "0.1", "5"] + extra, capsys)
+    assert code == 2
+    assert message in err
+
+
 # --- verify ---------------------------------------------------------------------------
 
 def write_config(tmp_path, **overrides):
@@ -289,3 +300,32 @@ def test_plot_data_exceptional_variant(capsys):
     assert code == 0
     header = out.strip().splitlines()[0]
     assert header.endswith("psi_1,psi_2")  # X1 degrees start at one
+
+
+# --- no tracebacks ----------------------------------------------------------------------
+
+LAG_X1_RANGE = ["--family", LAG_X1, "--range", "0.1", "5"]
+JAC_X1_RANGE = ["--family", '{"kind": "X1Jacobi", "params": {"a": 1.5, "b": 2.5}}',
+                "--range", "-0.5", "0.5"]
+PLOT = ["plot-data", "--system", DIRAC, "--range", "0.1", "5"]
+# boundary values of the integer flags, kept small: --levels <= 30, --grid-points <= 300
+SWEEP_VALUES = ("-3", "-1", "0", "1", "2", "7", "30")
+SWEEP = (
+    [PLOT + ["--variant", variant, "--count", v] for variant in ("original", "exceptional")
+     for v in SWEEP_VALUES]
+    + [PLOT + ["--variant", variant, "--count", "5", "--levels", v]
+       for variant in ("original", "exceptional") for v in SWEEP_VALUES]
+    + [["eval-poly", "--n", v, "--count", "5"] + family
+       for family in (LAG_X1_RANGE, JAC_X1_RANGE) for v in SWEEP_VALUES]
+    + [["eval-poly", "--n", "2", "--count", v] + family
+       for family in (LAG_X1_RANGE, JAC_X1_RANGE) for v in SWEEP_VALUES]
+    + [["gram", "--family", LAG_X1, "--n-max", v] for v in SWEEP_VALUES]
+    + [["spectrum", "--system", DIRAC, "--levels", levels, "--grid-points", points]
+       for levels in SWEEP_VALUES for points in ("-3", "0", "63", "64", "300")]
+)
+
+
+@pytest.mark.parametrize("argv", SWEEP, ids=lambda argv: " ".join(
+    arg for arg in argv if not arg.startswith("{")))
+def test_integer_flags_never_raise(argv, capsys):
+    assert main(argv) in (0, 1, 2)
