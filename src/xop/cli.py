@@ -33,9 +33,9 @@ from .exceptional import (
 )
 from .io_utils import csv_lines, format_json, write_atomic
 from .polynomials import eval_jacobi, eval_laguerre
-from .spectral import Grid, eigen_lowest
+from .spectral import extrapolate
 from .systems import reduce_system, system_from_json, system_to_dict, wavefunction
-from .verify import isospectral_compare, solve_variant, variant_operator
+from .verify import isospectral_compare, solve_variant, variant_solves
 
 _USAGE_ERRORS = (UsageError, ParameterError, DomainError)
 _NUMERIC_ERRORS = (ConsistencyError, AccuracyError, NumericError, SingularityError)
@@ -109,7 +109,11 @@ def cmd_gram(args) -> int:
 def cmd_spectrum(args) -> int:
     params = system_from_json(args.system)
     reduced = reduce_system(params)
-    original = solve_variant(reduced, "original", args.levels, args.grid_points)
+    # --psi-out prints the coarse original eigenfunctions: that one solve
+    # computes them and still feeds the extrapolation
+    coarse, fine = variant_solves(reduced, "original", args.levels, args.grid_points,
+                                  coarse_vectors=bool(args.psi_out))
+    original = extrapolate(coarse, fine)
     extended = solve_variant(reduced, "extended", args.levels, args.grid_points)
     columns = [np.arange(args.levels), original.eigenvalues, extended.eigenvalues,
                np.abs(extended.eigenvalues - original.eigenvalues)]
@@ -122,16 +126,10 @@ def cmd_spectrum(args) -> int:
     else:
         _emit(csv_lines(["level", "E_original", "E_extended", "abs_diff"], columns), args.out)
     if args.psi_out:
-        result = _grid_eigenfunctions(reduced, args.levels, args.grid_points)
         header = ["x"] + [f"psi_{n}" for n in range(args.levels)]
         write_atomic(args.psi_out,
-                     csv_lines(header, [result.grid.points, *result.eigenfunctions.T]))
+                     csv_lines(header, [coarse.grid.points, *coarse.eigenfunctions.T]))
     return 0
-
-
-def _grid_eigenfunctions(reduced, levels, grid_points):
-    grid = Grid(*reduced.grid_domain, grid_points)
-    return eigen_lowest(variant_operator(reduced, "original", grid), levels, vectors=True)
 
 
 def cmd_plot_data(args) -> int:

@@ -1,16 +1,22 @@
 """Exceptional (X1) Laguerre and Jacobi polynomial families.
 
 The X1 families are codimension-1: their polynomial sequences start at degree
-one.  Members are computed as polynomial eigenfunctions of the rational
-second-order operators
+one.  The degree-n member is the monic polynomial eigenfunction, with
+eigenvalue family_eigenvalue(family, n), of the rational operator
 
     X1-Laguerre:  -x y'' + (x-k)/(x+k) [ (x+k+1) y' - y ]          = lam y
     X1-Jacobi:    (x^2-1) y'' + 2a (1-bx)/(b-x) [ (x-c) y' - y ]   = lam y
 
-after clearing the denominator, which turns each into a banded generalized
-matrix pencil on the monomial basis.  The relative sign inside the bracket is
-fixed by requiring that polynomial eigenfunctions exist at every degree; the
-opposite sign admits none (see tests), which is how the convention was pinned.
+Members are built directly from their classical two-term forms (Gomez-Ullate,
+Kamran and Milson 2009; Quesne 2008),
+
+    X1-Laguerre:  monic( -(x+k+1) L_{n-1}^(k) + L_{n-2}^(k) )
+    X1-Jacobi:    monic( -(x-b)/2 P_{n-1} + (b P_{n-1} - P_{n-2}) / (alpha+beta+2n-2) )
+
+with P_m = P_m^(alpha,beta) for (alpha, beta) = x1_jacobi_alpha_beta(a, b);
+see x1_eigenpairs.  The sign inside the bracket is the one for which
+polynomial eigenfunctions exist at every degree; with the opposite sign some
+degrees have none (see tests), which is how the convention was pinned.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AccuracyError,
@@ -182,82 +187,113 @@ def family_eigenvalue(family: FamilySpec, degree: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# matrix pencils on the monomial basis
+# members from the classical two-term forms
 
-def _laguerre_pencil(k: float, size: int, bracket_sign: float = -1.0):
-    """Rows 0..size+1 of T - lam S where T y = -x(x+k) y'' + (x-k)(x+k+1) y'
-    + sign (x-k) y and S y = (x+k) y, on monomial columns 0..size."""
-    T = np.zeros((size + 2, size + 1))
-    S = np.zeros((size + 2, size + 1))
-    for j in range(size + 1):
-        jj = j * (j - 1)
-        T[j, j] += -jj
-        if j >= 1:
-            T[j - 1, j] += -k * jj
-        # (x-k)(x+k+1) = x^2 + x - k^2 - k
-        T[j + 1, j] += j
-        T[j, j] += j
-        if j >= 1:
-            T[j - 1, j] += -(k * k + k) * j
-        T[j + 1, j] += bracket_sign
-        T[j, j] += -bracket_sign * k
-        S[j + 1, j] += 1.0
-        S[j, j] += k
-    return T, S
-
-
-def _jacobi_pencil(a: float, b: float, c: float, size: int, bracket_sign: float = -1.0):
-    """Same layout for T y = (b-x)(x^2-1) y'' + 2a(1-bx)(x-c) y'
-    + sign 2a(1-bx) y and S y = (b-x) y."""
-    T = np.zeros((size + 2, size + 1))
-    S = np.zeros((size + 2, size + 1))
-    for j in range(size + 1):
-        jj = j * (j - 1)
-        # (b-x)(x^2-1) = b x^2 - b - x^3 + x
-        T[j, j] += b * jj
-        if j >= 2:
-            T[j - 2, j] += -b * jj
-        T[j + 1, j] += -jj
-        if j >= 1:
-            T[j - 1, j] += jj
-        # 2a(1-bx)(x-c) = 2a(-b x^2 + (1+bc) x - c)
-        T[j + 1, j] += -2 * a * b * j
-        T[j, j] += 2 * a * (1 + b * c) * j
-        if j >= 1:
-            T[j - 1, j] += -2 * a * c * j
-        T[j, j] += bracket_sign * 2 * a
-        T[j + 1, j] += -bracket_sign * 2 * a * b
-        S[j, j] += b
-        S[j + 1, j] += -1.0
-    return T, S
-
-
-def _pencil(family: FamilySpec, size: int, bracket_sign: float = -1.0):
-    if isinstance(family, X1Laguerre):
-        return _laguerre_pencil(family.k, size, bracket_sign)
-    if isinstance(family, X1Jacobi):
-        return _jacobi_pencil(family.a, family.b, family.c, size, bracket_sign)
-    raise UsageError(f"{type(family).__name__} is not an X1 family")
-
-
+# Rounding errors scale with the unit roundoff, so a float64 rebuild's departure
+# from the long-double members, times the ratio of the roundoffs, estimates the
+# members' error.  The rebuild moves its rounded parameter up one ulp so that
+# the sensitivity to that rounding always shows (it can be exact by chance).
+_PRECISION_GAIN = float(np.finfo(np.longdouble).eps / np.finfo(float).eps)
+_MEMBER_TOL = 1e-14  # largest estimated error, relative to max |coefficient|
 _RESIDUAL_TOL = 1e-9
 
 
-def _leading_order_eigenvalue(family: FamilySpec, degree: int, bracket_sign: float) -> float:
-    """Eigenvalue forced by the x^(degree+1) row of the cleared pencil."""
+def _classical_monic(count: int, *, k=None, ab=None) -> np.ndarray:
+    """Row m (m = 0..count-1): ascending coefficients of the monic classical
+    member of degree m, Laguerre L_m^(k) or, with ab = (alpha+beta,
+    beta-alpha), Jacobi P_m^(alpha,beta), in the parameters' dtype.
+
+    The classical ODE fixes each coefficient from the two above it, so every
+    row is solved top-down from its leading 1:
+        Laguerre:  c_j = -(j+1)(j+1+k) c_{j+1} / (m-j)
+        Jacobi:    c_j = -[(j+2)(j+1) c_{j+2} + (beta-alpha)(j+1) c_{j+1}]
+                         / ((m-j)(m+j+1 + alpha+beta))
+    """
+    dtype = type(k if ab is None else ab[0])
+    c = np.zeros((count, count + 1), dtype=dtype)  # spare column for c_{j+2}
+    c[np.arange(count), np.arange(count)] = 1
+    m = np.arange(count, dtype=dtype)
+    for j in range(count - 2, -1, -1):
+        rows = m[j + 1:]
+        if ab is None:
+            c[j + 1:, j] = -(j + 1) * ((j + 1) + k) * c[j + 1:, j + 1] / (rows - j)
+        else:
+            c[j + 1:, j] = -((j + 2) * (j + 1) * c[j + 1:, j + 2]
+                             + ab[1] * (j + 1) * c[j + 1:, j + 1]) / (
+                (rows - j) * ((rows + j + 1) + ab[0]))
+    return c[:, :count]
+
+
+def _classical_monic_values(x: np.ndarray, count: int, *, k=None, ab=None) -> np.ndarray:
+    """Row m (m = 0..count-1): the monic classical member of degree m (as in
+    `_classical_monic`) at the points x, by the monic three-term recurrence
+    p_{m+1} = (x - a_m) p_m - b_m p_{m-1}."""
+    p = np.zeros((count, x.size))
+    p[0] = 1.0
+    for m in range(count - 1):
+        if ab is None:
+            a, b = 2 * m + 1 + k, m * (m + k)
+        elif m == 0:
+            a, b = ab[1] / (2 + ab[0]), 0.0
+        else:
+            total, gap = ab
+            a = gap * total / ((2 * m + total) * ((2 * m + 2) + total))
+            b = (4 * m * (m * m + m * total + (total * total - gap * gap) / 4) * (m + total)
+                 / ((2 * m + total) ** 2 * ((2 * m + 1) + total) * ((2 * m - 1) + total)))
+        p[m + 1] = (x - a) * p[m] - (b * p[m - 1] if m else 0.0)
+    return p
+
+
+def _two_term_factors(family: FamilySpec, n_max: int, dtype, nudge: bool = False):
+    """Classical parameters (k or ab = (alpha+beta, beta-alpha)) and factors
+    of the monic members (x + shift_n) p_{n-1} + lower_n p_{n-2}, in `dtype`:
+    shift_n = k+1, lower_n = n-1 (X1-Laguerre) resp. shift_n = -b - 2b/s,
+    lower_n = 2 r_n / s with s = alpha+beta+2n-2 and r_n = lead(P_{n-2}) /
+    lead(P_{n-1}) (X1-Jacobi).  alpha+beta = 2ab is rounded once and every
+    factor that can vanish is an integer plus it, so a nearly vanishing factor
+    is exact and the same wherever it recurs.  `nudge`: see _PRECISION_GAIN.
+    """
+    n = np.arange(1, n_max + 1, dtype=dtype)
     if isinstance(family, X1Laguerre):
-        return float(degree + bracket_sign)
-    return degree * (degree - 1) + 2 * family.a * family.b * (degree + bracket_sign)
+        k = dtype(family.k)
+        k = np.nextafter(k, dtype(np.inf)) if nudge else k
+        return {"k": k}, np.full(n_max, k + 1), n - 1
+    a, b = dtype(family.a), dtype(family.b)
+    total = 2 * a * b
+    total = np.nextafter(total, dtype(np.inf)) if nudge else total
+    s = (2 * n - 2) + total
+    # r_n = k_{m-1} / k_m at m = n-1 from k_m / k_{m-1}
+    # = (2m+alpha+beta)(2m+alpha+beta-1) / (2m (m+alpha+beta)); at m = 1
+    # the factor (2m+alpha+beta-1)/(m+alpha+beta) is exactly 1
+    m = n[2:] - 1
+    ratio = np.zeros(n_max, dtype=dtype)
+    ratio[1:2] = 2 / (2 + total)
+    ratio[2:] = 2 * m * (m + total) / ((2 * m + total) * ((2 * m - 1) + total))
+    return {"ab": (total, 2 * a)}, -b - 2 * b / s, 2 * ratio / s
 
 
-def _monic_candidate(vec: np.ndarray, degree: int) -> Polynomial | None:
-    """Truncate an eigenvector to the target degree and normalize; None when
-    the leading coefficient is lost in the vector's noise floor."""
-    head = vec[: degree + 1]
-    top = np.max(np.abs(head))
-    if top == 0 or abs(head[degree]) < 1e-9 * top:
-        return None
-    return Polynomial(head / head[degree])
+def _two_term_members(family: FamilySpec, n_max: int, dtype, *, nudge: bool = False) -> np.ndarray:
+    """Row n-1 (n = 1..n_max): ascending coefficients of the monic degree-n
+    member, in `dtype` (see `_two_term_factors`)."""
+    classical, shift, lower = _two_term_factors(family, n_max, dtype, nudge)
+    p = _classical_monic(n_max, **classical)
+    out = np.zeros((n_max, n_max + 1), dtype=dtype)
+    out[:, 1:] = p
+    out[:, :-1] += shift[:, None] * p
+    out[1:, :-1] += lower[1:, None] * p[:-1]
+    return out
+
+
+def _two_term_values(family: FamilySpec, n_max: int, x: np.ndarray) -> np.ndarray:
+    """Row n-1: the degree-n member at x from classical recurrence values,
+    for gram_matrix (alpha, beta > -1; below that the recurrence loses
+    digits).  From monomial coefficients a degree-16 X1-Laguerre member loses
+    ~1e-9 of its size at large x, noise the Gram refinements cannot pass."""
+    classical, shift, lower = _two_term_factors(family, n_max, np.float64)
+    p = _classical_monic_values(x, n_max, **classical)
+    vals = (x + shift[:, None]) * p
+    vals[1:] += lower[1:, None] * p[:-1]
+    return vals
 
 
 def _sample_points(family: FamilySpec, count: int = 50) -> np.ndarray:
@@ -267,46 +303,47 @@ def _sample_points(family: FamilySpec, count: int = 50) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
 
 
-def _nullspace_candidate(family: FamilySpec, degree: int, bracket_sign: float):
-    """Recovery path: smallest singular vector of the rectangular pencil
-    rows at the leading-order eigenvalue, restricted to degree <= degree."""
-    lam = _leading_order_eigenvalue(family, degree, bracket_sign)
-    T, S = _pencil(family, degree, bracket_sign)
-    _, _, vt = np.linalg.svd(T - lam * S)
-    return _monic_candidate(vt[-1], degree), lam
+def _uncertified(family: FamilySpec, coeffs: np.ndarray, eigenvalues: np.ndarray) -> list[int]:
+    """Degrees failing the rational-ODE residual at the sample points, all
+    in one evaluation: max |L[y] - lam y| must be at most 1e-9 (1 + max |term|)
+    or the float64 noise floor, 64 eps times the largest sum of term
+    magnitudes (|coefficients| at |x|), which past degree ~18 of X1-Laguerre
+    lies above the 1e-9 target."""
+    x = _sample_points(family)
+    lam = eigenvalues[:, None]
+
+    def jets(c, t):
+        j = np.arange(c.shape[1])
+        power = t[:, None] ** j
+        first, second = np.zeros_like(power), np.zeros_like(power)
+        first[:, 1:] = j[1:] * power[:, :-1]
+        second[:, 2:] = (j[2:] * j[1:-1]) * power[:, :-2]
+        return c @ power.T, c @ first.T, c @ second.T
+
+    terms = _ode_terms(family, lam, *jets(coeffs, x), x)
+    resid = np.max(np.abs(sum(terms)), axis=1)
+    scale = 1.0 + np.max([np.max(np.abs(t), axis=1) for t in terms], axis=0)
+    magnitude = sum(np.abs(t) for t in _ode_terms(family, np.abs(lam),
+                                                  *jets(np.abs(coeffs), np.abs(x)),
+                                                  np.abs(x)))
+    floor = 64 * np.finfo(float).eps * np.max(magnitude, axis=1)
+    ok = resid <= np.maximum(_RESIDUAL_TOL * scale, floor)
+    return [int(d) for d in np.flatnonzero(~ok) + 1]
 
 
-def _recurrence_candidate(family: FamilySpec, degree: int, bracket_sign: float):
-    """Recovery path for high degrees: the banded pencil solved top-down from
-    the monic leading coefficient.  Coefficients grow toward degree zero, so
-    the recurrence runs in the stable direction; extended precision buys an
-    extra margin."""
-    lam = _leading_order_eigenvalue(family, degree, bracket_sign)
-    T, S = _pencil(family, degree, bracket_sign)
-    m = np.asarray(T - lam * S, dtype=np.longdouble)
-    v = np.zeros(degree + 1, dtype=np.longdouble)
-    v[degree] = 1.0  # monic by construction; no noise-floor question here
-    for row in range(degree, 0, -1):
-        acc = np.dot(m[row, row:], v[row:])
-        denom = m[row, row - 1]
-        if abs(denom) < 1e-12 * (1 + np.max(np.abs(m[row]))):
-            return None, lam  # degenerate row (eigenvalue collision)
-        v[row - 1] = -acc / denom
-    return Polynomial(v.astype(float)), lam
-
-
-def x1_eigenpairs(family: FamilySpec, n_max: int, _bracket_sign: float = -1.0):
+def x1_eigenpairs(family: FamilySpec, n_max: int):
     """All X1 eigenpairs with degrees 1..n_max, monic, ascending by degree.
 
-    The projected square pencil is solved once (generalized eigensolve);
-    eigenvectors are assigned to degrees through the leading-order eigenvalue
-    and certified by the rational-ODE residual, which also screens out the
-    spurious modes the projection introduces.  Degrees whose eigenvector is
-    drowned in projection noise are recovered from a per-degree null-space
-    solve of the same pencil.  Degree zero is absent by construction
-    (codimension-1 gap).  Raises ConsistencyError when some degree in
-    1..n_max has no certified polynomial eigenfunction, the symptom of a
-    wrong bracket-sign convention.
+    Members are the two-term forms of the module docstring, built from
+    classical coefficients solved top-down from the classical ODE in
+    np.longdouble and rounded once; eigenvalues are `family_eigenvalue`.
+    Members do not depend on n_max; degree zero is absent (codimension gap).
+    Two checks raise ConsistencyError naming the degrees that fail them: the
+    estimated construction error (see _PRECISION_GAIN) must stay within 1e-14
+    of the largest coefficient, and the rational-ODE residual must pass
+    (`_uncertified`).  Where 2ab is at or near a negative integer, degrees d
+    and 1 - 2ab - d share an eigenvalue: the higher member is not unique, and
+    near the collision the two-term form cancels, so such degrees fail.
     """
     if not isinstance(family, (X1Laguerre, X1Jacobi)):
         raise UsageError(
@@ -314,56 +351,26 @@ def x1_eigenpairs(family: FamilySpec, n_max: int, _bracket_sign: float = -1.0):
         )
     if not 1 <= n_max <= 32:
         raise UsageError(f"n_max must lie in 1..32, got {n_max}")
-    points = _sample_points(family)
-
-    def certify(degree, lam, poly):
-        if poly is None:
-            return None
-        pair = EigenPair(float(lam), poly)
-        resid = ode_residual(family, pair, points, scaled=True,
-                             _bracket_sign=_bracket_sign)
-        if resid <= _RESIDUAL_TOL:
-            return (resid, pair)
-        # high degrees: the scaled residual may sit at the float64 evaluation
-        # noise floor (|coefficient| sums times eps) while the coefficient
-        # vector solves the cleared pencil exactly; certify against that floor
-        raw = ode_residual(family, pair, points, _bracket_sign=_bracket_sign)
-        floor_terms = _ode_terms(family, pair, points, _bracket_sign, _absolute=True)
-        noise_floor = 64 * np.finfo(float).eps * np.max(sum(floor_terms))
-        return (resid, pair) if raw <= noise_floor else None
-
-    T, S = _pencil(family, n_max, _bracket_sign)
-    vals, vecs = scipy.linalg.eig(T[: n_max + 1, :], S[: n_max + 1, :])
-    best: dict[int, tuple[float, EigenPair]] = {}
-    for degree in range(1, n_max + 1):
-        target = _leading_order_eigenvalue(family, degree, _bracket_sign)
-        for i in range(vals.size):
-            lam = vals[i]
-            if not np.isfinite(lam.real):
-                continue
-            if abs(lam - target) > 1e-6 * (1 + abs(target)):
-                continue
-            vec = vecs[:, i]
-            pivot = np.argmax(np.abs(vec))
-            vec = (vec / vec[pivot]).real
-            outcome = certify(degree, lam.real, _monic_candidate(vec, degree))
-            if outcome and (degree not in best or outcome[0] < best[degree][0]):
-                best[degree] = outcome
-        if degree not in best:
-            for recover in (_recurrence_candidate, _nullspace_candidate):
-                poly, lam = recover(family, degree, _bracket_sign)
-                outcome = certify(degree, lam, poly)
-                if outcome:
-                    best[degree] = outcome
-                    break
-    missing = sorted(set(range(1, n_max + 1)) - set(best))
-    if missing:
+    with np.errstate(all="ignore"):  # a collision divides by zero; caught below
+        coeffs = _two_term_members(family, n_max, np.longdouble).astype(float)
+        rough = _two_term_members(family, n_max, np.float64, nudge=True)
+        drift = np.max(np.abs(rough - coeffs), axis=1) / np.max(np.abs(coeffs), axis=1)
+    unresolved = [int(d) for d in np.flatnonzero(~(_PRECISION_GAIN * drift <= _MEMBER_TOL)) + 1]
+    if unresolved:
         raise ConsistencyError(
-            f"no polynomial eigenfunction at degrees {missing} for "
-            f"{family_to_dict(family)}; this indicates a wrong bracket sign "
-            "convention in the X1 operator"
+            f"X1 members of degrees {unresolved} of {family_to_dict(family)} are "
+            f"not determined to {_MEMBER_TOL:g} relative; near 2ab = -N, N a positive "
+            "integer, degrees d and N + 1 - d share an eigenvalue"
         )
-    return [best[d][1] for d in range(1, n_max + 1)]
+    eigenvalues = np.array([family_eigenvalue(family, d) for d in range(1, n_max + 1)])
+    failed = _uncertified(family, coeffs, eigenvalues)
+    if failed:
+        raise ConsistencyError(
+            f"X1 members of degrees {failed} of {family_to_dict(family)} fail "
+            "the rational-ODE residual check"
+        )
+    return [EigenPair(float(lam), Polynomial(c[: d + 1]))
+            for d, (lam, c) in enumerate(zip(eigenvalues, coeffs), start=1)]
 
 
 def x1_polynomial(family: FamilySpec, degree: int) -> EigenPair:
@@ -376,65 +383,47 @@ def x1_polynomial(family: FamilySpec, degree: int) -> EigenPair:
 
 
 def degree0_eigenfunction_exists(family: FamilySpec) -> bool:
-    """Direct feasibility check of (T - lam S) applied to the constant
-    polynomial: solvable only if all nontrivial rows agree on lam."""
-    T, S = _pencil(family, 0)
-    t, s = T[:, 0], S[:, 0]
-    lams = []
-    for ti, si in zip(t, s):
-        if si != 0:
-            lams.append(ti / si)
-        elif ti != 0:
-            return False
-    return len(lams) > 0 and max(lams) - min(lams) < 1e-12 * (1 + abs(lams[0]))
+    """Whether a constant solves the cleared X1 equation T y = lam S y.
+
+    For y = 1 only the lowest two rows are nonzero: T 1 = -(x-k) and
+    S 1 = x+k (X1-Laguerre), T 1 = -2a(1-bx) and S 1 = b-x (X1-Jacobi).
+    Each row fixes lam = t_i / s_i, and a constant solves only if they agree.
+    """
+    if isinstance(family, X1Laguerre):
+        rows = ((family.k, family.k), (-1.0, 1.0))
+    elif isinstance(family, X1Jacobi):
+        a, b = family.a, family.b
+        rows = ((-2 * a, b), (2 * a * b, -1.0))
+    else:
+        raise UsageError(f"{type(family).__name__} is not an X1 family")
+    (t0, s0), (t1, s1) = rows
+    return abs(t0 / s0 - t1 / s1) < 1e-12 * (1 + abs(t0 / s0))
 
 
 # ---------------------------------------------------------------------------
 # residuals
 
-def _ode_terms(family, pair, x, _bracket_sign=-1.0, _absolute=False):
-    """Additive terms of L[y] - lam y at the points x.
-
-    With _absolute=True every factor is replaced by its magnitude bound
-    (|coefficients| evaluated at |x|), giving the scale floating-point
-    evaluation noise is proportional to.
-    """
-    p = pair.polynomial
-    if _absolute:
-        p = Polynomial(np.abs(p.coeffs))
-        x = np.abs(x)
-    y, y1, y2 = p(x), p.derivative()(x), p.derivative(2)(x)
-    lam = pair.eigenvalue
-    if _absolute:
-        y, y1, y2 = np.abs(y), np.abs(y1), np.abs(y2)
-
-    def factors(*values):
-        return [np.abs(v) for v in values] if _absolute else list(values)
-
+def _ode_terms(family, lam, y, y1, y2, x):
+    """Additive terms of L[y] - lam y from the jets of y at the points x;
+    arrays broadcast, so one call serves a stack of members."""
     if isinstance(family, ClassicalLaguerre):
-        k = family.k
-        f1, f2 = factors(-x, -(k + 1 - x))
-        terms = [f1 * y2, f2 * y1]
+        f2, f1, f0 = -x, -(family.k + 1 - x), 0.0
     elif isinstance(family, ClassicalJacobi):
         al, be = family.alpha, family.beta
-        f1, f2 = factors(-(1 - x**2), -(be - al - (al + be + 2) * x))
-        terms = [f1 * y2, f2 * y1]
+        f2, f1, f0 = -(1 - x**2), -(be - al - (al + be + 2) * x), 0.0
     elif isinstance(family, X1Laguerre):
         k = family.k
         ratio = (x - k) / (x + k)
-        f1, f2, f3 = factors(-x, ratio * (x + k + 1), _bracket_sign * ratio)
-        terms = [f1 * y2, f2 * y1, f3 * y]
+        f2, f1, f0 = -x, ratio * (x + k + 1), -ratio
     else:
         a, b, c = family.a, family.b, family.c
         ratio = 2 * a * (1 - b * x) / (b - x)
-        f1, f2, f3 = factors(x**2 - 1, ratio * (x - c), _bracket_sign * ratio)
-        terms = [f1 * y2, f2 * y1, f3 * y]
-    terms.append(abs(lam) * y if _absolute else -lam * y)
-    return terms
+        f2, f1, f0 = x**2 - 1, ratio * (x - c), -ratio
+    return [f2 * y2, f1 * y1, f0 * y, -lam * y]
 
 
 def ode_residual(family: FamilySpec, pair: EigenPair, sample_points,
-                 *, scaled: bool = False, _bracket_sign: float = -1.0) -> float:
+                 *, scaled: bool = False) -> float:
     """max |L[y] - lam y| over the samples, derivatives taken analytically
     from the coefficient vector.
 
@@ -448,7 +437,9 @@ def ode_residual(family: FamilySpec, pair: EigenPair, sample_points,
         raise DomainError(f"sample point at pole x = {-family.k}")
     if isinstance(family, X1Jacobi) and np.any(x == family.b):
         raise DomainError(f"sample point at pole x = {family.b}")
-    terms = _ode_terms(family, pair, x, _bracket_sign)
+    p = pair.polynomial
+    terms = _ode_terms(family, pair.eigenvalue, p(x), p.derivative()(x),
+                       p.derivative(2)(x), x)
     resid = np.max(np.abs(sum(terms)))
     if not scaled:
         return float(resid)
@@ -506,7 +497,10 @@ def default_quadrature(family: FamilySpec) -> QuadratureRule:
 
 
 def _gram_on_rule(members, family, rule):
-    vals = np.vstack([p(rule.nodes) for p in members])
+    if isinstance(family, (X1Laguerre, X1Jacobi)):
+        vals = _two_term_values(family, len(members), rule.nodes)
+    else:
+        vals = np.vstack([p(rule.nodes) for p in members])
     scaled = vals * (weight(family, rule.nodes) * rule.weights)
     g = scaled @ vals.T
     return 0.5 * (g + g.T)
@@ -514,7 +508,8 @@ def _gram_on_rule(members, family, rule):
 
 def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = None,
                 *, tol: float = 1e-10, max_refinements: int = 6) -> np.ndarray:
-    """Gram matrix G_ij = integral p_i p_j w over the first n_max members.
+    """Gram matrix G_ij = integral p_i p_j w over the first n_max members
+    (X1 members evaluated through the classical recurrences, `_two_term_values`).
 
     The rule is refined (panels halved) until two successive levels agree to
     `tol` relative to the largest entry; disagreement past `max_refinements`

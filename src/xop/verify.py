@@ -29,6 +29,7 @@ __all__ = [
     "isospectral_compare",
     "solve_variant",
     "variant_operator",
+    "variant_solves",
 ]
 
 _RESIDUAL_DEGREES = (1, 2, 3)
@@ -105,19 +106,28 @@ def variant_operator(reduced: ReducedSystem, variant: str, grid: Grid) -> Tridia
     return op
 
 
+def variant_solves(reduced: ReducedSystem, variant: str, levels: int, grid_points: int,
+                   domain: tuple[float, float] | None = None, *,
+                   coarse_vectors: bool = False) -> tuple[SpectrumResult, SpectrumResult]:
+    """Coarse and fine (half-spacing) solves of one potential variant on the
+    default grids; only the coarse solve with `coarse_vectors` computes
+    eigenfunctions.  `levels` must lie in 1..8."""
+    if not 1 <= levels <= 8:
+        raise UsageError(f"levels must lie in 1..8, got {levels}")
+    lo, hi = domain if domain is not None else reduced.grid_domain
+    coarse_grid = Grid(lo, hi, grid_points)
+    return tuple(
+        eigen_lowest(variant_operator(reduced, variant, grid), levels, vectors=vectors)
+        for grid, vectors in ((coarse_grid, coarse_vectors), (coarse_grid.refined(), False))
+    )
+
+
 def solve_variant(reduced: ReducedSystem, variant: str, levels: int,
                   grid_points: int, domain: tuple[float, float] | None = None) -> SpectrumResult:
     """Extrapolated eigenvalues of one potential variant on the default grids
     (values-only: the result's eigenfunctions are None); `levels` must lie in
     1..8."""
-    if not 1 <= levels <= 8:
-        raise UsageError(f"levels must lie in 1..8, got {levels}")
-    lo, hi = domain if domain is not None else reduced.grid_domain
-    coarse_grid = Grid(lo, hi, grid_points)
-    return extrapolate(*(
-        eigen_lowest(variant_operator(reduced, variant, grid), levels, vectors=False)
-        for grid in (coarse_grid, coarse_grid.refined())
-    ))
+    return extrapolate(*variant_solves(reduced, variant, levels, grid_points, domain))
 
 
 def _closed_form_residual(reduced: ReducedSystem, levels: int) -> float:

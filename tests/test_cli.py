@@ -274,6 +274,41 @@ def test_psi_out(tmp_path, capsys):
     assert len(lines) == 1001
 
 
+def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
+    """spectrum --psi-out takes the printed eigenfunctions from the coarse
+    solve that also feeds the extrapolation: 4 solves, table and eigenfunctions
+    as from separate values-only and eigenpair solves."""
+    import xop.verify
+    from xop import Grid, eigen_lowest, reduce_system, system_from_json
+    from xop.io_utils import csv_lines
+
+    argv = ["spectrum", "--system", DIRAC, "--levels", "3", "--grid-points", "900"]
+    _, table, _ = run(argv, capsys)
+    calls = []
+
+    def counted(op, count, **kwargs):
+        calls.append(kwargs.get("vectors", True))
+        return eigen_lowest(op, count, **kwargs)
+
+    monkeypatch.setattr(xop.verify, "eigen_lowest", counted)
+    path = tmp_path / "psi.csv"
+    code, out, _ = run(argv + ["--psi-out", str(path)], capsys)
+    assert code == 0 and out == table
+    assert calls == [True, False, False, False]
+    reduced = reduce_system(system_from_json(DIRAC))
+    grid = Grid(*reduced.grid_domain, 900)
+    psi = eigen_lowest(xop.verify.variant_operator(reduced, "original", grid), 3).eigenfunctions
+    assert path.read_text() == csv_lines(["x", "psi_0", "psi_1", "psi_2"], [grid.points, *psi.T])
+
+
+def test_eval_poly_eigenvalue_collision_exits_1(capsys):
+    # 1 - 2ab = 7: degrees d and 7 - d share an eigenvalue
+    family = '{"kind": "X1Jacobi", "params": {"a": 1.0, "b": -3.0}}'
+    code, out, err = run(["eval-poly", "--family", family, "--n", "5", "--points", "0.1"], capsys)
+    assert code == 1 and out == ""
+    assert "degrees [4, 5]" in err and "share an eigenvalue" in err
+
+
 def test_eval_poly_classical_jacobi(capsys):
     fam = '{"kind": "ClassicalJacobi", "params": {"alpha": 0.0, "beta": 0.0}}'
     code, out, _ = run(["eval-poly", "--family", fam, "--n", "1", "--points", "0.5"], capsys)

@@ -1,13 +1,21 @@
 """X1 families: eigenpair construction against independent oracles.
 
-The main oracle rebuilds the cleared-denominator operator columns with plain
-polynomial arithmetic (np.polynomial), stacks the full rectangular system at
-the analytically known eigenvalue, and reads the eigenvector off the SVD
-null space -- no code shared with the pencil assembly under test.
+The oracle is the monomial pencil of the cleared-denominator operator:
+T y = lam S y, with T and S applied to each monomial by plain polynomial
+arithmetic and no code shared with the two-term construction under test.
+At the analytic eigenvalue the member spans the null space of the
+rectangular system, read off by SVD in float64 or solved top-down from the
+monic leading coefficient in 50-digit mpmath arithmetic.
 """
+
+import ast
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from xop import (
     ClassicalJacobi,
@@ -24,6 +32,7 @@ from xop import (
     family_eigenvalue,
     family_from_dict,
     family_to_dict,
+    gram_matrix,
     ode_residual,
     weight,
     x1_eigenpairs,
@@ -33,65 +42,120 @@ from xop import (
 )
 from xop.exceptional import _sample_points
 
-P = np.polynomial.polynomial
+
+# --- monomial pencil oracle ----------------------------------------------------
+
+def _mul(p, q):
+    out = [0 * p[0]] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
 
 
-# --- independent null-space oracle -------------------------------------------
-
-def monomial(j):
-    c = np.zeros(j + 1)
-    c[j] = 1.0
-    return c
-
-
-def cleared_column_laguerre(k, j):
-    """(T - lam S)[x^j] as polynomial coefficient arrays (T, S separately)."""
-    y = monomial(j)
-    y1, y2 = P.polyder(y), P.polyder(y, 2)
-    t = P.polyadd(
-        P.polyadd(
-            P.polymul([0.0, -k, -1.0], y2),            # -x(x+k) y''
-            P.polymul([-k * k - k, 1.0, 1.0], y1),      # (x-k)(x+k+1) y'
-        ),
-        P.polymul([k, -1.0], y),                        # -(x-k) y
-    )
-    s = P.polymul([k, 1.0], y)
-    return t, s
+def _add(*polys):
+    out = [0 * polys[0][0]] * max(len(p) for p in polys)
+    for p in polys:
+        for i, u in enumerate(p):
+            out[i] += u
+    return out
 
 
-def cleared_column_jacobi(a, b, c, j):
-    y = monomial(j)
-    y1, y2 = P.polyder(y), P.polyder(y, 2)
-    t = P.polyadd(
-        P.polyadd(
-            P.polymul(P.polymul([b, -1.0], [-1.0, 0.0, 1.0]), y2),  # (b-x)(x^2-1) y''
-            P.polymul(P.polymul([2 * a, -2 * a * b], [-c, 1.0]), y1),  # 2a(1-bx)(x-c) y'
-        ),
-        P.polymul([-2 * a, 2 * a * b], y),               # -2a(1-bx) y
-    )
-    s = P.polymul([b, -1.0], y)
-    return t, s
+def cleared_column(family, j, sign=-1, num=float):
+    """(T x^j, S x^j) as ascending coefficient lists over the number type
+    `num`, for the cleared operators
+        X1-Laguerre:  T y = -x(x+k) y'' + (x-k)(x+k+1) y' + sign (x-k) y,
+                      S y = (x+k) y
+        X1-Jacobi:    T y = (b-x)(x^2-1) y'' + 2a(1-bx)(x-c) y' + sign 2a(1-bx) y,
+                      S y = (b-x) y
+    `sign` is the in-bracket sign; xop's convention is -1."""
+    one, zero = num(1), num(0)
+    y = [zero] * j + [one]
+    y1 = [zero] * (j - 1) + [num(j)] if j >= 1 else [zero]
+    y2 = [zero] * (j - 2) + [num(j * (j - 1))] if j >= 2 else [zero]
+    if isinstance(family, X1Laguerre):
+        k = num(family.k)
+        t = _add(_mul([zero, -k, -one], y2), _mul([-k * k - k, one, one], y1),
+                 _mul([-sign * k, sign * one], y))
+        return t, _mul([k, one], y)
+    a, b = num(family.a), num(family.b)
+    c = b + 1 / a
+    t = _add(_mul(_mul([b, -one], [-one, zero, one]), y2),
+             _mul(_mul([2 * a, -2 * a * b], [-c, one]), y1),
+             _mul([sign * 2 * a, -sign * 2 * a * b], y))
+    return t, _mul([b, -one], y)
+
+
+def leading_order_eigenvalue(family, degree, sign=-1):
+    """The eigenvalue the x^(degree+1) row forces on a degree-`degree`
+    eigenfunction; family_eigenvalue for sign -1."""
+    if isinstance(family, X1Laguerre):
+        return degree + sign
+    return degree * (degree - 1) + 2 * family.a * family.b * (degree + sign)
+
+
+def pencil(family, degree, lam, sign=-1, num=float):
+    """Rows 0..degree+1 of T - lam S on monomial columns 0..degree."""
+    rows = [[num(0)] * (degree + 1) for _ in range(degree + 4)]
+    for j in range(degree + 1):
+        t, s = cleared_column(family, j, sign, num)
+        for i, v in enumerate(t):
+            rows[i][j] += v
+        for i, v in enumerate(s):
+            rows[i][j] -= lam * v
+    assert not any(any(row) for row in rows[degree + 2:])  # T, S raise degree by one
+    return rows[: degree + 2]
+
+
+def pencil_null_ratio(family, degree, sign=-1):
+    """Smallest over largest singular value of the pencil at the leading-order
+    eigenvalue: ~1e-16 when a degree-`degree` eigenfunction exists."""
+    system = np.array(pencil(family, degree, leading_order_eigenvalue(family, degree, sign), sign))
+    sing = np.linalg.svd(system, compute_uv=False)
+    return sing[-1] / sing[0]
 
 
 def nullspace_member(family, degree):
     """Monic degree-`degree` solution of the rectangular system at the known
     eigenvalue, via SVD."""
-    lam = family_eigenvalue(family, degree)
-    rows = degree + 2
-    system = np.zeros((rows, degree + 1))
-    for j in range(degree + 1):
-        if isinstance(family, X1Laguerre):
-            t, s = cleared_column_laguerre(family.k, j)
-        else:
-            t, s = cleared_column_jacobi(family.a, family.b, family.c, j)
-        col = np.zeros(rows)
-        col[: t.size] = t
-        col[: s.size] -= lam * s
-        system[:, j] = col
+    system = np.array(pencil(family, degree, family_eigenvalue(family, degree)))
     _, sing, vt = np.linalg.svd(system)
     assert sing[-1] < 1e-8, "no null space at the analytic eigenvalue"
     vec = vt[-1]
     return vec / vec[degree]
+
+
+def mpmath_member(family, degree, dps=50):
+    """Monic member at `dps` digits: rows degree..1 of the pencil at the exact
+    eigenvalue solved top-down for coefficients degree-1..0; rows 0 and
+    degree+1 must then vanish.  Returns mpf coefficients, ascending."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        if isinstance(family, X1Laguerre):
+            lam = mpmath.mpf(degree - 1)
+        else:
+            lam = (degree - 1) * (degree + 2 * mpmath.mpf(family.a) * mpmath.mpf(family.b))
+        m = pencil(family, degree, lam, num=mpmath.mpf)
+        c = [mpmath.mpf(0)] * degree + [mpmath.mpf(1)]
+        for row in range(degree, 0, -1):
+            c[row - 1] = -mpmath.fsum(m[row][j] * c[j] for j in range(row, degree + 1)) / m[row][row - 1]
+        scale = max(abs(v) for v in c)
+        for row in (0, degree + 1):
+            defect = mpmath.fsum(u * v for u, v in zip(m[row], c))
+            assert abs(defect) <= mpmath.mpf(10) ** (20 - dps) * scale
+        return c
+
+
+def mpmath_error(family, coeffs_by_degree):
+    """max over degrees of max |c - c_mpmath| / max |c_mpmath|."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for degree, coeffs in coeffs_by_degree.items():
+        ref = mpmath_member(family, degree)
+        scale = max(abs(v) for v in ref)
+        worst = max(worst, float(max(abs(mpmath.mpf(float(u)) - v)
+                                     for u, v in zip(coeffs, ref)) / scale))
+    return worst
 
 
 LAGUERRE_KS = (0.5, 1.5, 2.5)
@@ -136,13 +200,15 @@ def test_known_low_degree_members():
 
 
 def test_bracket_sign_oracle():
-    """The opposite in-bracket sign admits no full polynomial family; this is
-    the oracle that pinned the convention."""
-    for k in LAGUERRE_KS:
-        with pytest.raises(ConsistencyError):
-            x1_eigenpairs(X1Laguerre(k), 4, _bracket_sign=+1.0)
-    with pytest.raises(ConsistencyError):
-        x1_eigenpairs(X1Jacobi(a=2.0, b=1.25), 4, _bracket_sign=+1.0)
+    """The pencil with xop's in-bracket sign has a polynomial eigenfunction at
+    every degree; the opposite sign misses some degree, which is how the
+    convention was pinned.  xop's members solve the -1 pencil."""
+    for fam in [X1Laguerre(k) for k in LAGUERRE_KS] + [X1Jacobi(a=a, b=b) for a, b in JACOBI_ABS]:
+        assert max(pencil_null_ratio(fam, d, -1) for d in range(1, 7)) < 1e-12
+        assert max(pencil_null_ratio(fam, d, +1) for d in range(1, 7)) > 1e-4
+        for d, pair in enumerate(x1_eigenpairs(fam, 6), start=1):
+            system = np.array(pencil(fam, d, pair.eigenvalue, -1))
+            assert np.max(np.abs(system @ pair.polynomial.coeffs)) < 1e-12 * np.max(np.abs(system))
 
 
 def test_degree_gap():
@@ -300,3 +366,110 @@ def test_high_degree_families_certify_to_cap():
     for fam in (X1Laguerre(0.5), X1Jacobi(a=2.0, b=1.25)):
         pairs = x1_eigenpairs(fam, 32)
         assert [p.polynomial.degree for p in pairs] == list(range(1, 33))
+
+
+# --- two-term construction: n_max independence, mpmath, collisions --------------
+
+MPMATH_FAMILIES = (
+    X1Laguerre(0.5),
+    X1Laguerre(6.4),
+    X1Jacobi(a=1.0, b=2.0),
+    X1Jacobi(a=-2.8595951060788547, b=5.797434331352339),
+    X1Jacobi(a=2.88232799393015, b=-4.528127749765942),  # alpha, beta < -1
+)
+
+
+@pytest.mark.parametrize("fam", MPMATH_FAMILIES[:3] + (X1Jacobi(a=-1.7614, b=-1.2075),))
+def test_members_do_not_depend_on_n_max(fam):
+    full, half = x1_eigenpairs(fam, 32)[:16], x1_eigenpairs(fam, 16)
+    for p, q in zip(full, half):
+        assert p.eigenvalue == q.eigenvalue
+        assert np.array_equal(p.polynomial.coeffs, q.polynomial.coeffs)
+
+
+@pytest.mark.parametrize("fam", MPMATH_FAMILIES)
+def test_members_match_mpmath_to_degree_32(fam):
+    pairs = x1_eigenpairs(fam, 32)
+    coeffs = {d: pair.polynomial.coeffs for d, pair in enumerate(pairs, start=1)}
+    assert mpmath_error(fam, coeffs) <= 1e-15
+
+
+def collision_degrees(fam, n_max):
+    """Degrees d <= n_max that share an eigenvalue with a lower degree
+    1 - 2ab - d >= 0 when 1 - 2ab is an integer."""
+    total = 1 - 2 * fam.a * fam.b
+    if total != round(total):
+        return []
+    return [d for d in range(1, n_max + 1) if 0 <= total - d < d]
+
+
+# near 2ab = -6 - 2e-5 the degree-4 member built in long double is off by
+# ~7e-10 and passes the residual check; only the precision check stops it
+@pytest.mark.parametrize("ab", [(1.0, -3.0), (0.5, -3.0), (2.0, -1.5), (1.0, -2.0),
+                                (1.0, -3.0 - 1e-10), (1.0, -3.0 - 1e-5)])
+def test_eigenvalue_collisions_raise_or_match_mpmath(ab):
+    """At and near 2ab = -N the members either match mpmath or raise
+    ConsistencyError naming the degrees, with no floating-point exception."""
+    fam = X1Jacobi(*ab)
+    named = set()
+    with np.errstate(all="raise"):
+        for n_max in range(1, 11):
+            try:
+                pairs = x1_eigenpairs(fam, n_max)
+            except ConsistencyError as exc:
+                degrees = set(ast.literal_eval(re.search(r"degrees (\[[^]]*\])", str(exc))[1]))
+                assert degrees >= set(collision_degrees(fam, n_max))
+                assert degrees and max(degrees) <= n_max
+                named |= degrees
+                continue
+            assert not collision_degrees(fam, n_max)
+            coeffs = {d: p.polynomial.coeffs for d, p in enumerate(pairs, start=1)}
+            assert mpmath_error(fam, coeffs) <= 1e-14
+    assert named  # every case collides within degree 10
+
+
+@pytest.mark.parametrize("fam", MPMATH_FAMILIES[:3] + (
+    x1_jacobi_from_classical(5.437940902568693, 0.6311977349156458),))
+def test_recurrence_values_match_the_members(fam):
+    """gram_matrix evaluates members by the classical recurrences; on
+    families with an integrable weight the values agree with the
+    coefficients to well within the Gram tolerance."""
+    from xop.exceptional import _two_term_values
+
+    x = _sample_points(fam)
+    pairs = x1_eigenpairs(fam, 16)
+    values = _two_term_values(fam, 16, x)
+    for row, pair in zip(values, pairs):
+        size = Polynomial(np.abs(pair.polynomial.coeffs))(np.abs(x))
+        assert np.max(np.abs(row - pair.polynomial(x)) / size) <= 1e-12
+
+
+# 6.4 and 7.275 raised AccuracyError with the pencil members, 4.8897... and
+# 5.7 with the two-term members evaluated from their monomial coefficients
+@pytest.mark.parametrize("k", [4.8897037259746226, 5.7, 6.4, 7.275])
+def test_laguerre_gram_converges_and_matches_quad(k):
+    """The Gram refinements converge, and the diagonal, the first
+    off-diagonal and the corner entry agree with QUADPACK."""
+    fam = X1Laguerre(k)
+    g = gram_matrix(fam, 16)
+    members = [tuple(reversed(p.polynomial.coeffs)) for p in x1_eigenpairs(fam, 16)]
+
+    def horner(coeffs, x):
+        out = 0.0
+        for c in coeffs:
+            out = out * x + c
+        return out
+
+    diag = np.sqrt(np.diag(g))
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        for i, j in [(i, i) for i in range(16)] + [(i, i + 1) for i in range(15)] + [(0, 15)]:
+            def f(x, p=members[i], q=members[j]):
+                return horner(p, x) * horner(q, x) * math.exp(-x) / (x + k) ** 2
+            head, _ = scipy.integrate.quad(f, 0.0, 1.0, weight="alg", wvar=(k, 0.0),
+                                           epsabs=0.0, epsrel=1e-11, limit=200)
+            tail, _ = scipy.integrate.quad(lambda x: f(x) * x**k, 1.0, math.inf,
+                                           epsabs=0.0, epsrel=1e-11, limit=200)
+            worst = max(worst, abs(g[i, j] - head - tail) / (diag[i] * diag[j]))
+    assert worst <= 1e-8
