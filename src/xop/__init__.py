@@ -60,7 +60,6 @@ from .systems import (
     HartmannRadial,
     HydrogenLike,
     Interval,
-    PotentialFn,
     ReducedSystem,
     SystemParams,
     analytic_energy,
@@ -68,9 +67,6 @@ from .systems import (
     hydrogen_s_parameter,
     hydrogen_standard_energy,
     potential_hartmann_angular_i_printed,
-    reduce_dirac_oscillator,
-    reduce_hartmann_radial,
-    reduce_hydrogen,
     reduce_system,
     system_from_dict,
     system_from_json,

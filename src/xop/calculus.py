@@ -11,7 +11,7 @@ import numpy as np
 
 from .polynomials import Polynomial
 
-__all__ = ["Jet2", "jet_identity", "jet_const", "jet_poly", "jet_pow", "jet_exp"]
+__all__ = ["Jet2", "jet_identity", "jet_poly", "jet_pow", "jet_exp"]
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ class Jet2:
 def jet_identity(x) -> Jet2:
     x = np.asarray(x, dtype=float)
     return Jet2(x, np.ones_like(x), np.zeros_like(x))
-
-
-def jet_const(c, x) -> Jet2:
-    x = np.asarray(x, dtype=float)
-    return Jet2(np.full_like(x, float(c)), np.zeros_like(x), np.zeros_like(x))
 
 
 def jet_poly(p: Polynomial, u: Jet2) -> Jet2:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import UsageError
-from .systems import SystemParams, system_from_dict
+from .systems import _SYSTEM_KINDS, SystemParams, _finite_number, system_from_dict
 from .verify import Tolerances
 
 __all__ = ["RunConfig", "GridConfig", "OutputConfig", "load_config", "default_config"]
@@ -28,8 +28,15 @@ class GridConfig:
     def __post_init__(self):
         if self.points < 64:
             raise UsageError(f"grid points must be at least 64, got {self.points}")
+        if not isinstance(self.domain_overrides, dict):
+            raise UsageError(f"domain_overrides must map system kinds to [lo, hi], "
+                             f"got {self.domain_overrides!r}")
         for kind, bounds in self.domain_overrides.items():
-            if len(bounds) != 2 or not bounds[0] < bounds[1]:
+            if kind not in _SYSTEM_KINDS:
+                raise UsageError(f"domain override for unknown system kind {kind!r}; "
+                                 f"known kinds: {', '.join(_SYSTEM_KINDS)}")
+            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                    and all(map(_finite_number, bounds)) and bounds[0] < bounds[1]):
                 raise UsageError(f"bad domain override for {kind}: {bounds!r}")
 
     def domain_for(self, kind: str):
@@ -47,6 +54,8 @@ class OutputConfig:
     def __post_init__(self):
         if self.format not in ("csv", "json"):
             raise UsageError(f"output format must be 'csv' or 'json', got {self.format!r}")
+        if not isinstance(self.path, str):
+            raise UsageError(f"output path must be a string, got {self.path!r}")
 
 
 @dataclass(frozen=True)
@@ -77,21 +86,33 @@ def _tolerance_scale() -> float:
     return scale
 
 
+def _whole_number(name: str, value) -> int:
+    """`value` as an int: an int, or a float with an integral value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    try:
-        systems = tuple(system_from_dict(entry) for entry in data["systems"])
-    except KeyError as exc:
-        raise UsageError("config is missing the 'systems' list") from exc
+    if not isinstance(data.get("systems"), (list, tuple)):
+        raise UsageError(f"config needs a 'systems' list, got {data.get('systems')!r}")
+    systems = tuple(system_from_dict(entry) for entry in data["systems"])
     tol_data = data.get("tolerances", {})
     try:
         tolerances = Tolerances(**tol_data)
     except TypeError as exc:
         raise UsageError(f"bad tolerances block: {tol_data!r}") from exc
     tolerances = tolerances.scaled(_tolerance_scale())
-    grid_data = dict(data.get("grid", {}))
-    grid_data.setdefault("domain_overrides", {})
+    grid_data = data.get("grid", {})
+    if not isinstance(grid_data, dict):
+        raise UsageError(f"bad grid block: {grid_data!r}")
+    grid_data = {"domain_overrides": {}, **grid_data}
+    if "points" in grid_data:
+        grid_data["points"] = _whole_number("grid points", grid_data["points"])
     try:
         grid = GridConfig(**grid_data)
     except TypeError as exc:
@@ -103,7 +124,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise UsageError(f"bad output block: {out_data!r}") from exc
     return RunConfig(
         systems=systems,
-        levels=int(data.get("levels", 4)),
+        levels=_whole_number("levels", data.get("levels", 4)),
         tolerances=tolerances,
         grid=grid,
         output=output,

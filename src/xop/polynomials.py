@@ -58,12 +58,6 @@ class Polynomial:
     def derivative(self, order: int = 1) -> "Polynomial":
         return Polynomial(_P.polyder(self.coeffs, order))
 
-    def monic(self) -> "Polynomial":
-        lead = self.coeffs[-1]
-        if lead == 0.0:
-            raise ParameterError("zero polynomial has no monic form")
-        return Polynomial(self.coeffs / lead)
-
     def to_json(self) -> str:
         """Serialize as a JSON array of coefficients, ascending degree."""
         return json.dumps([float(c) for c in self.coeffs])

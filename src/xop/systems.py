@@ -1,10 +1,24 @@
 """The five exactly solvable systems and their rational extensions.
 
-Each system carries three potential variants:
+A system is a frozen parameter record plus one builder that turns it into a
+``ReducedSystem``; ``_BUILDERS`` maps each parameter class to its builder
+and is the only list of systems (``reduce_system``, ``analytic_energy``,
+``wavefunction`` and the JSON kinds all read it).  Adding a system means
+writing its parameter class and its builder and adding one table entry.  A
+builder supplies:
 
-* ``original`` -- the solvable base potential,
-* ``shift`` -- the rational term that turns it into its isospectral partner,
-* ``extended`` -- their pointwise sum.
+* the coordinate name, the open domain, the truncated grid domain and the
+  window where closed-form residuals are sampled;
+* the potentials ``original`` and ``shift`` (the rational term that turns
+  it into its isospectral partner; ``extended`` is their pointwise sum),
+  and the operator form ``operator_potential`` with its optional
+  ``eigen_weight``;
+* the classical and X1 families whose members carry the original and
+  extended levels;
+* the level-energy law, and the three pieces of the closed-form
+  wavefunctions: the jet of the polynomial variable z in the coordinate,
+  the prefactor jet in z, and the pole offset (c0, c1) of the pole factor
+  c0 + c1 z.
 
 The ``ve_*`` functions reproduce the source expressions for the rational
 terms verbatim (in the polynomial-equation normalization they were derived
@@ -17,8 +31,9 @@ tests/test_systems.py) rather than by transcription.
 Radial oscillators use xi = omega r^2 / 2 and energies (2n + l + 3/2) omega.
 The Dirac oscillator reduces, after rescaling the radial coordinate by
 sqrt(2), to the omega = 1 oscillator operator -u'' + [l(l+1)/r^2 + r^2/4] u,
-whose spectrum is exactly E_n = 2n + l + 3/2; its printed form (in the
-unscaled coordinate, where xi = r^2) is kept as a labelled accessor.
+whose spectrum is exactly E_n = 2n + l + 3/2, so both share one builder; its
+printed form (in the unscaled coordinate, where xi = r^2) is kept as a
+labelled accessor.
 
 The hydrogen-like system is conditionally exactly solvable: with the radial
 variable fixed at chi = 1 scale the energy sits at -1/4 and the Coulomb
@@ -59,15 +74,11 @@ __all__ = [
     "HydrogenLike",
     "SystemParams",
     "Interval",
-    "PotentialFn",
     "ReducedSystem",
     "system_from_dict",
     "system_to_dict",
     "system_from_json",
     "reduce_system",
-    "reduce_hartmann_radial",
-    "reduce_dirac_oscillator",
-    "reduce_hydrogen",
     "ve_hartmann_radial",
     "ve_hartmann_angular_i",
     "ve_hartmann_angular_ii",
@@ -188,19 +199,15 @@ class HydrogenLike:
     def __post_init__(self):
         if not self.s > 0:
             raise ParameterError(f"s must be positive (positive root), got {self.s}")
-        if not self.chi > 0:
-            raise ParameterError(f"chi must be positive, got {self.chi}")
+        if self.chi != 1.0:
+            raise ParameterError(
+                "the hydrogen-like reduction is taken at radial scale chi = 1; chi must be 1"
+            )
 
 
 SystemParams = Union[
     HartmannRadial, HartmannAngularI, HartmannAngularII, DiracOscillator, HydrogenLike
 ]
-
-_SYSTEM_KINDS = {
-    cls.__name__: cls
-    for cls in (HartmannRadial, HartmannAngularI, HartmannAngularII,
-                DiracOscillator, HydrogenLike)
-}
 
 
 def system_to_dict(params: SystemParams) -> dict:
@@ -210,12 +217,29 @@ def system_to_dict(params: SystemParams) -> dict:
     return {"kind": type(params).__name__, "params": fields}
 
 
+def _finite_number(value) -> bool:
+    """True for an int or float (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def system_from_dict(data: dict) -> SystemParams:
     try:
         cls = _SYSTEM_KINDS[data["kind"]]
         params = data.get("params", {})
     except (KeyError, TypeError) as exc:
         raise UsageError(f"invalid system spec: {data!r}") from exc
+    if not isinstance(params, dict):
+        raise UsageError(f"parameters of {data['kind']} must be a JSON object, got {params!r}")
+    for key, value in params.items():
+        if not _finite_number(value):
+            raise UsageError(
+                f"parameter {key!r} of {data['kind']} must be a finite number, got {value!r}"
+            )
     try:
         return cls(**params)
     except TypeError as exc:
@@ -242,37 +266,7 @@ def hydrogen_s_parameter(l: int, coupling_sq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# potentials
-
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-    lo_open: bool = True
-    hi_open: bool = True
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        lo_ok = (x > self.lo) if self.lo_open else (x >= self.lo)
-        hi_ok = (x < self.hi) if self.hi_open else (x <= self.hi)
-        return bool(np.all(lo_ok & hi_ok))
-
-
-@dataclass(frozen=True)
-class PotentialFn:
-    """A potential variant bound to its system, domain and coordinate."""
-
-    system: SystemParams
-    variant: str  # "original" | "shift" | "extended"
-    domain: Interval
-    coordinate: str  # "r" | "theta"
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-
-# printed rational terms, exactly as derived in the polynomial equations ----
+# printed rational terms, exactly as derived in the polynomial equations
 
 def ve_hartmann_radial(params: HartmannRadial, r):
     """1/(xi+m) - (2l+1)/(xi+m)^2 with xi = omega r^2/2, m = l + 1/2."""
@@ -312,50 +306,6 @@ def ve_hydrogen(params: HydrogenLike, r):
     return 1.0 / u - 2 * kk / u**2
 
 
-# operator-level shifts (what actually extends the Schrodinger operators) ---
-
-def _jacobi_insertion(b: float, z):
-    # the rational term entering the polynomial equation next to the eigenvalue
-    return 2 * z / (b - z) - 2 * (1 - z**2) / (b - z) ** 2
-
-
-def _oscillator_shift(l: int, omega: float, r):
-    xi = omega * r**2 / 2
-    u = xi + l + 0.5
-    return 2 * omega * (1.0 / u - (2 * l + 1) / u**2)
-
-
-def _shift_fn(params: SystemParams) -> Callable:
-    if isinstance(params, HartmannRadial):
-        return lambda r: _oscillator_shift(params.l, params.omega, r)
-    if isinstance(params, DiracOscillator):
-        return lambda r: _oscillator_shift(params.l, 1.0, r)
-    if isinstance(params, HydrogenLike):
-        def hydrogen_shift(r):
-            return ve_hydrogen(params, r) / r
-        return hydrogen_shift
-    if isinstance(params, HartmannAngularI):
-        return lambda theta: -_jacobi_insertion(params.pole, np.cos(theta))
-    return lambda theta: -4.0 * _jacobi_insertion(params.pole, np.cos(2 * theta))
-
-
-def _original_fn(params: SystemParams) -> Callable:
-    if isinstance(params, HartmannRadial):
-        return lambda r: params.l * (params.l + 1) / r**2 + params.omega**2 * r**2 / 4
-    if isinstance(params, DiracOscillator):
-        return lambda r: params.l * (params.l + 1) / r**2 + r**2 / 4
-    if isinstance(params, HydrogenLike):
-        return lambda r: params.s * (params.s + 1) / r**2 - params.lambda_c / r
-    if isinstance(params, HartmannAngularI):
-        la, s = params.lambda_a, params.s
-        def angular_i(theta):
-            sin2 = np.sin(theta) ** 2
-            return ((la**2 + s**2 - s) - la * (2 * s - 1) * np.cos(theta)) / sin2
-        return angular_i
-    la, s = params.lambda_a, params.s
-    return lambda theta: la * (la - 1) / np.sin(theta) ** 2 + s * (s - 1) / np.cos(theta) ** 2
-
-
 def potential_hartmann_angular_i_printed(params: HartmannAngularI, theta):
     """First angular potential in its textbook-printed form, with csc^2
     coefficient (lambda^2 + s^2 + s).
@@ -381,29 +331,6 @@ def dirac_oscillator_potential_printed(params: DiracOscillator, r, energy: float
             + ve_dirac_oscillator(params, r))
 
 
-# ---------------------------------------------------------------------------
-# energies and families
-
-def analytic_energy(params: SystemParams, n: int) -> float:
-    """Eigenvalue of the system's eigenproblem at level n (0-based).
-
-    For HydrogenLike this is the quantized coupling lambda_n = n + s + 1 of
-    the coupling-form eigenproblem; all other systems return plain energies.
-    """
-    if n < 0 or n != int(n):
-        raise UsageError(f"level must be a nonnegative integer, got {n}")
-    n = int(n)
-    if isinstance(params, HartmannRadial):
-        return (2 * n + params.l + 1.5) * params.omega
-    if isinstance(params, DiracOscillator):
-        return 2 * n + params.l + 1.5
-    if isinstance(params, HydrogenLike):
-        return n + params.s + 1
-    if isinstance(params, HartmannAngularI):
-        return (params.s + n) ** 2
-    return (params.lambda_a + params.s + 2 * n) ** 2
-
-
 def hydrogen_standard_energy(params: HydrogenLike, n: int) -> float:
     """Bound-state energy -lambda_c^2 / (4 (n+s+1)^2) of the fixed-coupling form."""
     if n < 0 or n != int(n):
@@ -411,73 +338,236 @@ def hydrogen_standard_energy(params: HydrogenLike, n: int) -> float:
     return -params.lambda_c**2 / (4.0 * (n + params.s + 1) ** 2)
 
 
-def _classical_family(params: SystemParams) -> FamilySpec:
-    if isinstance(params, (HartmannRadial, DiracOscillator)):
-        return ClassicalLaguerre(params.l + 0.5)
-    if isinstance(params, HydrogenLike):
-        return ClassicalLaguerre(2 * params.s + 1)
-    al, be = params.jacobi_ab
-    return ClassicalJacobi(al, be)
+# ---------------------------------------------------------------------------
+# the reduced record
+
+@dataclass(frozen=True)
+class Interval:
+    """The open interval (lo, hi)."""
+
+    lo: float
+    hi: float
+
+    def contains(self, x) -> bool:
+        x = np.asarray(x, dtype=float)
+        return bool(np.all((x > self.lo) & (x < self.hi)))
 
 
-def _x1_family(params: SystemParams) -> FamilySpec:
-    if isinstance(params, (HartmannRadial, DiracOscillator)):
-        return X1Laguerre(params.l + 0.5)
-    if isinstance(params, HydrogenLike):
-        return X1Laguerre(2 * params.s + 1)
-    if isinstance(params, HartmannAngularI):
-        return X1Jacobi(a=params.lambda_a, b=params.pole)
-    return X1Jacobi(a=(params.s - params.lambda_a) / 2, b=params.pole)
+@dataclass(frozen=True)
+class ReducedSystem:
+    """Everything the spectral pipeline and the closed-form wavefunctions
+    need for one system, as its builder supplies it (see the module
+    docstring).  The potential callables take float arrays."""
+
+    params: SystemParams
+    coordinate: str  # "r" | "theta"
+    domain: Interval
+    grid_domain: tuple[float, float]
+    residual_window: tuple[float, float]
+    original: Callable[[np.ndarray], np.ndarray]
+    shift: Callable[[np.ndarray], np.ndarray]
+    operator_potential: Callable[[np.ndarray], np.ndarray]
+    classical_family: FamilySpec
+    x1_family: FamilySpec
+    level_energy: Callable[[int], float]
+    coordinate_jet: Callable[[np.ndarray], Jet2]
+    prefactor_jet: Callable[[Jet2], Jet2]
+    pole_offset: tuple[float, float]  # (c0, c1): the pole factor is c0 + c1 z
+    eigen_weight: Callable[[np.ndarray], np.ndarray] | None = None  # B in -u'' + V u = E B u
+
+    def extended(self, x):
+        return self.original(x) + self.shift(x)
+
+    def energy(self, n: int) -> float:
+        """Eigenvalue of the system's eigenproblem at level n (0-based)."""
+        if n < 0 or n != int(n):
+            raise UsageError(f"level must be a nonnegative integer, got {n}")
+        return self.level_energy(int(n))
+
+    def operator_extended(self, x):
+        return self.operator_potential(x) + self.shift(x)
+
+    def wavefunction(self, variant: str, n: int):
+        return wavefunction(self.params, variant, n)
 
 
 # ---------------------------------------------------------------------------
-# closed-form wavefunctions
+# one builder per system
 
-def _coordinate_jet(params: SystemParams, x: np.ndarray) -> Jet2:
-    """Jet of the polynomial variable as a function of the physical coordinate."""
-    if isinstance(params, HartmannRadial):
-        w = params.omega
-        return Jet2(w * x**2 / 2, w * x, np.full_like(x, w))
-    if isinstance(params, DiracOscillator):
-        return Jet2(x**2 / 2, x, np.ones_like(x))
-    if isinstance(params, HydrogenLike):
-        return jet_identity(x)
-    if isinstance(params, HartmannAngularI):
-        return Jet2(np.cos(x), -np.sin(x), -np.cos(x))
-    return Jet2(np.cos(2 * x), -2 * np.sin(2 * x), -4 * np.cos(2 * x))
+_ANGULAR_CLIP = 1e-2
 
 
-def _prefactor_jet(params: SystemParams, z: Jet2) -> Jet2:
-    """Solvable-system prefactor jet in the physical coordinate, built
-    through the polynomial-variable jet z."""
-    if isinstance(params, (HartmannRadial, DiracOscillator)):
-        return jet_pow(z, (params.l + 1) / 2) * jet_exp(z * (-0.5))
-    if isinstance(params, HydrogenLike):
-        return jet_pow(z, params.s + 1) * jet_exp(z * (-0.5))
-    if isinstance(params, HartmannAngularI):
-        a_exp = (params.s - params.lambda_a) / 2
-        b_exp = (params.s + params.lambda_a) / 2
-    else:
-        a_exp = params.lambda_a / 2
-        b_exp = params.s / 2
-    one = Jet2(np.ones_like(z.val), np.zeros_like(z.val), np.zeros_like(z.val))
-    return jet_pow(one - z, a_exp) * jet_pow(one + z, b_exp)
+def _oscillator(params: HartmannRadial | DiracOscillator) -> ReducedSystem:
+    """Radial oscillator in xi = omega r^2/2; the Dirac oscillator is its
+    omega = 1 case.  The truncation radii keep the dropped prefactor tail
+    below 1e-12 of its peak."""
+    l, w = params.l, params.omega
+
+    def original(r):
+        return l * (l + 1) / r**2 + w**2 * r**2 / 4
+
+    def shift(r):
+        u = w * r**2 / 2 + l + 0.5
+        return 2 * w * (1.0 / u - (2 * l + 1) / u**2)
+
+    return ReducedSystem(
+        params=params,
+        coordinate="r",
+        domain=Interval(0.0, math.inf),
+        grid_domain=(0.0, 20.0 / math.sqrt(w)),
+        residual_window=(0.05, 12.0 / math.sqrt(w)),
+        original=original,
+        shift=shift,
+        operator_potential=original,
+        classical_family=ClassicalLaguerre(l + 0.5),
+        x1_family=X1Laguerre(l + 0.5),
+        level_energy=lambda n: (2 * n + l + 1.5) * w,
+        coordinate_jet=lambda x: Jet2(w * x**2 / 2, w * x, np.full_like(x, w)),
+        prefactor_jet=lambda z: jet_pow(z, (l + 1) / 2) * jet_exp(z * (-0.5)),
+        pole_offset=(l + 0.5, 1.0),
+    )
 
 
-def _pole_offset(params: SystemParams) -> tuple[float, float]:
-    """(c0, c1) such that the pole factor is c0 + c1 * z."""
-    if isinstance(params, (HartmannRadial, DiracOscillator)):
-        return params.l + 0.5, 1.0
-    if isinstance(params, HydrogenLike):
-        return 2 * params.s + 1, 1.0
-    return params.pole, -1.0  # b - z
+def _hydrogen(params: HydrogenLike) -> ReducedSystem:
+    """Coupling form A u = lambda (1/r) u; `original` is the fixed-coupling
+    potential."""
+    s = params.s
+
+    def original(r):
+        return s * (s + 1) / r**2 - params.lambda_c / r
+
+    def shift(r):
+        return ve_hydrogen(params, r) / r
+
+    def operator_potential(r):
+        return s * (s + 1) / r**2 + 0.25
+
+    def eigen_weight(r):
+        return 1.0 / r
+
+    return ReducedSystem(
+        params=params,
+        coordinate="r",
+        domain=Interval(0.0, math.inf),
+        grid_domain=(0.0, 80.0),
+        residual_window=(0.1, 40.0),
+        original=original,
+        shift=shift,
+        operator_potential=operator_potential,
+        classical_family=ClassicalLaguerre(2 * s + 1),
+        x1_family=X1Laguerre(2 * s + 1),
+        level_energy=lambda n: n + s + 1,
+        coordinate_jet=jet_identity,
+        prefactor_jet=lambda z: jet_pow(z, s + 1) * jet_exp(z * (-0.5)),
+        pole_offset=(2 * s + 1, 1.0),
+        eigen_weight=eigen_weight,
+    )
 
 
-def _classical_polynomial(params: SystemParams, n: int) -> Polynomial:
-    fam = _classical_family(params)
-    if isinstance(fam, ClassicalLaguerre):
-        return laguerre_polynomial(n, fam.k)
-    return jacobi_polynomial(n, fam.alpha, fam.beta)
+def _jacobi_insertion(b: float, z):
+    # the rational term entering the polynomial equation next to the eigenvalue
+    return 2 * z / (b - z) - 2 * (1 - z**2) / (b - z) ** 2
+
+
+def _jacobi_prefactor(a_exp: float, b_exp: float) -> Callable[[Jet2], Jet2]:
+    """(1 - z)^a_exp (1 + z)^b_exp."""
+    def prefactor(z: Jet2) -> Jet2:
+        one = Jet2(np.ones_like(z.val), np.zeros_like(z.val), np.zeros_like(z.val))
+        return jet_pow(one - z, a_exp) * jet_pow(one + z, b_exp)
+    return prefactor
+
+
+def _angular_i(params: HartmannAngularI) -> ReducedSystem:
+    la, s, b = params.lambda_a, params.s, params.pole
+
+    def original(theta):
+        sin2 = np.sin(theta) ** 2
+        return ((la**2 + s**2 - s) - la * (2 * s - 1) * np.cos(theta)) / sin2
+
+    def shift(theta):
+        return -_jacobi_insertion(b, np.cos(theta))
+
+    return ReducedSystem(
+        params=params,
+        coordinate="theta",
+        domain=Interval(0.0, math.pi),
+        grid_domain=(_ANGULAR_CLIP, math.pi - _ANGULAR_CLIP),
+        residual_window=(0.15, math.pi - 0.15),
+        original=original,
+        shift=shift,
+        operator_potential=original,
+        classical_family=ClassicalJacobi(*params.jacobi_ab),
+        x1_family=X1Jacobi(a=la, b=b),
+        level_energy=lambda n: (s + n) ** 2,
+        coordinate_jet=lambda x: Jet2(np.cos(x), -np.sin(x), -np.cos(x)),
+        prefactor_jet=_jacobi_prefactor((s - la) / 2, (s + la) / 2),
+        pole_offset=(b, -1.0),
+    )
+
+
+def _angular_ii(params: HartmannAngularII) -> ReducedSystem:
+    la, s, b = params.lambda_a, params.s, params.pole
+
+    def original(theta):
+        return la * (la - 1) / np.sin(theta) ** 2 + s * (s - 1) / np.cos(theta) ** 2
+
+    def shift(theta):
+        return -4.0 * _jacobi_insertion(b, np.cos(2 * theta))
+
+    return ReducedSystem(
+        params=params,
+        coordinate="theta",
+        domain=Interval(0.0, math.pi / 2),
+        grid_domain=(_ANGULAR_CLIP, math.pi / 2 - _ANGULAR_CLIP),
+        residual_window=(0.08, math.pi / 2 - 0.08),
+        original=original,
+        shift=shift,
+        operator_potential=original,
+        classical_family=ClassicalJacobi(*params.jacobi_ab),
+        x1_family=X1Jacobi(a=(s - la) / 2, b=b),
+        level_energy=lambda n: (la + s + 2 * n) ** 2,
+        coordinate_jet=lambda x: Jet2(np.cos(2 * x), -2 * np.sin(2 * x), -4 * np.cos(2 * x)),
+        prefactor_jet=_jacobi_prefactor(la / 2, s / 2),
+        pole_offset=(b, -1.0),
+    )
+
+
+_BUILDERS: dict[type, Callable[..., ReducedSystem]] = {
+    HartmannRadial: _oscillator,
+    HartmannAngularI: _angular_i,
+    HartmannAngularII: _angular_ii,
+    DiracOscillator: _oscillator,
+    HydrogenLike: _hydrogen,
+}
+
+_SYSTEM_KINDS = {cls.__name__: cls for cls in _BUILDERS}
+
+
+def reduce_system(params: SystemParams) -> ReducedSystem:
+    """Build the full reduced description (potentials, families, eigenform)."""
+    try:
+        build = _BUILDERS[type(params)]
+    except KeyError:
+        raise UsageError(f"not a system: {params!r}") from None
+    return build(params)
+
+
+# ---------------------------------------------------------------------------
+# energies and closed-form wavefunctions
+
+def analytic_energy(params: SystemParams, n: int) -> float:
+    """Eigenvalue of the system's eigenproblem at level n (0-based).
+
+    For HydrogenLike this is the quantized coupling lambda_n = n + s + 1 of
+    the coupling-form eigenproblem; all other systems return plain energies.
+    """
+    return reduce_system(params).energy(n)
+
+
+def _classical_polynomial(family: FamilySpec, n: int) -> Polynomial:
+    if isinstance(family, ClassicalLaguerre):
+        return laguerre_polynomial(n, family.k)
+    return jacobi_polynomial(n, family.alpha, family.beta)
 
 
 def wavefunction(params: SystemParams, variant: str, n: int) -> Callable[[np.ndarray], Jet2]:
@@ -493,14 +583,15 @@ def wavefunction(params: SystemParams, variant: str, n: int) -> Callable[[np.nda
     if n != int(n) or n < 0:
         raise UsageError(f"index must be a nonnegative integer, got {n}")
     n = int(n)
+    system = reduce_system(params)
     if variant == "exceptional":
         if n == 0:
             raise UsageError("codimension gap: no degree-0 exceptional wavefunction")
-        poly = x1_polynomial(_x1_family(params), n).polynomial
+        poly = x1_polynomial(system.x1_family, n).polynomial
     else:
-        poly = _classical_polynomial(params, n)
-    c0, c1 = _pole_offset(params)
-    domain = _domain(params)
+        poly = _classical_polynomial(system.classical_family, n)
+    c0, c1 = system.pole_offset
+    domain = system.domain
 
     def psi(x) -> Jet2:
         x = np.asarray(x, dtype=float)
@@ -508,131 +599,10 @@ def wavefunction(params: SystemParams, variant: str, n: int) -> Callable[[np.nda
             raise DomainError(
                 f"coordinate outside open domain ({domain.lo}, {domain.hi})"
             )
-        z = _coordinate_jet(params, x)
-        value = _prefactor_jet(params, z) * jet_poly(poly, z)
+        z = system.coordinate_jet(x)
+        value = system.prefactor_jet(z) * jet_poly(poly, z)
         if variant == "exceptional":
             value = value / (z * c1 + c0)
         return value
 
     return psi
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Everything the spectral pipeline needs for one system."""
-
-    params: SystemParams
-    coordinate: str
-    domain: Interval
-    grid_domain: tuple[float, float]
-    original: PotentialFn
-    shift: PotentialFn
-    extended: PotentialFn
-    classical_family: FamilySpec
-    x1_family: FamilySpec
-    operator_potential: Callable[[np.ndarray], np.ndarray]
-    eigen_weight: Callable[[np.ndarray], np.ndarray] | None
-    residual_window: tuple[float, float]
-
-    def energy(self, n: int) -> float:
-        return analytic_energy(self.params, n)
-
-    def operator_extended(self, x):
-        return self.operator_potential(x) + self.shift(x)
-
-    def wavefunction(self, variant: str, n: int):
-        return wavefunction(self.params, variant, n)
-
-
-def _domain(params: SystemParams) -> Interval:
-    if isinstance(params, (HartmannRadial, DiracOscillator, HydrogenLike)):
-        return Interval(0.0, math.inf)
-    if isinstance(params, HartmannAngularI):
-        return Interval(0.0, math.pi)
-    return Interval(0.0, math.pi / 2)
-
-
-_ANGULAR_CLIP = 1e-2
-
-
-def _grid_domain(params: SystemParams) -> tuple[float, float]:
-    # truncation radii keep the dropped prefactor tail below 1e-12 of its peak
-    if isinstance(params, HartmannRadial):
-        return 0.0, 20.0 / math.sqrt(params.omega)
-    if isinstance(params, DiracOscillator):
-        return 0.0, 20.0
-    if isinstance(params, HydrogenLike):
-        return 0.0, 80.0
-    if isinstance(params, HartmannAngularI):
-        return _ANGULAR_CLIP, math.pi - _ANGULAR_CLIP
-    return _ANGULAR_CLIP, math.pi / 2 - _ANGULAR_CLIP
-
-
-def _residual_window(params: SystemParams) -> tuple[float, float]:
-    if isinstance(params, HartmannRadial):
-        return 0.05, 12.0 / math.sqrt(params.omega)
-    if isinstance(params, DiracOscillator):
-        return 0.05, 12.0
-    if isinstance(params, HydrogenLike):
-        return 0.1, 40.0
-    if isinstance(params, HartmannAngularI):
-        return 0.15, math.pi - 0.15
-    return 0.08, math.pi / 2 - 0.08
-
-
-def reduce_system(params: SystemParams) -> ReducedSystem:
-    """Build the full reduced description (potentials, families, eigenform)."""
-    coordinate = "r" if isinstance(params, (HartmannRadial, DiracOscillator, HydrogenLike)) else "theta"
-    domain = _domain(params)
-    original = _original_fn(params)
-    shift = _shift_fn(params)
-
-    def extended(x):
-        return original(x) + shift(x)
-
-    if isinstance(params, HydrogenLike):
-        s = params.s
-
-        def operator_potential(r):
-            return s * (s + 1) / r**2 + 0.25
-
-        def eigen_weight(r):
-            return 1.0 / r
-    else:
-        operator_potential = original
-        eigen_weight = None
-
-    def as_potential(variant, fn):
-        return PotentialFn(params, variant, domain, coordinate, fn)
-
-    return ReducedSystem(
-        params=params,
-        coordinate=coordinate,
-        domain=domain,
-        grid_domain=_grid_domain(params),
-        original=as_potential("original", original),
-        shift=as_potential("shift", shift),
-        extended=as_potential("extended", extended),
-        classical_family=_classical_family(params),
-        x1_family=_x1_family(params),
-        operator_potential=operator_potential,
-        eigen_weight=eigen_weight,
-        residual_window=_residual_window(params),
-    )
-
-
-def reduce_hartmann_radial(l: int, omega: float = 1.0) -> ReducedSystem:
-    return reduce_system(HartmannRadial(l=l, omega=omega))
-
-
-def reduce_dirac_oscillator(l: int, omega: float = 1.0) -> ReducedSystem:
-    return reduce_system(DiracOscillator(l=l, omega=omega))
-
-
-def reduce_hydrogen(s: float, lambda_c: float | None = None, chi: float = 1.0) -> ReducedSystem:
-    if lambda_c is None:
-        lambda_c = s + 1.0  # ground state sits exactly at -1/4
-    return reduce_system(HydrogenLike(s=s, lambda_c=lambda_c, chi=chi))

@@ -20,7 +20,13 @@ from .spectral import (
     extrapolate,
     residual_on_operator,
 )
-from .systems import ReducedSystem, SystemParams, reduce_system, system_to_dict
+from .systems import (
+    ReducedSystem,
+    SystemParams,
+    _finite_number,
+    reduce_system,
+    system_to_dict,
+)
 
 __all__ = [
     "Tolerances",
@@ -45,8 +51,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not value > 0:
-                raise UsageError(f"tolerance {name} must be positive, got {value}")
+            if not (_finite_number(value) and value > 0):
+                raise UsageError(f"tolerance {name} must be a finite positive number, "
+                                 f"got {value!r}")
 
     def scaled(self, factor: float) -> "Tolerances":
         if not factor > 0:

@@ -364,3 +364,70 @@ SWEEP = (
     arg for arg in argv if not arg.startswith("{")))
 def test_integer_flags_never_raise(argv, capsys):
     assert main(argv) in (0, 1, 2)
+
+
+# non-integer inputs: every bad system value or config entry exits 2 ------------------
+
+SYSTEM_PARAMS = {
+    "HartmannRadial": {"l": 0, "omega": 1.0},
+    "HartmannAngularI": {"lambda_a": 1.0, "s": 2.5},
+    "HartmannAngularII": {"lambda_a": 2.0, "s": 4.0},
+    "DiracOscillator": {"l": 0, "omega": 1.0},
+    "HydrogenLike": {"s": 0.9, "lambda_c": 1.9, "chi": 1.0},
+}
+BAD_VALUES = ('"x"', "null", "[1]", "true", "NaN", "Infinity", "1e400")
+SUBCOMMANDS = {
+    "spectrum": ["--levels", "1", "--grid-points", "64"],
+    "plot-data": ["--range", "0.1", "0.2", "--count", "3", "--levels", "1"],
+}
+
+
+def bad_system(kind, key, value):
+    fields = ", ".join(f'"{k}": {value if k == key else json.dumps(v)}'
+                       for k, v in SYSTEM_PARAMS[kind].items())
+    return f'{{"kind": "{kind}", "params": {{{fields}}}}}'
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("system", [
+    bad_system(kind, key, value)
+    for kind, params in SYSTEM_PARAMS.items() for key in params for value in BAD_VALUES
+])
+def test_bad_system_values_exit_2(command, system, capsys):
+    assert main([command, "--system", system] + SUBCOMMANDS[command]) == 2
+
+
+BAD_CONFIGS = [
+    {"levels": "x"}, {"levels": 2.7}, {"levels": None}, {"levels": True},
+    {"levels": float("nan")},
+    {"grid": {"points": "x"}}, {"grid": {"points": 100.5}}, {"grid": "x"},
+    {"grid": {"points": 64, "domain_overrides": {"DiracOscillator": "ab"}}},
+    {"grid": {"points": 64, "domain_overrides": {"DiracOscillator": [0, "x"]}}},
+    {"grid": {"points": 64, "domain_overrides": {"DiracOscillator": [0, float("inf")]}}},
+    {"grid": {"points": 64, "domain_overrides": {"HartmanRadial": [0, 5]}}},
+    {"grid": {"points": 64, "domain_overrides": [0, 5]}},
+    {"systems": 5}, {"output": {"path": 5}},
+    {"tolerances": {"residual": True}}, {"tolerances": {"spectral_radial": float("inf")}},
+]
+
+
+@pytest.mark.parametrize("overrides", BAD_CONFIGS, ids=json.dumps)
+def test_bad_verify_configs_exit_2(overrides, tmp_path, capsys):
+    config = {"systems": [json.loads(DIRAC)], "levels": 1, "grid": {"points": 64},
+              "output": {"path": str(tmp_path / "reports")}, **overrides}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run(["verify", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_unknown_override_kind_names_the_known_kinds(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"systems": [json.loads(DIRAC)],
+                                "grid": {"domain_overrides": {"HartmanRadial": [0, 5]}}}))
+    code, _, err = run(["verify", "--config", str(path)], capsys)
+    assert code == 2
+    assert "HartmanRadial" in err
+    assert all(kind in err for kind in SYSTEM_PARAMS)

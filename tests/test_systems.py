@@ -25,6 +25,7 @@ from xop import (
     X1Laguerre,
     analytic_energy,
     dirac_oscillator_potential_printed,
+    family_to_dict,
     hydrogen_s_parameter,
     hydrogen_standard_energy,
     potential_hartmann_angular_i_printed,
@@ -361,6 +362,8 @@ def test_system_validation():
         HydrogenLike(s=0.0, lambda_c=1.0)
     with pytest.raises(ParameterError):
         DiracOscillator(l=0, omega=2.0)  # reduction fixed at omega = 1
+    with pytest.raises(ParameterError):
+        HydrogenLike(s=0.9, lambda_c=1.9, chi=2.0)  # reduction fixed at chi = 1
 
 
 def test_system_json_roundtrip():
@@ -377,12 +380,9 @@ def test_system_json_roundtrip():
 
 
 def test_named_reduce_helpers():
-    from xop import reduce_dirac_oscillator, reduce_hartmann_radial, reduce_hydrogen
-
-    assert reduce_hartmann_radial(0, 1.0).energy(0) == 1.5
-    assert reduce_dirac_oscillator(1).energy(2) == 6.5
-    reduced = reduce_hydrogen(0.9)  # lambda_c defaults to s + 1
-    assert reduced.params.lambda_c == pytest.approx(1.9)
+    assert reduce_system(HartmannRadial(0, 1.0)).energy(0) == 1.5
+    assert reduce_system(DiracOscillator(1)).energy(2) == 6.5
+    reduced = reduce_system(HydrogenLike(0.9, 1.9))  # lambda_c = s + 1
     assert hydrogen_standard_energy(reduced.params, 0) == pytest.approx(-0.25)
 
 
@@ -390,3 +390,47 @@ def test_hydrogen_s_parameter_continuity():
     # small coupling leaves the centrifugal term nearly classical
     s = hydrogen_s_parameter(1, 1e-4)
     assert s == pytest.approx(1.0, abs=1e-4)
+
+
+# --- the per-system records --------------------------------------------------------
+
+# (params, coordinate, domain, grid_domain, residual_window, pole_offset,
+#  classical family, X1 family, levels 0-3), every number exact
+RECORDS = [
+    (HartmannRadial(l=0, omega=1.0), "r", (0.0, math.inf), (0.0, 20.0), (0.05, 12.0),
+     (0.5, 1.0), ("ClassicalLaguerre", {"k": 0.5}), ("X1Laguerre", {"k": 0.5}),
+     [1.5, 3.5, 5.5, 7.5]),
+    (HartmannAngularI(lambda_a=1.0, s=2.5), "theta", (0.0, math.pi),
+     (0.01, 3.1315926535897933), (0.15, 2.991592653589793), (2.0, -1.0),
+     ("ClassicalJacobi", {"alpha": 1.0, "beta": 3.0}),
+     ("X1Jacobi", {"a": 1.0, "b": 2.0, "c": 3.0}), [6.25, 12.25, 20.25, 30.25]),
+    (DiracOscillator(l=0), "r", (0.0, math.inf), (0.0, 20.0), (0.05, 12.0),
+     (0.5, 1.0), ("ClassicalLaguerre", {"k": 0.5}), ("X1Laguerre", {"k": 0.5}),
+     [1.5, 3.5, 5.5, 7.5]),
+    (HydrogenLike(s=0.9, lambda_c=1.9), "r", (0.0, math.inf), (0.0, 80.0), (0.1, 40.0),
+     (2.8, 1.0), ("ClassicalLaguerre", {"k": 2.8}), ("X1Laguerre", {"k": 2.8}),
+     [1.9, 2.9, 3.9, 4.9]),
+    (HartmannAngularII(lambda_a=2.0, s=4.0), "theta", (0.0, 1.5707963267948966),
+     (0.01, 1.5607963267948965), (0.08, 1.4907963267948965), (2.5, -1.0),
+     ("ClassicalJacobi", {"alpha": 1.5, "beta": 3.5}),
+     ("X1Jacobi", {"a": 1.0, "b": 2.5, "c": 3.5}), [36.0, 64.0, 100.0, 144.0]),
+    (HartmannRadial(l=2, omega=2.5), "r", (0.0, math.inf), (0.0, 12.649110640673516),
+     (0.05, 7.58946638440411), (2.5, 1.0), ("ClassicalLaguerre", {"k": 2.5}),
+     ("X1Laguerre", {"k": 2.5}), [8.75, 13.75, 18.75, 23.75]),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: repr(r[0]))
+def test_reduced_record_values(record):
+    params, coordinate, domain, grid, window, pole, classical, x1, levels = record
+    reduced = reduce_system(params)
+    assert reduced.coordinate == coordinate
+    assert (reduced.domain.lo, reduced.domain.hi) == domain
+    assert reduced.grid_domain == grid
+    assert reduced.residual_window == window
+    assert reduced.pole_offset == pole
+    for family, (kind, values) in ((reduced.classical_family, classical),
+                                   (reduced.x1_family, x1)):
+        assert family_to_dict(family) == {"kind": kind, "params": values}
+    assert [reduced.energy(n) for n in range(4)] == levels
+    assert [analytic_energy(params, n) for n in range(4)] == levels
