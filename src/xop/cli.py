@@ -28,13 +28,14 @@ from .exceptional import (
     ClassicalJacobi,
     ClassicalLaguerre,
     family_from_dict,
+    family_members,
     gram_matrix,
     x1_polynomial,
 )
 from .io_utils import csv_lines, format_json, write_atomic
 from .polynomials import eval_jacobi, eval_laguerre
 from .spectral import extrapolate
-from .systems import reduce_system, system_from_json, system_to_dict, wavefunction
+from .systems import _closed_form, reduce_system, system_from_json, system_to_dict
 from .verify import isospectral_compare, solve_variant, variant_solves
 
 _USAGE_ERRORS = (UsageError, ParameterError, DomainError)
@@ -78,21 +79,17 @@ def _parse_points(args) -> np.ndarray:
 def cmd_eval_poly(args) -> int:
     family = _parse_family(args.family)
     x = _parse_points(args)
+    poly = None
     if isinstance(family, ClassicalLaguerre):
         values = eval_laguerre(args.n, family.k, x)
-        poly = None
     elif isinstance(family, ClassicalJacobi):
         values = eval_jacobi(args.n, family.alpha, family.beta, x)
-        poly = None
     else:
-        pair = x1_polynomial(family, args.n)
-        poly = pair.polynomial
+        poly = x1_polynomial(family, args.n).polynomial
         values = poly(x)
     _emit(csv_lines(["x", "value"], [x, values]), args.out)
     if args.coeffs_out:
         if poly is None:
-            from .exceptional import family_members
-
             poly = family_members(family, args.n + 1)[args.n]
         write_atomic(args.coeffs_out, poly.to_json() + "\n")
     return 0
@@ -147,11 +144,13 @@ def cmd_plot_data(args) -> int:
         )
     x = np.linspace(lo, hi, args.count)
     if args.variant == "original":
-        indices = list(range(args.levels))
+        family, first = reduced.classical_family, 0
     else:
-        indices = list(range(1, args.levels + 1))
-    psis = [wavefunction(params, args.variant, n)(x).val for n in indices]
-    header = ["x", "V_original", "V_e", "V_extended"] + [f"psi_{n}" for n in indices]
+        family, first = reduced.x1_family, 1
+    polys = family_members(family, args.levels) if args.levels else []
+    psis = [_closed_form(reduced, args.variant, poly)(x).val for poly in polys]
+    header = (["x", "V_original", "V_e", "V_extended"]
+              + [f"psi_{n}" for n in range(first, first + args.levels)])
     columns = [x, reduced.original(x), reduced.shift(x), reduced.extended(x), *psis]
     _emit(csv_lines(header, columns), args.out)
     return 0

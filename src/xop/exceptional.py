@@ -34,7 +34,16 @@ from .errors import (
     ParameterError,
     UsageError,
 )
-from .polynomials import Polynomial, jacobi_polynomial, laguerre_polynomial
+from .polynomials import (
+    Polynomial,
+    _classical_leads,
+    _classical_monic,
+    _jacobi_coefficients,
+    _jacobi_lead_ratios,
+    _jacobi_rows,
+    _laguerre_coefficients,
+    _laguerre_rows,
+)
 from .quadrature import QuadratureRule, finite_rule, semi_infinite_rule
 
 __all__ = [
@@ -198,52 +207,6 @@ _MEMBER_TOL = 1e-14  # largest estimated error, relative to max |coefficient|
 _RESIDUAL_TOL = 1e-9
 
 
-def _classical_monic(count: int, *, k=None, ab=None) -> np.ndarray:
-    """Row m (m = 0..count-1): ascending coefficients of the monic classical
-    member of degree m, Laguerre L_m^(k) or, with ab = (alpha+beta,
-    beta-alpha), Jacobi P_m^(alpha,beta), in the parameters' dtype.
-
-    The classical ODE fixes each coefficient from the two above it, so every
-    row is solved top-down from its leading 1:
-        Laguerre:  c_j = -(j+1)(j+1+k) c_{j+1} / (m-j)
-        Jacobi:    c_j = -[(j+2)(j+1) c_{j+2} + (beta-alpha)(j+1) c_{j+1}]
-                         / ((m-j)(m+j+1 + alpha+beta))
-    """
-    dtype = type(k if ab is None else ab[0])
-    c = np.zeros((count, count + 1), dtype=dtype)  # spare column for c_{j+2}
-    c[np.arange(count), np.arange(count)] = 1
-    m = np.arange(count, dtype=dtype)
-    for j in range(count - 2, -1, -1):
-        rows = m[j + 1:]
-        if ab is None:
-            c[j + 1:, j] = -(j + 1) * ((j + 1) + k) * c[j + 1:, j + 1] / (rows - j)
-        else:
-            c[j + 1:, j] = -((j + 2) * (j + 1) * c[j + 1:, j + 2]
-                             + ab[1] * (j + 1) * c[j + 1:, j + 1]) / (
-                (rows - j) * ((rows + j + 1) + ab[0]))
-    return c[:, :count]
-
-
-def _classical_monic_values(x: np.ndarray, count: int, *, k=None, ab=None) -> np.ndarray:
-    """Row m (m = 0..count-1): the monic classical member of degree m (as in
-    `_classical_monic`) at the points x, by the monic three-term recurrence
-    p_{m+1} = (x - a_m) p_m - b_m p_{m-1}."""
-    p = np.zeros((count, x.size))
-    p[0] = 1.0
-    for m in range(count - 1):
-        if ab is None:
-            a, b = 2 * m + 1 + k, m * (m + k)
-        elif m == 0:
-            a, b = ab[1] / (2 + ab[0]), 0.0
-        else:
-            total, gap = ab
-            a = gap * total / ((2 * m + total) * ((2 * m + 2) + total))
-            b = (4 * m * (m * m + m * total + (total * total - gap * gap) / 4) * (m + total)
-                 / ((2 * m + total) ** 2 * ((2 * m + 1) + total) * ((2 * m - 1) + total)))
-        p[m + 1] = (x - a) * p[m] - (b * p[m - 1] if m else 0.0)
-    return p
-
-
 def _two_term_factors(family: FamilySpec, n_max: int, dtype, nudge: bool = False):
     """Classical parameters (k or ab = (alpha+beta, beta-alpha)) and factors
     of the monic members (x + shift_n) p_{n-1} + lower_n p_{n-2}, in `dtype`:
@@ -262,13 +225,7 @@ def _two_term_factors(family: FamilySpec, n_max: int, dtype, nudge: bool = False
     total = 2 * a * b
     total = np.nextafter(total, dtype(np.inf)) if nudge else total
     s = (2 * n - 2) + total
-    # r_n = k_{m-1} / k_m at m = n-1 from k_m / k_{m-1}
-    # = (2m+alpha+beta)(2m+alpha+beta-1) / (2m (m+alpha+beta)); at m = 1
-    # the factor (2m+alpha+beta-1)/(m+alpha+beta) is exactly 1
-    m = n[2:] - 1
-    ratio = np.zeros(n_max, dtype=dtype)
-    ratio[1:2] = 2 / (2 + total)
-    ratio[2:] = 2 * m * (m + total) / ((2 * m + total) * ((2 * m - 1) + total))
+    ratio = _jacobi_lead_ratios(n_max, total)  # entry n-1 is r_n
     return {"ab": (total, 2 * a)}, -b - 2 * b / s, 2 * ratio / s
 
 
@@ -285,12 +242,16 @@ def _two_term_members(family: FamilySpec, n_max: int, dtype, *, nudge: bool = Fa
 
 
 def _two_term_values(family: FamilySpec, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Row n-1: the degree-n member at x from classical recurrence values,
-    for gram_matrix (alpha, beta > -1; below that the recurrence loses
-    digits).  From monomial coefficients a degree-16 X1-Laguerre member loses
-    ~1e-9 of its size at large x, noise the Gram refinements cannot pass."""
+    """Row n-1: the degree-n member at x from the classical recurrence rows
+    over their leads, for gram_matrix (alpha, beta > -1).  From monomial
+    coefficients a degree-16 X1-Laguerre member loses ~1e-9 of its size at
+    large x, noise the Gram refinements cannot pass."""
     classical, shift, lower = _two_term_factors(family, n_max, np.float64)
-    p = _classical_monic_values(x, n_max, **classical)
+    if isinstance(family, X1Laguerre):
+        p = _laguerre_rows(n_max, classical["k"], x)
+    else:
+        p = _jacobi_rows(n_max, *x1_jacobi_alpha_beta(family.a, family.b), x)
+    p /= _classical_leads(n_max, **classical)[:, None]
     vals = (x + shift[:, None]) * p
     vals[1:] += lower[1:, None] * p[:-1]
     return vals
@@ -472,35 +433,29 @@ def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
     if n_max < 1:
         raise UsageError("n_max must be positive")
     if isinstance(family, ClassicalLaguerre):
-        return [laguerre_polynomial(n, family.k) for n in range(n_max)]
+        return [Polynomial(c) for c in _laguerre_coefficients(n_max, family.k)]
     if isinstance(family, ClassicalJacobi):
-        return [jacobi_polynomial(n, family.alpha, family.beta) for n in range(n_max)]
+        return [Polynomial(c) for c in _jacobi_coefficients(n_max, family.alpha, family.beta)]
     return [pair.polynomial for pair in x1_eigenpairs(family, n_max)]
 
 
-def _weight_exponents(family: FamilySpec) -> tuple[float, float]:
-    if isinstance(family, ClassicalLaguerre):
-        return family.k, 0.0
-    if isinstance(family, X1Laguerre):
-        return family.k, 0.0
-    if isinstance(family, ClassicalJacobi):
-        return family.beta, family.alpha  # near -1 resp. +1
-    al, be = x1_jacobi_alpha_beta(family.a, family.b)
-    return be, al
-
-
 def default_quadrature(family: FamilySpec) -> QuadratureRule:
-    e_lo, e_hi = _weight_exponents(family)
     if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
-        return semi_infinite_rule(exponent_zero=e_lo)
-    return finite_rule(-1.0, 1.0, exponent_lo=e_lo, exponent_hi=e_hi)
-
-
-def _gram_on_rule(members, family, rule):
-    if isinstance(family, (X1Laguerre, X1Jacobi)):
-        vals = _two_term_values(family, len(members), rule.nodes)
+        return semi_infinite_rule(exponent_zero=family.k)
+    if isinstance(family, ClassicalJacobi):
+        al, be = family.alpha, family.beta
     else:
-        vals = np.vstack([p(rule.nodes) for p in members])
+        al, be = x1_jacobi_alpha_beta(family.a, family.b)
+    return finite_rule(-1.0, 1.0, exponent_lo=be, exponent_hi=al)  # beta at -1, alpha at +1
+
+
+def _gram_on_rule(family, n_max, rule):
+    if isinstance(family, ClassicalLaguerre):
+        vals = _laguerre_rows(n_max, family.k, rule.nodes)
+    elif isinstance(family, ClassicalJacobi):
+        vals = _jacobi_rows(n_max, family.alpha, family.beta, rule.nodes)
+    else:
+        vals = _two_term_values(family, n_max, rule.nodes)
     scaled = vals * (weight(family, rule.nodes) * rule.weights)
     g = scaled @ vals.T
     return 0.5 * (g + g.T)
@@ -508,8 +463,9 @@ def _gram_on_rule(members, family, rule):
 
 def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = None,
                 *, tol: float = 1e-10, max_refinements: int = 6) -> np.ndarray:
-    """Gram matrix G_ij = integral p_i p_j w over the first n_max members
-    (X1 members evaluated through the classical recurrences, `_two_term_values`).
+    """Gram matrix G_ij = integral p_i p_j w over the first n_max members,
+    evaluated through the classical recurrences (X1 members through
+    `_two_term_values`, after `x1_eigenpairs` has certified them).
 
     The rule is refined (panels halved) until two successive levels agree to
     `tol` relative to the largest entry; disagreement past `max_refinements`
@@ -517,17 +473,18 @@ def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = No
     """
     if not 1 <= n_max <= 16:
         raise UsageError(f"n_max must lie in 1..16, got {n_max}")
-    members = family_members(family, n_max)
+    if isinstance(family, (X1Laguerre, X1Jacobi)):
+        x1_eigenpairs(family, n_max)
     if quad is not None and quad.domain != family_domain(family):
         raise UsageError(
             f"quadrature rule covers {quad.domain}, family lives on "
             f"{family_domain(family)}"
         )
     rule = quad if quad is not None else default_quadrature(family)
-    g_prev = _gram_on_rule(members, family, rule)
+    g_prev = _gram_on_rule(family, n_max, rule)
     for _ in range(max_refinements):
         rule = rule.refined()
-        g = _gram_on_rule(members, family, rule)
+        g = _gram_on_rule(family, n_max, rule)
         if np.max(np.abs(g - g_prev)) <= tol * (1.0 + np.max(np.abs(g))):
             return g
         g_prev = g

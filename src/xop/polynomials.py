@@ -1,8 +1,11 @@
 """Classical Laguerre/Jacobi polynomials and a dense coefficient-vector type.
 
-Evaluation goes through the standard three-term recurrences; coefficient
-vectors are built from the finite series expansions so the two routes stay
-independently checkable.
+Each job has one route, and both return all degrees at once.  Values come
+from the normalized three-term recurrences (`_laguerre_rows`,
+`_jacobi_rows`).  Coefficient vectors come from the classical ODE: the monic
+coefficients solved top-down (`_classical_monic`) times the leading
+coefficients (`_classical_leads`), both in np.longdouble and rounded once to
+double.  The X1 two-term forms in `exceptional` are built from these pieces.
 """
 
 from __future__ import annotations
@@ -77,6 +80,33 @@ def _check_points(x) -> np.ndarray:
     return x
 
 
+def _laguerre_rows(count: int, k, x: np.ndarray) -> np.ndarray:
+    """Row m (m = 0..count-1): L_m^(k) at the points x."""
+    p = np.empty((count,) + x.shape)
+    p[0] = 1.0
+    if count > 1:
+        p[1] = 1.0 + k - x
+    for i in range(1, count - 1):
+        p[i + 1] = ((2 * i + k + 1 - x) * p[i] - (i + k) * p[i - 1]) / (i + 1)
+    return p
+
+
+def _jacobi_rows(count: int, alpha, beta, x: np.ndarray) -> np.ndarray:
+    """Row m (m = 0..count-1): P_m^(alpha,beta) at the points x."""
+    p = np.empty((count,) + x.shape)
+    p[0] = 1.0
+    if count > 1:
+        p[1] = 0.5 * ((alpha - beta) + (alpha + beta + 2) * x)
+    ab = alpha + beta
+    for i in range(2, count):
+        c1 = 2 * i * (i + ab) * (2 * i + ab - 2)
+        c2 = (2 * i + ab - 1) * (alpha**2 - beta**2)
+        c3 = (2 * i + ab - 1) * (2 * i + ab) * (2 * i + ab - 2)
+        c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
+        p[i] = ((c2 + c3 * x) * p[i - 1] - c4 * p[i - 2]) / c1
+    return p
+
+
 def eval_laguerre(n: int, k: float, x):
     """Generalized Laguerre polynomial L_n^(k)(x) by three-term recurrence.
 
@@ -87,14 +117,7 @@ def eval_laguerre(n: int, k: float, x):
         raise ParameterError("degree n must be a nonnegative integer")
     if not k > -1:
         raise ParameterError(f"Laguerre parameter must exceed -1, got k={k}")
-    x = _check_points(x)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = 1.0 + k - x
-    for i in range(1, int(n)):
-        p, p_prev = ((2 * i + k + 1 - x) * p - (i + k) * p_prev) / (i + 1), p
-    return p
+    return _laguerre_rows(int(n) + 1, k, _check_points(x))[int(n)]
 
 
 def eval_jacobi(n: int, alpha: float, beta: float, x):
@@ -108,62 +131,83 @@ def eval_jacobi(n: int, alpha: float, beta: float, x):
         raise ParameterError(
             f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
         )
-    x = _check_points(x)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = 0.5 * ((alpha - beta) + (alpha + beta + 2) * x)
-    ab = alpha + beta
-    for i in range(2, int(n) + 1):
-        c1 = 2 * i * (i + ab) * (2 * i + ab - 2)
-        c2 = (2 * i + ab - 1) * (alpha**2 - beta**2)
-        c3 = (2 * i + ab - 1) * (2 * i + ab) * (2 * i + ab - 2)
-        c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
-    return p
+    return _jacobi_rows(int(n) + 1, alpha, beta, _check_points(x))[int(n)]
 
 
-def _rising_binom(top: float, count: int) -> float:
-    # binom(top, count) for real top, integer count >= 0
-    out = 1.0
-    for j in range(1, count + 1):
-        out *= (top - count + j) / j
-    return out
+def _classical_monic(count: int, *, k=None, ab=None) -> np.ndarray:
+    """Row m (m = 0..count-1): ascending coefficients of the monic classical
+    member of degree m, Laguerre L_m^(k) or, with ab = (alpha+beta,
+    beta-alpha), Jacobi P_m^(alpha,beta), in the parameters' dtype.
+
+    The classical ODE fixes each coefficient from the two above it, so every
+    row is solved top-down from its leading 1:
+        Laguerre:  c_j = -(j+1)(j+1+k) c_{j+1} / (m-j)
+        Jacobi:    c_j = -[(j+2)(j+1) c_{j+2} + (beta-alpha)(j+1) c_{j+1}]
+                         / ((m-j)(m+j+1 + alpha+beta))
+    """
+    dtype = type(k if ab is None else ab[0])
+    c = np.zeros((count, count + 1), dtype=dtype)  # spare column for c_{j+2}
+    c[np.arange(count), np.arange(count)] = 1
+    m = np.arange(count, dtype=dtype)
+    for j in range(count - 2, -1, -1):
+        rows = m[j + 1:]
+        if ab is None:
+            c[j + 1:, j] = -(j + 1) * ((j + 1) + k) * c[j + 1:, j + 1] / (rows - j)
+        else:
+            c[j + 1:, j] = -((j + 2) * (j + 1) * c[j + 1:, j + 2]
+                             + ab[1] * (j + 1) * c[j + 1:, j + 1]) / (
+                (rows - j) * ((rows + j + 1) + ab[0]))
+    return c[:, :count]
+
+
+def _jacobi_lead_ratios(count: int, total) -> np.ndarray:
+    """Entry m >= 1: lead(P_{m-1}) / lead(P_m) = 2m (m+total) / ((2m+total)
+    (2m-1+total)), total = alpha+beta, in total's dtype; at m = 1 it is
+    exactly 2 / (2+total).  Entry 0 is 0."""
+    dtype = type(total)
+    m = np.arange(2, count, dtype=dtype)
+    ratio = np.zeros(count, dtype=dtype)
+    ratio[1:2] = 2 / (2 + total)
+    ratio[2:] = 2 * m * (m + total) / ((2 * m + total) * ((2 * m - 1) + total))
+    return ratio
+
+
+def _classical_leads(count: int, *, k=None, ab=None) -> np.ndarray:
+    """Entry m: lead of the classical member of degree m (parameters as in
+    `_classical_monic`), (-1)^m / m! for Laguerre, in the parameters' dtype."""
+    ratio = -np.arange(count, dtype=type(k)) if ab is None else _jacobi_lead_ratios(count, ab[0])
+    ratio[0] = 1
+    return 1 / np.cumprod(ratio)
+
+
+def _laguerre_coefficients(count: int, k: float) -> np.ndarray:
+    """Row m (m = 0..count-1): ascending coefficients of L_m^(k)."""
+    k = np.longdouble(k)
+    return (_classical_monic(count, k=k) * _classical_leads(count, k=k)[:, None]).astype(float)
+
+
+def _jacobi_coefficients(count: int, alpha: float, beta: float) -> np.ndarray:
+    """Row m (m = 0..count-1): ascending coefficients of P_m^(alpha,beta)."""
+    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
+    ab = (alpha + beta, beta - alpha)
+    return (_classical_monic(count, ab=ab) * _classical_leads(count, ab=ab)[:, None]).astype(float)
 
 
 def laguerre_polynomial(n: int, k: float) -> Polynomial:
-    """Coefficient vector of L_n^(k) from its finite series expansion."""
+    """Coefficient vector of L_n^(k) from the classical ODE."""
     if n < 0 or n != int(n):
         raise ParameterError("degree n must be a nonnegative integer")
     if not k > -1:
         raise ParameterError(f"Laguerre parameter must exceed -1, got k={k}")
-    n = int(n)
-    coeffs = np.zeros(n + 1)
-    fact = 1.0
-    for i in range(n + 1):
-        if i > 0:
-            fact *= i
-        coeffs[i] = (-1) ** i * _rising_binom(n + k, n - i) / fact
-    return Polynomial(coeffs)
+    return Polynomial(_laguerre_coefficients(int(n) + 1, k)[int(n)])
 
 
 def jacobi_polynomial(n: int, alpha: float, beta: float) -> Polynomial:
-    """Coefficient vector of P_n^(alpha,beta) from the finite sum
-    sum_m C(n+a, n-m) C(n+b, m) ((x-1)/2)^m ((x+1)/2)^(n-m)."""
+    """Coefficient vector of P_n^(alpha,beta) from the classical ODE."""
     if n < 0 or n != int(n):
         raise ParameterError("degree n must be a nonnegative integer")
     if not (alpha > -1 and beta > -1):
         raise ParameterError(
             f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
         )
-    n = int(n)
-    total = np.zeros(n + 1)
-    for m in range(n + 1):
-        factor = _rising_binom(n + alpha, n - m) * _rising_binom(n + beta, m)
-        term = np.array([1.0])
-        for _ in range(m):
-            term = _P.polymul(term, [-0.5, 0.5])
-        for _ in range(n - m):
-            term = _P.polymul(term, [0.5, 0.5])
-        total[: term.size] += factor * term
-    return Polynomial(total)
+    return Polynomial(_jacobi_coefficients(int(n) + 1, alpha, beta)[int(n)])

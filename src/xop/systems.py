@@ -62,9 +62,10 @@ from .exceptional import (
     FamilySpec,
     X1Jacobi,
     X1Laguerre,
+    family_members,
     x1_polynomial,
 )
-from .polynomials import Polynomial, jacobi_polynomial, laguerre_polynomial
+from .polynomials import Polynomial
 
 __all__ = [
     "HartmannRadial",
@@ -394,9 +395,6 @@ class ReducedSystem:
 # ---------------------------------------------------------------------------
 # one builder per system
 
-_ANGULAR_CLIP = 1e-2
-
-
 def _oscillator(params: HartmannRadial | DiracOscillator) -> ReducedSystem:
     """Radial oscillator in xi = omega r^2/2; the Dirac oscillator is its
     omega = 1 case.  The truncation radii keep the dropped prefactor tail
@@ -491,7 +489,7 @@ def _angular_i(params: HartmannAngularI) -> ReducedSystem:
         params=params,
         coordinate="theta",
         domain=Interval(0.0, math.pi),
-        grid_domain=(_ANGULAR_CLIP, math.pi - _ANGULAR_CLIP),
+        grid_domain=(0.0, math.pi),
         residual_window=(0.15, math.pi - 0.15),
         original=original,
         shift=shift,
@@ -518,7 +516,7 @@ def _angular_ii(params: HartmannAngularII) -> ReducedSystem:
         params=params,
         coordinate="theta",
         domain=Interval(0.0, math.pi / 2),
-        grid_domain=(_ANGULAR_CLIP, math.pi / 2 - _ANGULAR_CLIP),
+        grid_domain=(0.0, math.pi / 2),
         residual_window=(0.08, math.pi / 2 - 0.08),
         original=original,
         shift=shift,
@@ -564,12 +562,6 @@ def analytic_energy(params: SystemParams, n: int) -> float:
     return reduce_system(params).energy(n)
 
 
-def _classical_polynomial(family: FamilySpec, n: int) -> Polynomial:
-    if isinstance(family, ClassicalLaguerre):
-        return laguerre_polynomial(n, family.k)
-    return jacobi_polynomial(n, family.alpha, family.beta)
-
-
 def wavefunction(params: SystemParams, variant: str, n: int) -> Callable[[np.ndarray], Jet2]:
     """Closed-form eigenfunction with analytic first/second derivatives.
 
@@ -589,7 +581,14 @@ def wavefunction(params: SystemParams, variant: str, n: int) -> Callable[[np.nda
             raise UsageError("codimension gap: no degree-0 exceptional wavefunction")
         poly = x1_polynomial(system.x1_family, n).polynomial
     else:
-        poly = _classical_polynomial(system.classical_family, n)
+        poly = family_members(system.classical_family, n + 1)[n]
+    return _closed_form(system, variant, poly)
+
+
+def _closed_form(system: ReducedSystem, variant: str, poly: Polynomial):
+    """Closed-form eigenfunction of `system` with `poly` as its polynomial:
+    the prefactor times poly(z), over the pole factor for the exceptional
+    variant."""
     c0, c1 = system.pole_offset
     domain = system.domain
 

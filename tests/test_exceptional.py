@@ -33,6 +33,7 @@ from xop import (
     family_from_dict,
     family_to_dict,
     gram_matrix,
+    max_offdiag_ratio,
     ode_residual,
     weight,
     x1_eigenpairs,
@@ -442,6 +443,25 @@ def test_recurrence_values_match_the_members(fam):
     for row, pair in zip(values, pairs):
         size = Polynomial(np.abs(pair.polynomial.coeffs))(np.abs(x))
         assert np.max(np.abs(row - pair.polynomial(x)) / size) <= 1e-12
+
+
+def test_recurrence_values_at_alpha_plus_beta_minus_one():
+    """alpha + beta = -1 (2ab = -1) makes no 0/0 in the recurrence rows."""
+    from xop.exceptional import _two_term_values
+
+    fam = X1Jacobi(a=-0.25, b=2.0)
+    assert sum(x1_jacobi_alpha_beta(fam.a, fam.b)) == -1.0
+    values = _two_term_values(fam, 4, _sample_points(fam))
+    assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("fam", [ClassicalLaguerre(0.5), ClassicalLaguerre(3.0),
+                                 ClassicalJacobi(0.5, 1.5), ClassicalJacobi(2.0, 0.25)],
+                         ids=repr)
+def test_classical_gram_is_diagonal_to_roundoff(fam):
+    """Classical Gram entries come from the recurrence rows; from monomial
+    coefficients, cancellation leaves them off-diagonal by up to ~1e-10."""
+    assert max_offdiag_ratio(gram_matrix(fam, 16)) <= 1e-14
 
 
 # 6.4 and 7.275 raised AccuracyError with the pencil members, 4.8897... and

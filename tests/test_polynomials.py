@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,27 @@ def jacobi_series(n, alpha, beta, x):
         total += term
         scale += abs(term)
     return total, scale
+
+
+def laguerre_series_coefficients(n, k):
+    """Ascending coefficients (-1)^i C(n+k, n-i) / i! in mpmath arithmetic."""
+    k = mpmath.mpf(k)
+    return [(-1) ** i * mpmath.binomial(n + k, n - i) / mpmath.factorial(i)
+            for i in range(n + 1)]
+
+
+def jacobi_series_coefficients(n, alpha, beta):
+    """Ascending coefficients in mpmath arithmetic of
+    sum_l (n+a+b+1)_l (a+l+1)_(n-l) / (l! (n-l)!) ((x-1)/2)^l, with each
+    power of (x-1)/2 expanded binomially."""
+    alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+    out = [mpmath.mpf(0)] * (n + 1)
+    for l in range(n + 1):
+        c = (mpmath.rf(n + alpha + beta + 1, l) * mpmath.rf(alpha + l + 1, n - l)
+             / (mpmath.factorial(l) * mpmath.factorial(n - l) * 2**l))
+        for i in range(l + 1):
+            out[i] += c * mpmath.binomial(l, i) * (-1) ** (l - i)
+    return out
 
 
 # --- spec examples ----------------------------------------------------------
@@ -139,15 +161,51 @@ def test_laguerre_recurrence_vs_series_property(n, k, x):
 
 # --- coefficient builders -----------------------------------------------------
 
-def test_coefficient_builders_match_recurrence():
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=16),
+    k=st.floats(min_value=-0.9, max_value=8.0),
+    alpha=st.floats(min_value=-0.9, max_value=8.0),
+    beta=st.floats(min_value=-0.9, max_value=8.0),
+)
+def test_coefficient_builders_match_recurrence(n, k, alpha, beta):
+    """The two routes, the ODE coefficients and the recurrence values, agree
+    to roundoff of the sum of term magnitudes."""
     x = np.linspace(0.0, 20.0, 17)
-    for n in range(9):
-        p = laguerre_polynomial(n, 0.5)
-        assert np.allclose(p(x), eval_laguerre(n, 0.5, x), rtol=1e-11, atol=1e-11)
+    p = laguerre_polynomial(n, k)
+    scale = Polynomial(np.abs(p.coeffs))(x)
+    assert np.all(np.abs(p(x) - eval_laguerre(n, k, x)) <= 1e-13 * (1 + scale))
     z = np.linspace(-1.0, 1.0, 17)
-    for n in range(9):
-        q = jacobi_polynomial(n, 1.0, 3.0)
-        assert np.allclose(q(z), eval_jacobi(n, 1.0, 3.0, z), rtol=1e-11, atol=1e-11)
+    q = jacobi_polynomial(n, alpha, beta)
+    scale = Polynomial(np.abs(q.coeffs))(np.abs(z))
+    assert np.all(np.abs(q(z) - eval_jacobi(n, alpha, beta, z)) <= 1e-13 * (1 + scale))
+
+
+def _max_relative_gap(got, want):
+    """max |got - want| over the largest |want|, in mpmath arithmetic."""
+    gap = max(abs(mpmath.mpf(float(g)) - w) for g, w in zip(got, want))
+    return float(gap / max(abs(w) for w in want))
+
+
+@pytest.mark.parametrize("k", [-0.85, 0.5, 7.3, 19.5])
+def test_laguerre_coefficients_match_mpmath(k):
+    with mpmath.workdps(50):
+        for n in range(25):
+            want = laguerre_series_coefficients(n, k)
+            assert _max_relative_gap(laguerre_polynomial(n, k).coeffs, want) <= 5e-16
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.5), (2.0, 0.25), (-0.95, 7.9), (7.5, -0.9)])
+def test_jacobi_coefficients_match_mpmath(alpha, beta):
+    with mpmath.workdps(50):
+        for n in range(25):
+            want = jacobi_series_coefficients(n, alpha, beta)
+            assert _max_relative_gap(jacobi_polynomial(n, alpha, beta).coeffs, want) <= 5e-16
+
+
+def test_jacobi_constant_term_is_exact():
+    # P_7^(0.5,1.5)(x) has the dyadic constant term 0.34912109375
+    assert jacobi_polynomial(7, 0.5, 1.5).coeffs[0] == 0.34912109375
 
 
 # --- the Polynomial type -------------------------------------------------------

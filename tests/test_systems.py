@@ -401,7 +401,7 @@ RECORDS = [
      (0.5, 1.0), ("ClassicalLaguerre", {"k": 0.5}), ("X1Laguerre", {"k": 0.5}),
      [1.5, 3.5, 5.5, 7.5]),
     (HartmannAngularI(lambda_a=1.0, s=2.5), "theta", (0.0, math.pi),
-     (0.01, 3.1315926535897933), (0.15, 2.991592653589793), (2.0, -1.0),
+     (0.0, 3.141592653589793), (0.15, 2.991592653589793), (2.0, -1.0),
      ("ClassicalJacobi", {"alpha": 1.0, "beta": 3.0}),
      ("X1Jacobi", {"a": 1.0, "b": 2.0, "c": 3.0}), [6.25, 12.25, 20.25, 30.25]),
     (DiracOscillator(l=0), "r", (0.0, math.inf), (0.0, 20.0), (0.05, 12.0),
@@ -411,7 +411,7 @@ RECORDS = [
      (2.8, 1.0), ("ClassicalLaguerre", {"k": 2.8}), ("X1Laguerre", {"k": 2.8}),
      [1.9, 2.9, 3.9, 4.9]),
     (HartmannAngularII(lambda_a=2.0, s=4.0), "theta", (0.0, 1.5707963267948966),
-     (0.01, 1.5607963267948965), (0.08, 1.4907963267948965), (2.5, -1.0),
+     (0.0, 1.5707963267948966), (0.08, 1.4907963267948965), (2.5, -1.0),
      ("ClassicalJacobi", {"alpha": 1.5, "beta": 3.5}),
      ("X1Jacobi", {"a": 1.0, "b": 2.5, "c": 3.5}), [36.0, 64.0, 100.0, 144.0]),
     (HartmannRadial(l=2, omega=2.5), "r", (0.0, math.inf), (0.0, 12.649110640673516),

@@ -11,6 +11,7 @@ from xop import (
     HydrogenLike,
     Tolerances,
     UsageError,
+    analytic_energy,
     isospectral_compare,
 )
 
@@ -42,6 +43,17 @@ def test_angular_isospectrality(params):
     assert max(report.spectral_diffs) < 1e-3
     assert report.max_wavefunction_residual < 1e-8
     assert report.passed
+
+
+@pytest.mark.parametrize("params", ANGULAR, ids=lambda p: repr(p))
+def test_angular_levels_match_the_analytic_levels(params):
+    """The angular grids span the whole open interval, so at the default
+    settings both spectra meet the analytic levels; walls 1e-2 in from the
+    ends miss them by 8e-3."""
+    report = isospectral_compare(params)
+    analytic = [analytic_energy(params, n) for n in range(report.level_count)]
+    for values in (report.eigenvalues_original, report.eigenvalues_extended):
+        assert np.max(np.abs(np.subtract(values, analytic))) <= 1e-5
 
 
 def test_angular_domain_matches_clipped_window():
