@@ -51,6 +51,7 @@ from .spectral import (
     discretize,
     eigen_lowest,
     extrapolate,
+    refine_lowest,
     residual_on_operator,
 )
 from .systems import (

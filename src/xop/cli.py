@@ -65,29 +65,48 @@ def _parse_points(args) -> np.ndarray:
             raise UsageError(f"bad --points list: {args.points!r}") from exc
         if not values:
             raise UsageError("--points lists no values")
+        if not all(np.isfinite(values)):
+            raise UsageError(f"--points must be finite numbers, got {args.points!r}")
         return np.asarray(values)
     if args.range is None:
         raise UsageError("give the evaluation points with --points or --range")
     lo, hi = args.range
-    if not lo < hi:
-        raise UsageError(f"range needs lo < hi, got {lo} {hi}")
+    _require_finite_range(lo, hi)
     if args.count < 1:
         raise UsageError(f"--count must be positive, got {args.count}")
     return np.linspace(lo, hi, args.count)
+
+
+def _require_finite_range(lo: float, hi: float) -> None:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise UsageError(f"range needs finite lo < hi, got {lo} {hi}")
+
+
+def _finite_table(header: list, columns: list) -> str:
+    """The CSV table of `columns`; a non-finite value in it is a usage error
+    (the points reach where the values overflow)."""
+    rows = np.vstack(columns).T
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        row, col = bad[0]
+        raise UsageError(f"{header[col]} is not finite at {header[0]} = {rows[row, 0]:g}; "
+                         "choose points where the values stay finite")
+    return csv_lines(header, columns)
 
 
 def cmd_eval_poly(args) -> int:
     family = _parse_family(args.family)
     x = _parse_points(args)
     poly = None
-    if isinstance(family, ClassicalLaguerre):
-        values = eval_laguerre(args.n, family.k, x)
-    elif isinstance(family, ClassicalJacobi):
-        values = eval_jacobi(args.n, family.alpha, family.beta, x)
-    else:
-        poly = x1_polynomial(family, args.n).polynomial
-        values = poly(x)
-    _emit(csv_lines(["x", "value"], [x, values]), args.out)
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite row
+        if isinstance(family, ClassicalLaguerre):
+            values = eval_laguerre(args.n, family.k, x)
+        elif isinstance(family, ClassicalJacobi):
+            values = eval_jacobi(args.n, family.alpha, family.beta, x)
+        else:
+            poly = x1_polynomial(family, args.n).polynomial
+            values = poly(x)
+    _emit(_finite_table(["x", "value"], [x, values]), args.out)
     if args.coeffs_out:
         if poly is None:
             poly = family_members(family, args.n + 1)[args.n]
@@ -137,7 +156,8 @@ def cmd_plot_data(args) -> int:
         raise UsageError(f"--levels must be non-negative, got {args.levels}")
     reduced = reduce_system(params)
     lo, hi = args.range
-    if not (reduced.domain.contains(lo) and reduced.domain.contains(hi) and lo < hi):
+    _require_finite_range(lo, hi)
+    if not (reduced.domain.contains(lo) and reduced.domain.contains(hi)):
         raise UsageError(
             f"range ({lo}, {hi}) outside system domain "
             f"({reduced.domain.lo}, {reduced.domain.hi})"
@@ -148,11 +168,12 @@ def cmd_plot_data(args) -> int:
     else:
         family, first = reduced.x1_family, 1
     polys = family_members(family, args.levels) if args.levels else []
-    psis = [_closed_form(reduced, args.variant, poly)(x).val for poly in polys]
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite row
+        psis = [_closed_form(reduced, args.variant, poly)(x).val for poly in polys]
+        columns = [x, reduced.original(x), reduced.shift(x), reduced.extended(x), *psis]
     header = (["x", "V_original", "V_e", "V_extended"]
               + [f"psi_{n}" for n in range(first, first + args.levels)])
-    columns = [x, reduced.original(x), reduced.shift(x), reduced.extended(x), *psis]
-    _emit(csv_lines(header, columns), args.out)
+    _emit(_finite_table(header, columns), args.out)
     return 0
 
 

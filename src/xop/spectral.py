@@ -6,6 +6,16 @@ convention: spacing h = (hi-lo)/(n+1)).  A positive coordinate weight B(x)
 turns A u = E B u into the similarity-reduced symmetric problem
 B^(-1/2) A B^(-1/2), still tridiagonal, which is how the coupling-form
 hydrogen eigenproblem is solved.
+
+Two eigensolvers share one result type.  `eigen_lowest` bisects from
+scratch (LAPACK stebz, with stein for eigenfunctions).  `refine_lowest`
+warm-starts from approximate values, the coarse-grid levels in `verify`:
+Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
+quotients taken from the raw samples v and b the operator keeps, so they
+are not limited by the ulp * 2/h^2 rounding of the diagonal that bounds
+bisection.  Its values are certified (disjoint residual intervals and a
+Sturm count of the levels below the top one); where the certificate fails
+it falls back to `eigen_lowest`, so it never returns less than bisection.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "discretize",
     "apply_coordinate_weight",
     "eigen_lowest",
+    "refine_lowest",
     "extrapolate",
     "residual_on_operator",
 ]
@@ -62,12 +73,22 @@ class Grid:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
+    """Symmetric tridiagonal matrix (`diag`, `off`) on `grid`, with the raw
+    samples it was built from when `discretize` built it: the potential `v`
+    and, after `apply_coordinate_weight`, the coordinate weight `b`.  The
+    samples give `refine_lowest` the pencil (-d^2/dx^2 + v, b) without the
+    rounding of 2/h^2 + v."""
+
     diag: np.ndarray
     off: np.ndarray
     grid: Grid
+    v: np.ndarray | None = None
+    b: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("diag", "off"):
+        for name in ("diag", "off", "v", "b"):
+            if getattr(self, name) is None:
+                continue
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -79,7 +100,7 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
     """Symmetric tridiagonal form of -u'' + V: diagonal 2/h^2 + V(x_i),
     off-diagonal -1/h^2, Dirichlet boundaries implied at lo and hi."""
     x = grid.points
-    v = np.asarray(potential(x), dtype=float)
+    v = np.array(potential(x), dtype=float)
     bad = ~np.isfinite(v)
     if np.any(bad):
         raise SingularityError(
@@ -88,19 +109,20 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
     h2 = grid.spacing**2
     diag = 2.0 / h2 + v
     off = np.full(grid.n_points - 1, -1.0 / h2)
-    return TridiagonalOperator(diag, off, grid)
+    return TridiagonalOperator(diag, off, grid, v=v)
 
 
 def apply_coordinate_weight(op: TridiagonalOperator,
                             weight: Callable[[np.ndarray], np.ndarray]) -> TridiagonalOperator:
     """Reduce the generalized problem A u = E diag(B) u to symmetric form;
     the returned operator's eigenvalues are the generalized eigenvalues."""
-    b = np.asarray(weight(op.grid.points), dtype=float)
+    b = np.array(weight(op.grid.points), dtype=float)
     if not np.all(np.isfinite(b)) or np.any(b <= 0):
         raise SingularityError("coordinate weight must be positive and finite on the grid")
     diag = op.diag / b
     off = op.off / np.sqrt(b[:-1] * b[1:])
-    return TridiagonalOperator(diag, off, op.grid)
+    return TridiagonalOperator(diag, off, op.grid, v=op.v,
+                               b=b if op.b is None else op.b * b)
 
 
 @dataclass(frozen=True)
@@ -132,6 +154,13 @@ class SpectrumResult:
             raise UsageError("extrapolation error must be finite")
 
 
+def _check_count(count: int, n: int) -> None:
+    if count < 1:
+        raise UsageError(f"count must be positive, got {count}")
+    if count > 16 or count >= n / 10:
+        raise UsageError(f"count = {count} too large for grid of {n} points")
+
+
 def eigen_lowest(op: TridiagonalOperator, count: int, *,
                  vectors: bool = True) -> SpectrumResult:
     """Lowest `count` eigenvalues by Sturm-sequence bisection (LAPACK stebz),
@@ -140,13 +169,11 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
 
     The eigenvalues do not depend on `vectors`: both solves run stebz with
     the same tolerance on one unsplit block.  `verify` and `spectrum` solve
-    values-only; only `spectrum --psi-out` asks for the eigenfunctions.
+    their coarse grids this way, values-only except for the eigenfunctions
+    of `spectrum --psi-out`.
     """
     n = op.diag.size
-    if count < 1:
-        raise UsageError(f"count must be positive, got {count}")
-    if count > 16 or count >= n / 10:
-        raise UsageError(f"count = {count} too large for grid of {n} points")
+    _check_count(count, n)
     try:
         solved = scipy.linalg.eigh_tridiagonal(
             op.diag, op.off, eigvals_only=not vectors,
@@ -165,6 +192,121 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
         if col[np.argmax(np.abs(col))] < 0:
             col *= -1.0
     return SpectrumResult(vals, vecs, op.grid, False, 0.0)
+
+
+_POLISH_STEPS = 8      # solves per level before the polish gives up
+_POLISH_TOL = 1e-7     # stop once the quotient moves by at most this of its scale
+_START_SEED = 7        # seed of the one start vector every polish uses
+
+
+def refine_lowest(op: TridiagonalOperator, guesses) -> SpectrumResult:
+    """The lowest `len(guesses)` eigenvalues of `op`, polished from
+    approximate values (the coarse-grid levels of the same problem) by
+    Rayleigh-quotient iteration; values-only, deterministic.
+
+    Each guess starts shifted inverse iteration on the pencil
+    (-d^2/dx^2 + v, b) from the samples `op` keeps, with one O(n)
+    tridiagonal solve (LAPACK gtsv) per step; later steps shift by the
+    Rayleigh quotient, taken in the cancellation-free form
+    (sum (dy)^2 / h^2 + sum v y^2) / sum b y^2 rather than from `diag` and
+    `off`, whose entries carry ulp * 2/h^2 of rounding.  Every guess starts
+    from the same seeded vector.  The first solve only turns that vector
+    toward the level; from the second on, the iteration stops once the
+    quotient moved by at most 1e-7 of its scale (kinetic part plus
+    |quotient|) since the step before.  The quotient converges cubically,
+    so its own error is then far below that move.  A quotient farther from
+    its guess than half the way to the nearest other guess has strayed
+    toward another level: the next step shifts by the guess again (plain
+    inverse iteration) and the convergence test restarts.  A level not
+    settled within 8 solves fails the polish.
+
+    The values are returned only with a certificate: they ascend strictly;
+    each lies within its residual bound ||M x - rho x|| / ||x|| of an
+    eigenvalue of the symmetric operator M (plus 16 ulp of ||M||, for the
+    rounding of the residual and of the stored operator), and these
+    intervals are disjoint; and one Sturm count (stebz, counting only) finds
+    exactly `len(guesses)` eigenvalues of `op` up to a point above the top
+    interval.  So the i-th value is within its bound of the i-th eigenvalue.
+    A singular solve, an unsettled level or a failed certificate returns
+    `eigen_lowest(op, count, vectors=False)` instead, as does an operator
+    without its samples.
+    """
+    guesses = np.asarray(guesses, dtype=float).ravel()
+    _check_count(guesses.size, op.diag.size)
+    polished = None
+    if op.v is not None and np.all(np.isfinite(guesses)):
+        polished = _polish(op, guesses)
+    if polished is None or not _certified(op, *polished):
+        return eigen_lowest(op, guesses.size, vectors=False)
+    return SpectrumResult(polished[0], None, op.grid, False, 0.0)
+
+
+def _polish(op: TridiagonalOperator, guesses: np.ndarray):
+    """(values, residual bounds) of Rayleigh-quotient iteration from each
+    guess, or None where a solve is singular or a level does not settle."""
+    v = op.v
+    b = np.ones_like(v) if op.b is None else op.b
+    inv_h2 = 1.0 / op.grid.spacing**2
+    a_diag = 2.0 * inv_h2 + v
+    a_off = np.full(v.size - 1, -inv_h2)
+    start = np.cumsum(np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, v.size))
+    # a quotient farther from its guess than half the way to the next guess
+    # has strayed toward another level
+    apart = np.abs(guesses[:, None] - guesses[None, :]) + np.diag(np.full(guesses.size, np.inf))
+    reaches = 0.5 * np.min(apart, axis=1)
+    values, bounds = [], []
+    for guess, reach in zip(guesses, reaches):
+        y, shift, previous = start, float(guess), None
+        for _ in range(_POLISH_STEPS):
+            *_, w, info = scipy.linalg.lapack.dgtsv(
+                a_off, a_diag - shift * b, a_off, b * y, overwrite_d=1, overwrite_b=1)
+            norm = np.sqrt(np.dot(b * w, w))
+            if info != 0 or not (np.isfinite(norm) and norm > 0):
+                return None
+            y = w / norm
+            dy = np.diff(y)
+            weight = np.dot(b * y, y)
+            kinetic = (np.dot(dy, dy) + y[0] ** 2 + y[-1] ** 2) * inv_h2 / weight
+            rho = kinetic + np.dot(v * y, y) / weight
+            if abs(rho - guess) > reach:
+                shift, previous = float(guess), None  # inverse iteration at the guess
+                continue
+            if previous is not None and abs(rho - previous) <= _POLISH_TOL * (kinetic + abs(rho)):
+                break
+            shift = previous = rho
+        else:
+            return None
+        values.append(rho)
+        bounds.append(_residual_bound(y, rho, v, b, inv_h2))
+    return np.array(values), np.array(bounds)
+
+
+def _residual_bound(y, rho, v, b, inv_h2) -> float:
+    """||M x - rho x|| / ||x|| for x = B^(1/2) y, M = B^(-1/2) A B^(-1/2)."""
+    r = (2.0 * inv_h2 + v - rho * b) * y
+    r[1:] -= inv_h2 * y[:-1]
+    r[:-1] -= inv_h2 * y[1:]
+    return float(np.sqrt(np.dot(r / b, r) / np.dot(b * y, y)))
+
+
+def _certified(op: TridiagonalOperator, values: np.ndarray, bounds: np.ndarray) -> bool:
+    """The certificate of `refine_lowest`."""
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(bounds))):
+        return False
+    spread = 2.0 * np.max(np.abs(op.off))
+    lo = float(np.min(op.diag)) - spread  # Gershgorin interval of op
+    norm = max(abs(lo), abs(float(np.max(op.diag)) + spread))
+    radius = bounds + 16.0 * np.finfo(float).eps * norm
+    if np.any(values[:-1] + radius[:-1] >= values[1:] - radius[1:]):
+        return False
+    low = lo - 1.0 - abs(lo)
+    top = float(values[-1] + 2.0 * radius[-1])
+    if not low < top:
+        return False
+    # a tolerance wider than (low, top] makes stebz count and not bisect
+    found, *_, info = scipy.linalg.lapack.dstebz(
+        op.diag, op.off, 1, low, top, 0, 0, 2.0 * (top - low), b"E")
+    return info == 0 and found == values.size
 
 
 def extrapolate(coarse: SpectrumResult, fine: SpectrumResult) -> SpectrumResult:

@@ -96,11 +96,35 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # parameter records
+#
+# Beyond these ranges values overflow (l(l+1), s(s+1), the squared pole) or
+# the fixed grid domains no longer hold the levels, so they are rejected.
+# At the limits the eight lowest levels still come out of the default grids:
+# to ~1e-10 for the oscillators at l = 64 (the grid ends at xi = 200) and to
+# ~2e-8 for the hydrogen-like system at s = 5 (the grid ends at r = 80).
+_MAX_OSCILLATOR_L = 64
+_OMEGA_RANGE = (1e-8, 1e8)
+_MAX_HYDROGEN_S = 5.0
+_MAX_ANGULAR_PARAM = 1e4
+_MAX_ANGULAR_POLE = 1e8
+
 
 def _require_level(l) -> int:
     if l != int(l) or l < 0:
         raise ParameterError(f"orbital index must be a nonnegative integer, got {l}")
     return int(l)
+
+
+def _require_oscillator_level(l) -> int:
+    l = _require_level(l)
+    if l > _MAX_OSCILLATOR_L:
+        raise ParameterError(f"orbital index must be at most {_MAX_OSCILLATOR_L}, got {l}")
+    return l
+
+
+def _require_magnitude(name: str, value: float, limit: float) -> None:
+    if not abs(value) <= limit:
+        raise ParameterError(f"|{name}| must be at most {limit:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +135,10 @@ class HartmannRadial:
     omega: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "l", _require_level(self.l))
-        if not self.omega > 0:
-            raise ParameterError(f"omega must be positive, got {self.omega}")
+        object.__setattr__(self, "l", _require_oscillator_level(self.l))
+        lo, hi = _OMEGA_RANGE
+        if not lo <= self.omega <= hi:
+            raise ParameterError(f"omega must lie in [{lo:g}, {hi:g}], got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +151,7 @@ class HartmannAngularI:
     def __post_init__(self):
         if not self.lambda_a > 0:
             raise ParameterError(f"lambda_a must be positive, got {self.lambda_a}")
+        _require_angular_range(self)
         b = self.pole
         if not abs(b) > 1:
             raise ParameterError(
@@ -156,6 +182,7 @@ class HartmannAngularII:
     def __post_init__(self):
         if self.s == self.lambda_a:
             raise ParameterError("s = lambda_a makes the pole parameter infinite")
+        _require_angular_range(self)
         b = self.pole
         if not abs(b) > 1:
             raise ParameterError(
@@ -174,6 +201,12 @@ class HartmannAngularII:
         return self.lambda_a - 0.5, self.s - 0.5
 
 
+def _require_angular_range(params) -> None:
+    _require_magnitude("lambda_a", params.lambda_a, _MAX_ANGULAR_PARAM)
+    _require_magnitude("s", params.s, _MAX_ANGULAR_PARAM)
+    _require_magnitude("pole", params.pole, _MAX_ANGULAR_POLE)
+
+
 @dataclass(frozen=True)
 class DiracOscillator:
     """Dirac oscillator radial channel in natural units (omega = 1)."""
@@ -182,7 +215,7 @@ class DiracOscillator:
     omega: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "l", _require_level(self.l))
+        object.__setattr__(self, "l", _require_oscillator_level(self.l))
         if self.omega != 1.0:
             raise ParameterError(
                 "the Dirac oscillator reduction is taken in natural units; omega must be 1"
@@ -198,8 +231,9 @@ class HydrogenLike:
     chi: float = 1.0
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ParameterError(f"s must be positive (positive root), got {self.s}")
+        if not 0 < self.s <= _MAX_HYDROGEN_S:
+            raise ParameterError(
+                f"s must lie in (0, {_MAX_HYDROGEN_S:g}] (positive root), got {self.s}")
         if self.chi != 1.0:
             raise ParameterError(
                 "the hydrogen-like reduction is taken at radial scale chi = 1; chi must be 1"

@@ -18,6 +18,7 @@ from .spectral import (
     discretize,
     eigen_lowest,
     extrapolate,
+    refine_lowest,
     residual_on_operator,
 )
 from .systems import (
@@ -117,16 +118,19 @@ def variant_solves(reduced: ReducedSystem, variant: str, levels: int, grid_point
                    domain: tuple[float, float] | None = None, *,
                    coarse_vectors: bool = False) -> tuple[SpectrumResult, SpectrumResult]:
     """Coarse and fine (half-spacing) solves of one potential variant on the
-    default grids; only the coarse solve with `coarse_vectors` computes
-    eigenfunctions.  `levels` must lie in 1..8."""
+    default grids.  The coarse solve bisects, and with `coarse_vectors`
+    also computes eigenfunctions; the fine solve polishes the coarse
+    eigenvalues (`refine_lowest`, values-only).  `levels` must lie in
+    1..8."""
     if not 1 <= levels <= 8:
         raise UsageError(f"levels must lie in 1..8, got {levels}")
     lo, hi = domain if domain is not None else reduced.grid_domain
     coarse_grid = Grid(lo, hi, grid_points)
-    return tuple(
-        eigen_lowest(variant_operator(reduced, variant, grid), levels, vectors=vectors)
-        for grid, vectors in ((coarse_grid, coarse_vectors), (coarse_grid.refined(), False))
-    )
+    coarse = eigen_lowest(variant_operator(reduced, variant, coarse_grid), levels,
+                          vectors=coarse_vectors)
+    fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()),
+                         coarse.eigenvalues)
+    return coarse, fine
 
 
 def solve_variant(reduced: ReducedSystem, variant: str, levels: int,

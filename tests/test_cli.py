@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, output shapes, determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -276,8 +277,9 @@ def test_psi_out(tmp_path, capsys):
 
 def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
     """spectrum --psi-out takes the printed eigenfunctions from the coarse
-    solve that also feeds the extrapolation: 4 solves, table and eigenfunctions
-    as from separate values-only and eigenpair solves."""
+    solve that also feeds the extrapolation: one bisection per variant (the
+    fine grids are polished from them), table and eigenfunctions as from
+    separate values-only and eigenpair solves."""
     import xop.verify
     from xop import Grid, eigen_lowest, reduce_system, system_from_json
     from xop.io_utils import csv_lines
@@ -294,7 +296,7 @@ def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "psi.csv"
     code, out, _ = run(argv + ["--psi-out", str(path)], capsys)
     assert code == 0 and out == table
-    assert calls == [True, False, False, False]
+    assert calls == [True, False]
     reduced = reduce_system(system_from_json(DIRAC))
     grid = Grid(*reduced.grid_domain, 900)
     psi = eigen_lowest(xop.verify.variant_operator(reduced, "original", grid), 3).eigenfunctions
@@ -395,6 +397,132 @@ def bad_system(kind, key, value):
 ])
 def test_bad_system_values_exit_2(command, system, capsys):
     assert main([command, "--system", system] + SUBCOMMANDS[command]) == 2
+
+
+# finite but extreme system values: overflow, or levels the fixed grids cannot
+# hold; each exits 2 with a message and prints nothing
+EXTREME_SYSTEMS = [
+    ("HartmannRadial", {"l": 0, "omega": 1e300}),
+    ("HartmannRadial", {"l": 0, "omega": 1e-300}),
+    ("HartmannRadial", {"l": 1e300, "omega": 1.0}),
+    ("HartmannRadial", {"l": 65, "omega": 1.0}),
+    ("DiracOscillator", {"l": 1e300}),
+    ("HydrogenLike", {"s": 1e200, "lambda_c": 1.9}),
+    ("HydrogenLike", {"s": 5.5, "lambda_c": 1.9}),
+    ("HartmannAngularI", {"lambda_a": 1.0, "s": 1e300}),
+    ("HartmannAngularI", {"lambda_a": 1e-300, "s": 2.5}),
+    ("HartmannAngularII", {"lambda_a": 2.0, "s": 1e300}),
+    ("HartmannAngularII", {"lambda_a": 2.0, "s": 2.0 + 1e-12}),
+]
+# the largest accepted values still solve
+LIMIT_SYSTEMS = [
+    ("HartmannRadial", {"l": 64, "omega": 1e8}),
+    ("HartmannRadial", {"l": 0, "omega": 1e-8}),
+    ("DiracOscillator", {"l": 64}),
+    ("HydrogenLike", {"s": 5.0, "lambda_c": 1.9}),
+    ("HartmannAngularI", {"lambda_a": 1.0, "s": 1e4}),
+    ("HartmannAngularII", {"lambda_a": 2.0, "s": 1e4}),
+]
+
+
+def system_arg(kind, params):
+    return json.dumps({"kind": kind, "params": params})
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("kind, params", EXTREME_SYSTEMS,
+                         ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_extreme_system_values_exit_2(command, kind, params, capsys):
+    code, out, err = run([command, "--system", system_arg(kind, params)]
+                         + SUBCOMMANDS[command], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must" in err
+
+
+@pytest.mark.parametrize("kind, params", LIMIT_SYSTEMS,
+                         ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_limit_system_values_solve(kind, params, capsys):
+    code, out, _ = run(["spectrum", "--system", system_arg(kind, params), "--levels", "2",
+                        "--grid-points", "300"], capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
+
+
+# --range and --points at their boundaries: a non-finite point, or points where
+# the values overflow, exit 2; every other outcome is a finite table
+NON_FINITE = ("nan", "inf", "-inf")
+RANGE_SWEEP = [(lo, hi) for lo in ("-1e300", "-0.5", "0.1", "nan", "-inf")
+               for hi in ("0.1", "0.5", "1e300", "nan", "inf")]
+POINTS_SWEEP = ["nan", "inf", "-inf", "0.5,nan", "1e300", "-1e300", "1e-300", "0.5",
+                "1e100,2"]
+EVAL_FAMILIES = [LAG_CLASSICAL, '{"kind": "X1Jacobi", "params": {"a": 1.5, "b": 2.5}}']
+ANGULAR_I = '{"kind": "HartmannAngularI", "params": {"lambda_a": 1.0, "s": 2.5}}'
+
+
+def check_boundary_outcome(code, out, err, inputs):
+    assert code in (0, 2)
+    if any(tok in NON_FINITE for value in inputs for tok in value.split(",")):
+        assert code == 2
+    if code == 2:
+        # argparse itself rejects "-1e300" and "-inf" after --range: they look like flags
+        assert out == "" and "error:" in err
+    else:
+        values = [float(v) for line in out.strip().splitlines()[1:] for v in line.split(",")]
+        assert values and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("family", EVAL_FAMILIES)
+@pytest.mark.parametrize("lo, hi", RANGE_SWEEP)
+def test_eval_poly_range_boundaries(family, lo, hi, capsys):
+    code, out, err = run(["eval-poly", "--family", family, "--n", "3", "--range", lo, hi,
+                          "--count", "5"], capsys)
+    check_boundary_outcome(code, out, err, (lo, hi))
+
+
+@pytest.mark.parametrize("family", EVAL_FAMILIES)
+@pytest.mark.parametrize("points", POINTS_SWEEP)
+def test_eval_poly_points_boundaries(family, points, capsys):
+    code, out, err = run(["eval-poly", "--family", family, "--n", "3", f"--points={points}"],
+                         capsys)
+    check_boundary_outcome(code, out, err, (points,))
+
+
+@pytest.mark.parametrize("system", [DIRAC, ANGULAR_I])
+@pytest.mark.parametrize("lo, hi", RANGE_SWEEP)
+def test_plot_data_range_boundaries(system, lo, hi, capsys):
+    code, out, err = run(["plot-data", "--system", system, "--range", lo, hi, "--count", "5",
+                          "--levels", "2"], capsys)
+    check_boundary_outcome(code, out, err, (lo, hi))
+
+
+def test_non_finite_values_exit_2_with_the_point(capsys):
+    code, out, err = run(["eval-poly", "--family", LAG_CLASSICAL, "--n", "3",
+                          "--points", "1,1e300"], capsys)
+    assert code == 2 and out == ""
+    assert "value is not finite at x = 1e+300" in err
+    code, out, err = run(["plot-data", "--system", DIRAC, "--range", "0.1", "1e300",
+                          "--count", "3", "--levels", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "not finite at x = 5e+299" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    import subprocess
+    import sys
+
+    import xop
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xop.__file__)))
+    done = subprocess.run([sys.executable, "-m", "xop", "eval-poly", "--family", LAG_CLASSICAL,
+                           "--n", "1", "--points", "0"], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0
+    assert done.stdout == "x,value\n0,1.5\n"
+    done = subprocess.run([sys.executable, "-m", "xop", "eval-poly", "--family", LAG_CLASSICAL,
+                           "--n", "1", "--points", "nan"], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 2 and done.stderr.startswith("error:")
 
 
 BAD_CONFIGS = [

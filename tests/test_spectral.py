@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from xop import (
     DiracOscillator,
@@ -11,6 +12,8 @@ from xop import (
     HartmannRadial,
     HydrogenLike,
     SingularityError,
+    SpectrumResult,
+    TridiagonalOperator,
     UsageError,
     analytic_energy,
     apply_coordinate_weight,
@@ -19,6 +22,7 @@ from xop import (
     extrapolate,
     hydrogen_standard_energy,
     reduce_system,
+    refine_lowest,
     solve_variant,
 )
 from xop.verify import variant_operator
@@ -122,21 +126,120 @@ def test_values_only_solve_matches_eigenpair_solve(make_op):
     assert pairs.eigenfunctions.shape == (op.diag.size, 4)
 
 
-@pytest.mark.parametrize("params", [
+FIVE_SYSTEMS = [
     HartmannRadial(l=1, omega=1.0), DiracOscillator(l=0),
     HydrogenLike(s=0.9, lambda_c=1.9),
     HartmannAngularI(lambda_a=1.0, s=2.5), HartmannAngularII(lambda_a=2.0, s=4.0),
-], ids=lambda params: type(params).__name__)
+]
+
+
+def tight_bisection(op, count):
+    """Lowest eigenvalues of the stored operator, bisected to the last bit."""
+    return scipy.linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i",
+                                         select_range=(0, count - 1), tol=1e-300)
+
+
+def bisection_floor(op):
+    """How far bisection of the stored operator can sit from the sampled
+    pencil: a few ulps of its largest diagonal entry."""
+    return 8 * np.finfo(float).eps * np.max(np.abs(op.diag))
+
+
+@pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda params: type(params).__name__)
 def test_solve_variant_is_values_only_with_eigenpair_values(params):
+    """Values-only, and the eigenpair solve's values: the coarse grid is the
+    same bisection, the polished fine grid meets bisection to the last bit
+    (tol 1e-300) within bisection's own rounding floor."""
     reduced = reduce_system(params)
     result = solve_variant(reduced, "extended", 4, 500)
     assert result.eigenfunctions is None
-    coarse = Grid(*reduced.grid_domain, 500)
-    pairs = extrapolate(*(
-        eigen_lowest(variant_operator(reduced, "extended", grid), 4, vectors=True)
-        for grid in (coarse, coarse.refined())
-    ))
-    assert np.array_equal(result.eigenvalues, pairs.eigenvalues)
+    coarse_grid = Grid(*reduced.grid_domain, 500)
+    coarse = eigen_lowest(variant_operator(reduced, "extended", coarse_grid), 4, vectors=False)
+    fine_op = variant_operator(reduced, "extended", coarse_grid.refined())
+    fine = SpectrumResult(tight_bisection(fine_op, 4), None, fine_op.grid, False, 0.0)
+    want = extrapolate(coarse, fine)
+    assert np.max(np.abs(result.eigenvalues - want.eigenvalues)) <= 2 * bisection_floor(fine_op)
+
+
+# --- refine_lowest -----------------------------------------------------------------
+
+def _coarse_and_fine(params, variant, levels, coarse_points):
+    reduced = reduce_system(params)
+    grid = Grid(*reduced.grid_domain, coarse_points)
+    coarse = eigen_lowest(variant_operator(reduced, variant, grid), levels, vectors=False)
+    return coarse.eigenvalues, variant_operator(reduced, variant, grid.refined())
+
+
+@pytest.mark.parametrize("variant", ["original", "extended"])
+@pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_refine_lowest_matches_tight_bisection(params, variant):
+    guesses, op = _coarse_and_fine(params, variant, 8, 1000)
+    assert op.diag.size == 2001
+    refined = refine_lowest(op, guesses)
+    assert refined.eigenfunctions is None and not refined.converged
+    tight = tight_bisection(op, 8)
+    assert np.max(np.abs(refined.eigenvalues - tight)) <= bisection_floor(op)
+    # the polish moved the values off bisection's, so no fallback ran
+    assert not np.array_equal(refined.eigenvalues, eigen_lowest(op, 8, vectors=False).eigenvalues)
+
+
+def test_refine_lowest_is_deterministic():
+    guesses, op = _coarse_and_fine(HydrogenLike(s=0.9, lambda_c=1.9), "extended", 6, 700)
+    first = refine_lowest(op, guesses).eigenvalues
+    _, rebuilt = _coarse_and_fine(HydrogenLike(s=0.9, lambda_c=1.9), "extended", 6, 700)
+    assert np.array_equal(refine_lowest(op, guesses).eigenvalues, first)
+    assert np.array_equal(refine_lowest(rebuilt, guesses).eigenvalues, first)
+
+
+def test_refine_lowest_single_level():
+    guesses, op = _coarse_and_fine(DiracOscillator(l=0), "extended", 1, 800)
+    refined = refine_lowest(op, guesses)
+    assert refined.eigenvalues.shape == (1,)
+    assert abs(refined.eigenvalues[0] - tight_bisection(op, 1)[0]) <= bisection_floor(op)
+
+
+@pytest.mark.parametrize("params", [DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9)],
+                         ids=lambda params: type(params).__name__)
+def test_refine_lowest_falls_back_when_the_certificate_fails(params):
+    """Guesses one level too high polish into levels 1..4: each is a true
+    eigenvalue, but the Sturm count finds five below the top one, so the
+    result is plain bisection."""
+    guesses, op = _coarse_and_fine(params, "original", 5, 800)
+    refined = refine_lowest(op, guesses[1:])
+    assert np.array_equal(refined.eigenvalues, eigen_lowest(op, 4, vectors=False).eigenvalues)
+
+
+def test_refine_lowest_falls_back_without_samples_or_on_bad_guesses():
+    op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 799))
+    bare = TridiagonalOperator(op.diag, op.off, op.grid)
+    plain = eigen_lowest(op, 3, vectors=False).eigenvalues
+    assert np.array_equal(refine_lowest(bare, [1.0, 4.0, 9.0]).eigenvalues, plain)
+    # repeated guesses leave no room between their levels: the polish gives up
+    assert np.array_equal(refine_lowest(op, [1.0, 1.0, 1.0]).eigenvalues, plain)
+    assert np.array_equal(refine_lowest(op, [np.nan, 4.0, 9.0]).eigenvalues, plain)
+
+
+def test_refine_lowest_usage_errors():
+    op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 200))
+    with pytest.raises(UsageError):
+        refine_lowest(op, [])
+    with pytest.raises(UsageError):
+        refine_lowest(op, np.arange(1.0, 31.0) ** 2)
+
+
+def test_operator_keeps_its_samples():
+    grid = Grid(1.0, 2.0, 100)
+    op = discretize(lambda x: 3 * x, grid)
+    assert np.array_equal(op.v, 3 * grid.points) and op.b is None
+    weighted = apply_coordinate_weight(op, lambda x: x**2)
+    assert np.array_equal(weighted.v, op.v)
+    assert np.array_equal(weighted.b, grid.points**2)
+    twice = apply_coordinate_weight(weighted, lambda x: x)
+    assert np.array_equal(twice.b, grid.points**2 * grid.points)
+    # the stored matrix is unchanged by keeping the samples
+    h2 = grid.spacing**2
+    assert np.array_equal(op.diag, 2.0 / h2 + 3 * grid.points)
+    assert np.array_equal(weighted.diag, op.diag / grid.points**2)
 
 
 # --- extrapolation ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from xop import (
     UsageError,
     analytic_energy,
     isospectral_compare,
+    reduce_system,
 )
 
 RADIAL = [
@@ -54,6 +55,24 @@ def test_angular_levels_match_the_analytic_levels(params):
     analytic = [analytic_energy(params, n) for n in range(report.level_count)]
     for values in (report.eigenvalues_original, report.eigenvalues_extended):
         assert np.max(np.abs(np.subtract(values, analytic))) <= 1e-5
+
+
+FINE_BOUNDS = {"r": 5e-9, "theta": 2e-7}
+
+
+@pytest.mark.parametrize("params", [
+    HartmannRadial(l=0, omega=1.0), HartmannAngularI(lambda_a=1.0, s=2.5),
+    DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
+    HartmannAngularII(lambda_a=2.0, s=4.0),
+], ids=lambda p: type(p).__name__)
+def test_fine_grid_levels_match_the_analytic_levels(params):
+    """8 levels on 20000 points: the polished fine grid is not limited by
+    bisection's ulp * 2/h^2 floor (1.1e-8 radial, 1.0e-6 angular)."""
+    report = isospectral_compare(params, levels=8, grid_points=20000)
+    analytic = [analytic_energy(params, n) for n in range(8)]
+    bound = FINE_BOUNDS[reduce_system(params).coordinate]
+    for values in (report.eigenvalues_original, report.eigenvalues_extended):
+        assert np.max(np.abs(np.subtract(values, analytic))) <= bound
 
 
 def test_angular_domain_matches_clipped_window():
