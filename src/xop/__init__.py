@@ -84,7 +84,7 @@ from .verify import (
     Tolerances,
     VerificationReport,
     isospectral_compare,
-    solve_variant,
+    solve_variants,
 )
 
 __version__ = "0.1.0"

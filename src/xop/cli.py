@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,9 +35,9 @@ from .exceptional import (
 )
 from .io_utils import csv_lines, format_json, write_atomic
 from .polynomials import eval_jacobi, eval_laguerre
-from .spectral import extrapolate
+from .spectral import Grid, eigen_lowest
 from .systems import _closed_form, reduce_system, system_from_json, system_to_dict
-from .verify import isospectral_compare, solve_variant, variant_solves
+from .verify import isospectral_compare, solve_variants, variant_operator
 
 _USAGE_ERRORS = (UsageError, ParameterError, DomainError)
 _NUMERIC_ERRORS = (ConsistencyError, AccuracyError, NumericError, SingularityError)
@@ -125,12 +126,7 @@ def cmd_gram(args) -> int:
 def cmd_spectrum(args) -> int:
     params = system_from_json(args.system)
     reduced = reduce_system(params)
-    # --psi-out prints the coarse original eigenfunctions: that one solve
-    # computes them and still feeds the extrapolation
-    coarse, fine = variant_solves(reduced, "original", args.levels, args.grid_points,
-                                  coarse_vectors=bool(args.psi_out))
-    original = extrapolate(coarse, fine)
-    extended = solve_variant(reduced, "extended", args.levels, args.grid_points)
+    original, extended = solve_variants(reduced, args.levels, args.grid_points)
     columns = [np.arange(args.levels), original.eigenvalues, extended.eigenvalues,
                np.abs(extended.eigenvalues - original.eigenvalues)]
     if args.format == "json":
@@ -142,9 +138,12 @@ def cmd_spectrum(args) -> int:
     else:
         _emit(csv_lines(["level", "E_original", "E_extended", "abs_diff"], columns), args.out)
     if args.psi_out:
+        # the eigenfunctions come from their own eigenpair solve (stein) on the
+        # coarse original operator, so the table does not depend on --psi-out
+        grid = Grid(*reduced.grid_domain, args.grid_points)
+        psi = eigen_lowest(variant_operator(reduced, "original", grid), args.levels)
         header = ["x"] + [f"psi_{n}" for n in range(args.levels)]
-        write_atomic(args.psi_out,
-                     csv_lines(header, [coarse.grid.points, *coarse.eigenfunctions.T]))
+        write_atomic(args.psi_out, csv_lines(header, [grid.points, *psi.eigenfunctions.T]))
     return 0
 
 
@@ -203,8 +202,22 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$",
+                              re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e-3, -1e300 and -inf as values, where plain argparse takes
+    only -5 and -.5 for numbers and the rest for unknown flags, so that
+    `--range -1e-3 1` reaches the range checks.  Subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xop",
         description="Exceptional-polynomial isospectral potential toolkit",
     )

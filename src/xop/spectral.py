@@ -8,8 +8,10 @@ B^(-1/2) A B^(-1/2), still tridiagonal, which is how the coupling-form
 hydrogen eigenproblem is solved.
 
 Two eigensolvers share one result type.  `eigen_lowest` bisects from
-scratch (LAPACK stebz, with stein for eigenfunctions).  `refine_lowest`
-warm-starts from approximate values, the coarse-grid levels in `verify`:
+scratch (LAPACK stebz, with stein for eigenfunctions); `verify` runs it
+only on a small seed grid, for `spectrum --psi-out`, and as the fallback of
+`refine_lowest`.  `refine_lowest` warm-starts from approximate values (in
+`verify`, the seed levels, the original's levels or the coarse levels):
 Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
 quotients taken from the raw samples v and b the operator keeps, so they
 are not limited by the ulp * 2/h^2 rounding of the diagonal that bounds
@@ -169,8 +171,8 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
 
     The eigenvalues do not depend on `vectors`: both solves run stebz with
     the same tolerance on one unsplit block.  `verify` and `spectrum` solve
-    their coarse grids this way, values-only except for the eigenfunctions
-    of `spectrum --psi-out`.
+    their seed grids this way, values-only, and `spectrum --psi-out` its
+    coarse original grid with eigenfunctions.
     """
     n = op.diag.size
     _check_count(count, n)
@@ -201,8 +203,9 @@ _START_SEED = 7        # seed of the one start vector every polish uses
 
 def refine_lowest(op: TridiagonalOperator, guesses) -> SpectrumResult:
     """The lowest `len(guesses)` eigenvalues of `op`, polished from
-    approximate values (the coarse-grid levels of the same problem) by
-    Rayleigh-quotient iteration; values-only, deterministic.
+    approximate values (levels of the same problem on another grid, or of an
+    isospectral one) by Rayleigh-quotient iteration; values-only,
+    deterministic.
 
     Each guess starts shifted inverse iteration on the pencil
     (-d^2/dx^2 + v, b) from the samples `op` keeps, with one O(n)

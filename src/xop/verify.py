@@ -1,6 +1,11 @@
 """Isospectrality verification: solve original and extended operators on the
 same grids, Richardson-extrapolate, and bundle spectral differences with
-closed-form residuals and Gram orthogonality checks into one report."""
+closed-form residuals and Gram orthogonality checks into one report.
+
+`solve_variants` bisects only a seed grid 16 times coarser than the coarse
+grid; every coarse and fine level is a certified `refine_lowest` polish
+(or its bisection fallback), the extended coarse grid seeded from the
+original's coarse levels."""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericError, UsageError
 from .exceptional import gram_matrix, max_offdiag_ratio
 from .spectral import (
     Grid,
@@ -34,9 +39,8 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "VerificationReport",
     "isospectral_compare",
-    "solve_variant",
+    "solve_variants",
     "variant_operator",
-    "variant_solves",
 ]
 
 _RESIDUAL_DEGREES = (1, 2, 3)
@@ -114,44 +118,57 @@ def variant_operator(reduced: ReducedSystem, variant: str, grid: Grid) -> Tridia
     return op
 
 
-def variant_solves(reduced: ReducedSystem, variant: str, levels: int, grid_points: int,
-                   domain: tuple[float, float] | None = None, *,
-                   coarse_vectors: bool = False) -> tuple[SpectrumResult, SpectrumResult]:
-    """Coarse and fine (half-spacing) solves of one potential variant on the
-    default grids.  The coarse solve bisects, and with `coarse_vectors`
-    also computes eigenfunctions; the fine solve polishes the coarse
-    eigenvalues (`refine_lowest`, values-only).  `levels` must lie in
-    1..8."""
+def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
+                   domain: tuple[float, float] | None = None) -> tuple[SpectrumResult, SpectrumResult]:
+    """Extrapolated lowest `levels` eigenvalues of the original and of the
+    extended operator (values-only: eigenfunctions None), from a coarse grid
+    of `grid_points` and its half-spacing refinement; `levels` must lie in
+    1..8.
+
+    Only a seed grid, 16 times coarser (but at least 64 points and more
+    than ten per level), is bisected.  Every other solve is a `refine_lowest` polish: the
+    original's coarse grid from the seed levels, the extended coarse grid
+    from the original's coarse levels (the two operators are isospectral),
+    and each fine grid from its own coarse levels.  The polish certifies
+    its values or falls back to bisection, so a poor guess, wrong physics
+    included, costs time and never changes a result.
+    """
     if not 1 <= levels <= 8:
         raise UsageError(f"levels must lie in 1..8, got {levels}")
     lo, hi = domain if domain is not None else reduced.grid_domain
     coarse_grid = Grid(lo, hi, grid_points)
-    coarse = eigen_lowest(variant_operator(reduced, variant, coarse_grid), levels,
-                          vectors=coarse_vectors)
-    fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()),
-                         coarse.eigenvalues)
-    return coarse, fine
-
-
-def solve_variant(reduced: ReducedSystem, variant: str, levels: int,
-                  grid_points: int, domain: tuple[float, float] | None = None) -> SpectrumResult:
-    """Extrapolated eigenvalues of one potential variant on the default grids
-    (values-only: the result's eigenfunctions are None); `levels` must lie in
-    1..8."""
-    return extrapolate(*variant_solves(reduced, variant, levels, grid_points, domain))
+    seed_grid = Grid(lo, hi, max(64, 10 * levels + 1, grid_points // 16))
+    guesses = eigen_lowest(variant_operator(reduced, "original", seed_grid), levels,
+                           vectors=False).eigenvalues
+    solved = []
+    for variant in ("original", "extended"):
+        coarse = refine_lowest(variant_operator(reduced, variant, coarse_grid), guesses)
+        fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()),
+                             coarse.eigenvalues)
+        solved.append(extrapolate(coarse, fine))
+        guesses = coarse.eigenvalues
+    return solved[0], solved[1]
 
 
 def _closed_form_residual(reduced: ReducedSystem, levels: int) -> float:
+    """Worst closed-form residual of the extended operator's lowest X1
+    wavefunctions; a non-finite one (the closed form overflows at large
+    parameters) raises NumericError naming its degree."""
     lo, hi = reduced.residual_window
     samples = np.linspace(lo, hi, 200)
     worst = 0.0
     for degree in _RESIDUAL_DEGREES[: max(1, min(len(_RESIDUAL_DEGREES), levels))]:
         psi = reduced.wavefunction("exceptional", degree)
         energy = reduced.energy(degree - 1)
-        worst = max(worst, residual_on_operator(
-            reduced.operator_extended, psi, energy, samples,
-            eigen_weight=reduced.eigen_weight,
-        ))
+        with np.errstate(all="ignore"):  # overflow shows as a non-finite residual
+            residual = residual_on_operator(
+                reduced.operator_extended, psi, energy, samples,
+                eigen_weight=reduced.eigen_weight,
+            )
+        if not np.isfinite(residual):
+            raise NumericError(f"closed-form residual of the degree-{degree} X1 "
+                               f"wavefunction is not finite ({residual})")
+        worst = max(worst, residual)
     return worst
 
 
@@ -166,11 +183,11 @@ def isospectral_compare(params: SystemParams, levels: int = 4, *,
     eigenproblem is the coupling form and they are the quantized couplings.
     """
     reduced = reduce_system(params)
-    original = solve_variant(reduced, "original", levels, grid_points, domain)
-    extended = solve_variant(reduced, "extended", levels, grid_points, domain)
+    original, extended = solve_variants(reduced, levels, grid_points, domain)
     diffs = np.abs(extended.eigenvalues - original.eigenvalues)
     residual = _closed_form_residual(reduced, levels)
-    gram = gram_matrix(reduced.x1_family, _GRAM_MEMBERS)
+    with np.errstate(all="ignore"):  # an overflowing weight leaves the Gram unconverged
+        gram = gram_matrix(reduced.x1_family, _GRAM_MEMBERS)
     gram_off = max_offdiag_ratio(gram)
     spectral_tol = (tolerances.spectral_radial if reduced.coordinate == "r"
                     else tolerances.spectral_angular)

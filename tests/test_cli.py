@@ -276,27 +276,34 @@ def test_psi_out(tmp_path, capsys):
 
 
 def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
-    """spectrum --psi-out takes the printed eigenfunctions from the coarse
-    solve that also feeds the extrapolation: one bisection per variant (the
-    fine grids are polished from them), table and eigenfunctions as from
-    separate values-only and eigenpair solves."""
+    """spectrum --psi-out adds one eigenpair solve (stein) of the coarse
+    original operator and changes nothing else: the values still come from
+    the seed-grid bisection and the polishes, so the table bytes are those
+    without --psi-out (a polish seeded from other guesses can differ in the
+    last bits), and the eigenfunctions are those of a separate solve."""
+    import xop.cli
+    import xop.spectral
     import xop.verify
     from xop import Grid, eigen_lowest, reduce_system, system_from_json
     from xop.io_utils import csv_lines
 
     argv = ["spectrum", "--system", DIRAC, "--levels", "3", "--grid-points", "900"]
-    _, table, _ = run(argv, capsys)
+    tables = {fmt: run(argv + ["--format", fmt], capsys)[1] for fmt in ("csv", "json")}
     calls = []
 
     def counted(op, count, **kwargs):
-        calls.append(kwargs.get("vectors", True))
+        calls.append((op.grid.n_points, kwargs.get("vectors", True)))
         return eigen_lowest(op, count, **kwargs)
 
-    monkeypatch.setattr(xop.verify, "eigen_lowest", counted)
+    for module in (xop.cli, xop.spectral, xop.verify):
+        monkeypatch.setattr(module, "eigen_lowest", counted)
     path = tmp_path / "psi.csv"
-    code, out, _ = run(argv + ["--psi-out", str(path)], capsys)
-    assert code == 0 and out == table
-    assert calls == [True, False]
+    for fmt, table in tables.items():
+        calls.clear()
+        code, out, _ = run(argv + ["--format", fmt, "--psi-out", str(path)], capsys)
+        assert code == 0 and out == table
+        # the 64-point seed grid, values only, then the eigenpairs; no fallback
+        assert calls == [(64, False), (900, True)]
     reduced = reduce_system(system_from_json(DIRAC))
     grid = Grid(*reduced.grid_domain, 900)
     psi = eigen_lowest(xop.verify.variant_operator(reduced, "original", grid), 3).eigenfunctions
@@ -460,13 +467,20 @@ EVAL_FAMILIES = [LAG_CLASSICAL, '{"kind": "X1Jacobi", "params": {"a": 1.5, "b": 
 ANGULAR_I = '{"kind": "HartmannAngularI", "params": {"lambda_a": 1.0, "s": 2.5}}'
 
 
-def check_boundary_outcome(code, out, err, inputs):
+# the checks that judge a --range: non-finite ends, values that overflow, and
+# (plot-data) ends outside the system's domain
+RANGE_MESSAGES = ("range needs finite lo < hi", "is not finite at", "outside system domain")
+
+
+def check_boundary_outcome(code, out, err, inputs, messages=()):
     assert code in (0, 2)
     if any(tok in NON_FINITE for value in inputs for tok in value.split(",")):
         assert code == 2
     if code == 2:
-        # argparse itself rejects "-1e300" and "-inf" after --range: they look like flags
-        assert out == "" and "error:" in err
+        # xop's own checks answer, not argparse's usage error: "-1e300" and
+        # "-inf" after --range are values, not flags
+        assert out == "" and err.startswith("error:") and "usage:" not in err
+        assert not messages or any(message in err for message in messages), err
     else:
         values = [float(v) for line in out.strip().splitlines()[1:] for v in line.split(",")]
         assert values and all(math.isfinite(v) for v in values)
@@ -477,7 +491,7 @@ def check_boundary_outcome(code, out, err, inputs):
 def test_eval_poly_range_boundaries(family, lo, hi, capsys):
     code, out, err = run(["eval-poly", "--family", family, "--n", "3", "--range", lo, hi,
                           "--count", "5"], capsys)
-    check_boundary_outcome(code, out, err, (lo, hi))
+    check_boundary_outcome(code, out, err, (lo, hi), RANGE_MESSAGES)
 
 
 @pytest.mark.parametrize("family", EVAL_FAMILIES)
@@ -493,7 +507,26 @@ def test_eval_poly_points_boundaries(family, points, capsys):
 def test_plot_data_range_boundaries(system, lo, hi, capsys):
     code, out, err = run(["plot-data", "--system", system, "--range", lo, hi, "--count", "5",
                           "--levels", "2"], capsys)
-    check_boundary_outcome(code, out, err, (lo, hi))
+    check_boundary_outcome(code, out, err, (lo, hi), RANGE_MESSAGES)
+
+
+@pytest.mark.parametrize("command", ["eval-poly", "plot-data"])
+def test_negative_exponent_and_infinite_range_ends_are_values(command, capsys):
+    """-1e-3, -1e300 and -inf after --range are numbers for the range checks
+    to judge, not unknown flags."""
+    head = (["eval-poly", "--family", LAG_CLASSICAL, "--n", "2"] if command == "eval-poly"
+            else ["plot-data", "--system", ANGULAR_I, "--levels", "1"])
+    code, out, _ = run(head + ["--range", "1e-3", "1", "--count", "3"], capsys)
+    assert code == 0 and out.splitlines()[1].startswith("0.001,")
+    if command == "eval-poly":
+        code, out, _ = run(head + ["--range", "-1e-3", "1", "--count", "3"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("-0.001,")
+    code, out, err = run(head + ["--range", "-inf", "1"], capsys)
+    assert code == 2 and out == "" and err == "error: range needs finite lo < hi, got -inf 1.0\n"
+    code, out, err = run(head + ["--range", "-1e300", "1", "--count", "3"], capsys)
+    want = ("error: value is not finite at x = -1e+300" if command == "eval-poly"
+            else "error: range (-1e+300, 1.0) outside system domain")
+    assert code == 2 and out == "" and err.startswith(want)
 
 
 def test_non_finite_values_exit_2_with_the_point(capsys):
@@ -549,6 +582,17 @@ def test_bad_verify_configs_exit_2(overrides, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "reports").exists()
+
+
+def test_verify_non_finite_residual_exits_1_with_one_line(tmp_path, capsys):
+    system = {"kind": "HartmannAngularI", "params": {"lambda_a": 1.0, "s": 3000.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"systems": [system], "levels": 2, "grid": {"points": 300},
+                                "output": {"path": str(tmp_path / "reports")}}))
+    code, out, err = run(["verify", "--config", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: closed-form residual of the degree-1 X1 wavefunction "
+                   "is not finite (nan)\n")
 
 
 def test_unknown_override_kind_names_the_known_kinds(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Finite-difference eigensolver against analytic spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from xop import (
     HartmannAngularII,
     HartmannRadial,
     HydrogenLike,
+    NumericError,
     SingularityError,
     SpectrumResult,
     TridiagonalOperator,
@@ -21,9 +24,10 @@ from xop import (
     eigen_lowest,
     extrapolate,
     hydrogen_standard_energy,
+    isospectral_compare,
     reduce_system,
     refine_lowest,
-    solve_variant,
+    solve_variants,
 )
 from xop.verify import variant_operator
 
@@ -146,19 +150,21 @@ def bisection_floor(op):
 
 
 @pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda params: type(params).__name__)
-def test_solve_variant_is_values_only_with_eigenpair_values(params):
-    """Values-only, and the eigenpair solve's values: the coarse grid is the
-    same bisection, the polished fine grid meets bisection to the last bit
-    (tol 1e-300) within bisection's own rounding floor."""
+def test_solve_variants_are_values_only_with_tight_bisection_values(params):
+    """Values-only, and both grids of both variants meet bisection to the
+    last bit (tol 1e-300) within bisection's own rounding floor, although
+    only the seed grid is bisected."""
     reduced = reduce_system(params)
-    result = solve_variant(reduced, "extended", 4, 500)
-    assert result.eigenfunctions is None
+    results = solve_variants(reduced, 4, 500)
     coarse_grid = Grid(*reduced.grid_domain, 500)
-    coarse = eigen_lowest(variant_operator(reduced, "extended", coarse_grid), 4, vectors=False)
-    fine_op = variant_operator(reduced, "extended", coarse_grid.refined())
-    fine = SpectrumResult(tight_bisection(fine_op, 4), None, fine_op.grid, False, 0.0)
-    want = extrapolate(coarse, fine)
-    assert np.max(np.abs(result.eigenvalues - want.eigenvalues)) <= 2 * bisection_floor(fine_op)
+    for variant, result in zip(("original", "extended"), results):
+        assert result.eigenfunctions is None
+        solves = []
+        for grid in (coarse_grid, coarse_grid.refined()):
+            op = variant_operator(reduced, variant, grid)
+            solves.append(SpectrumResult(tight_bisection(op, 4), None, grid, False, 0.0))
+        want = extrapolate(*solves)
+        assert np.max(np.abs(result.eigenvalues - want.eigenvalues)) <= 2 * bisection_floor(op)
 
 
 # --- refine_lowest -----------------------------------------------------------------
@@ -225,6 +231,108 @@ def test_refine_lowest_usage_errors():
         refine_lowest(op, [])
     with pytest.raises(UsageError):
         refine_lowest(op, np.arange(1.0, 31.0) ** 2)
+
+
+# --- the verify solve path ----------------------------------------------------------
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records what `solve_variants` runs: each bisection as (grid points,
+    vectors), fallbacks of `refine_lowest` included, and each polish as
+    (operator, result)."""
+    import xop.spectral
+    import xop.verify
+
+    bisections, polishes = [], []
+
+    def bisect(op, count, **kwargs):
+        bisections.append((op.grid.n_points, kwargs.get("vectors", True)))
+        return eigen_lowest(op, count, **kwargs)
+
+    def polish(op, guesses):
+        result = refine_lowest(op, guesses)
+        polishes.append((op, result))
+        return result
+
+    monkeypatch.setattr(xop.spectral, "eigen_lowest", bisect)
+    monkeypatch.setattr(xop.verify, "eigen_lowest", bisect)
+    monkeypatch.setattr(xop.verify, "refine_lowest", polish)
+    return bisections, polishes
+
+
+# the five systems of the benchmark's verify workloads
+BENCH_SYSTEMS = [
+    HartmannRadial(l=0, omega=1.0), HartmannAngularI(lambda_a=1.0, s=2.5),
+    DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
+    HartmannAngularII(lambda_a=2.0, s=4.0),
+]
+
+
+@pytest.mark.parametrize("grid_points, levels", [(2000, 4), (20000, 8)])
+@pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_compare_bisects_only_the_seed_grid(params, grid_points, levels, solves):
+    """One values-only bisection, of the grid 16 times coarser, and no
+    fallback: both variants' coarse and fine grids are polished."""
+    bisections, polishes = solves
+    isospectral_compare(params, levels, grid_points=grid_points)
+    assert bisections == [(grid_points // 16, False)]
+    assert [op.grid.n_points for op, _ in polishes] == [grid_points, 2 * grid_points + 1] * 2
+
+
+WRONG_SHIFTS = {"scaled": (1.01, 0.0), "raised": (1.0, 0.6), "lowered": (1.0, -2.0)}
+
+
+@pytest.mark.parametrize("kind", WRONG_SHIFTS)
+@pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_seeding_from_the_original_never_decides_the_levels(params, kind, solves):
+    """The extended coarse grid is polished from the original's levels, yet
+    with a wrong shift (scaled by 1.01, or with 0.6 or -2 level spacings
+    added) every polished grid still meets tight bisection.  Lowered by two
+    spacings, the oscillators' original levels are exactly the wrong
+    operator's levels 2..5: only the Sturm count tells them apart."""
+    reduced = reduce_system(params)
+    factor, spacings = WRONG_SHIFTS[kind]
+    constant = spacings * (reduced.energy(1) - reduced.energy(0))
+    wrong = dataclasses.replace(reduced, shift=lambda x: factor * reduced.shift(x) + constant)
+    _, polishes = solves
+    solve_variants(wrong, 4, 2000)
+    assert len(polishes) == 4
+    for op, result in polishes:
+        assert np.max(np.abs(result.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
+
+
+# each system at the limits of its accepted parameters
+LIMIT_SYSTEMS = [
+    HartmannRadial(l=0, omega=1e-8), HartmannRadial(l=0, omega=1e8),
+    HartmannRadial(l=64, omega=1e-8), HartmannRadial(l=64, omega=1e8),
+    DiracOscillator(l=0), DiracOscillator(l=64),
+    HydrogenLike(s=0.05, lambda_c=1.9), HydrogenLike(s=5.0, lambda_c=1.9),
+    HartmannAngularI(lambda_a=1.0, s=1e4), HartmannAngularI(lambda_a=9999.0, s=1e4),
+    HartmannAngularI(lambda_a=2e-8, s=2.5),  # the pole at 1e8
+    HartmannAngularII(lambda_a=2.0, s=1e4), HartmannAngularII(lambda_a=1e4, s=2.0),
+]
+LIMIT_GRIDS = [(points, levels) for points in (64, 400, 2000) for levels in (1, 4, 8)
+               if 10 * levels < points]
+
+
+@pytest.mark.parametrize("params", LIMIT_SYSTEMS, ids=repr)
+def test_polished_levels_meet_bisection_at_the_parameter_limits(params, solves):
+    """Every polish of both variants, coarse and fine, lies within
+    bisection's rounding floor of `eigen_lowest`, whether it certified its
+    values or fell back.  At 64 points and 4 levels the s = 1e4 angular
+    wells are narrower than the spacing, and the extrapolated levels cross."""
+    reduced = reduce_system(params)
+    _, polishes = solves
+    for points, levels in LIMIT_GRIDS:
+        polishes.clear()
+        try:
+            solve_variants(reduced, levels, points)
+        except NumericError as exc:
+            assert points == 64 and "not strictly ascending" in str(exc)
+        assert [op.grid.n_points for op, _ in polishes][:2] == [points, 2 * points + 1]
+        for op, result in polishes:
+            plain = eigen_lowest(op, levels, vectors=False)
+            assert np.max(np.abs(result.eigenvalues - plain.eigenvalues)) <= bisection_floor(op)
 
 
 def test_operator_keeps_its_samples():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from xop import (
+    AccuracyError,
     DiracOscillator,
     HartmannAngularI,
     HartmannAngularII,
     HartmannRadial,
     HydrogenLike,
+    NumericError,
     Tolerances,
     UsageError,
     analytic_energy,
@@ -73,6 +75,25 @@ def test_fine_grid_levels_match_the_analytic_levels(params):
     bound = FINE_BOUNDS[reduce_system(params).coordinate]
     for values in (report.eigenvalues_original, report.eigenvalues_extended):
         assert np.max(np.abs(np.subtract(values, analytic))) <= bound
+
+
+@pytest.mark.parametrize("params", [HartmannAngularI(lambda_a=1.0, s=3000.0),
+                                    HartmannAngularI(lambda_a=1.0, s=1e4)], ids=repr)
+def test_non_finite_residual_raises_naming_the_degree(params):
+    """At s >= 3000 the closed-form X1 wavefunctions overflow and every
+    residual is NaN, which a plain max() would read as 0.0.  RuntimeWarnings
+    fail this suite, so the raise also shows that no overflow warning
+    escapes first."""
+    with pytest.raises(NumericError, match="degree-1 X1 wavefunction is not finite"):
+        isospectral_compare(params, levels=2, grid_points=300)
+
+
+def test_overflowing_gram_weight_fails_without_warnings():
+    """At s = 2000 the residuals are finite but the Gram weight
+    (1 - x)^alpha (1 + x)^beta overflows: the Gram does not converge, and no
+    RuntimeWarning escapes before the error."""
+    with pytest.raises(AccuracyError, match="did not converge"):
+        isospectral_compare(HartmannAngularI(lambda_a=1.0, s=2000.0), levels=2, grid_points=300)
 
 
 def test_angular_domain_matches_clipped_window():
