@@ -42,7 +42,7 @@ from .polynomials import (
     laguerre_polynomial,
     polynomial_from_json,
 )
-from .quadrature import QuadratureRule, finite_rule, semi_infinite_rule
+from .quadrature import QuadratureRule, gauss_jacobi_rule, semi_infinite_rule
 from .spectral import (
     Grid,
     SpectrumResult,

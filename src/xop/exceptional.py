@@ -44,7 +44,7 @@ from .polynomials import (
     _laguerre_coefficients,
     _laguerre_rows,
 )
-from .quadrature import QuadratureRule, finite_rule, semi_infinite_rule
+from .quadrature import QuadratureRule, gauss_jacobi_rule, semi_infinite_rule
 
 __all__ = [
     "ClassicalLaguerre",
@@ -411,20 +411,37 @@ def ode_residual(family: FamilySpec, pair: EigenPair, sample_points,
 # ---------------------------------------------------------------------------
 # weights, members, Gram matrices
 
+def _jacobi_exponents(family: FamilySpec) -> tuple[float, float]:
+    """(alpha, beta) of the classical Jacobi weight of a Jacobi family."""
+    if isinstance(family, ClassicalJacobi):
+        return family.alpha, family.beta
+    return x1_jacobi_alpha_beta(family.a, family.b)
+
+
+def _rational_factor(family: FamilySpec, x: np.ndarray):
+    """The weight over its classical part: 1/(x+k)^2 (X1-Laguerre),
+    1/(x-b)^2 (X1-Jacobi), 1 (classical families)."""
+    if isinstance(family, X1Laguerre):
+        return 1.0 / (x + family.k) ** 2
+    if isinstance(family, X1Jacobi):
+        return 1.0 / (x - family.b) ** 2
+    return 1.0
+
+
 def weight(family: FamilySpec, x):
-    """Orthogonality weight at points strictly inside the family domain."""
+    """Orthogonality weight at points strictly inside the family domain,
+    the classical part x^k e^-x or (1-x)^alpha (1+x)^beta formed in log
+    form (a product of powers overflows to inf * 0 at large exponents)."""
     x = np.asarray(x, dtype=float)
     lo, hi = family_domain(family)
     if np.any(x <= lo) or np.any(x >= hi):
         raise DomainError(f"weight argument outside open domain ({lo}, {hi})")
-    if isinstance(family, ClassicalLaguerre):
-        return np.exp(family.k * np.log(x) - x)
-    if isinstance(family, X1Laguerre):
-        return np.exp(family.k * np.log(x) - x) / (x + family.k) ** 2
-    if isinstance(family, ClassicalJacobi):
-        return (1 - x) ** family.alpha * (1 + x) ** family.beta
-    al, be = x1_jacobi_alpha_beta(family.a, family.b)
-    return (1 - x) ** al * (1 + x) ** be / (x - family.b) ** 2
+    if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
+        log_classical = family.k * np.log(x) - x
+    else:
+        al, be = _jacobi_exponents(family)
+        log_classical = al * np.log1p(-x) + be * np.log1p(x)
+    return np.exp(log_classical) * _rational_factor(family, x)
 
 
 def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
@@ -439,24 +456,25 @@ def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
     return [pair.polynomial for pair in x1_eigenpairs(family, n_max)]
 
 
-def default_quadrature(family: FamilySpec) -> QuadratureRule:
+def default_quadrature(family: FamilySpec, n_max: int) -> QuadratureRule:
+    """First rule of `gram_matrix`: the graded half-line panels, or the
+    Gauss-Jacobi rule of the classical weight with 2 n_max + 8 nodes."""
     if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
         return semi_infinite_rule(exponent_zero=family.k)
-    if isinstance(family, ClassicalJacobi):
-        al, be = family.alpha, family.beta
-    else:
-        al, be = x1_jacobi_alpha_beta(family.a, family.b)
-    return finite_rule(-1.0, 1.0, exponent_lo=be, exponent_hi=al)  # beta at -1, alpha at +1
+    return gauss_jacobi_rule(*_jacobi_exponents(family), 2 * n_max + 8)
 
 
 def _gram_on_rule(family, n_max, rule):
+    x = rule.nodes
     if isinstance(family, ClassicalLaguerre):
-        vals = _laguerre_rows(n_max, family.k, rule.nodes)
+        vals = _laguerre_rows(n_max, family.k, x)
     elif isinstance(family, ClassicalJacobi):
-        vals = _jacobi_rows(n_max, family.alpha, family.beta, rule.nodes)
+        vals = _jacobi_rows(n_max, family.alpha, family.beta, x)
     else:
-        vals = _two_term_values(family, n_max, rule.nodes)
-    scaled = vals * (weight(family, rule.nodes) * rule.weights)
+        vals = _two_term_values(family, n_max, x)
+    # a Gauss-Jacobi rule carries the classical weight in its weights
+    w = weight(family, x) if rule.jacobi is None else _rational_factor(family, x)
+    scaled = vals * (w * rule.weights)
     g = scaled @ vals.T
     return 0.5 * (g + g.T)
 
@@ -467,9 +485,15 @@ def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = No
     evaluated through the classical recurrences (X1 members through
     `_two_term_values`, after `x1_eigenpairs` has certified them).
 
-    The rule is refined (panels halved) until two successive levels agree to
-    `tol` relative to the largest entry; disagreement past `max_refinements`
-    raises AccuracyError.
+    Jacobi families integrate on the Gauss-Jacobi rule of their classical
+    weight, starting at 2 n_max + 8 nodes, so only the rational factor
+    1/(x-b)^2 of an X1 weight is evaluated; Laguerre families on the graded
+    half-line panels of `semi_infinite_rule`.  The rule (default or `quad`)
+    is refined (`QuadratureRule.refined`: nodes doubled, panels halved) until
+    two successive levels agree to `tol` relative to the largest entry, which
+    takes one or two refinements unless the pole lies close to the domain;
+    disagreement past `max_refinements` raises AccuracyError.  A supplied Gauss-Jacobi rule must carry the family's own
+    classical weight.
     """
     if not 1 <= n_max <= 16:
         raise UsageError(f"n_max must lie in 1..16, got {n_max}")
@@ -480,7 +504,13 @@ def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = No
             f"quadrature rule covers {quad.domain}, family lives on "
             f"{family_domain(family)}"
         )
-    rule = quad if quad is not None else default_quadrature(family)
+    if (quad is not None and quad.jacobi is not None
+            and quad.jacobi != _jacobi_exponents(family)):
+        raise UsageError(
+            f"quadrature rule carries the Jacobi weight {quad.jacobi}, family "
+            f"needs {_jacobi_exponents(family)}"
+        )
+    rule = quad if quad is not None else default_quadrature(family, n_max)
     g_prev = _gram_on_rule(family, n_max, rule)
     for _ in range(max_refinements):
         rule = rule.refined()

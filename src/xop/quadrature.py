@@ -1,43 +1,58 @@
-"""Panel-based Gauss-Legendre quadrature.
+"""Quadrature rules for the Gram-matrix orthogonality checks.
 
-Finite intervals get panels graded geometrically toward endpoints that carry
-algebraic weight singularities.  The half line is mapped to (0, 1) through
-x = t / (1 - t) first, with grading toward t = 0 only (the exponential decay
-at the far end needs none).  A rule knows how to produce its own refinement
-(every panel split in two), which is what the convergence checks in
-gram-matrix assembly rely on.
+Two kinds of rule, each refined by `QuadratureRule.refined`, which is what
+the convergence checks in gram-matrix assembly rely on:
+
+* Gauss-Jacobi rules on (-1, 1) (`gauss_jacobi_rule`) carry the classical
+  weight (1-x)^alpha (1+x)^beta in their weights, so the integrand is never
+  multiplied by it.  Nodes and weights come from the Jacobi recurrence by
+  Golub-Welsch (Golub & Welsch 1969, "Calculation of Gauss quadrature
+  rules"): the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+  matrix and the weights mu0 times the squared first eigenvector components.
+  A refinement doubles the node count.
+* The half line is mapped to (0, 1) through x = t / (1 - t) and covered by
+  Gauss-Legendre panels (`semi_infinite_rule`), graded geometrically toward
+  t = 0 for the algebraic factor x^e and toward t = 1, where the bulk of an
+  exponentially decaying integrand with a polynomial factor of degree ~30
+  lies (x of order tens).  A refinement splits every panel in two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 
-__all__ = ["QuadratureRule", "finite_rule", "semi_infinite_rule"]
+__all__ = ["QuadratureRule", "gauss_jacobi_rule", "semi_infinite_rule"]
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights for integration over `domain` (possibly via a map).
 
-    `base_weight_sum` records the total weight in the pre-map coordinate, so
-    the constant-integrand check stays meaningful for mapped half-line rules.
+    `jacobi` is (alpha, beta) when the weights carry the Jacobi weight
+    (1-x)^alpha (1+x)^beta (Gauss-Jacobi rules) and None when they carry no
+    weight (mapped panel rules).  `base_weight_sum` records the total weight
+    in the pre-map coordinate, so the constant-integrand check stays
+    meaningful for mapped half-line rules.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]
     base_weight_sum: float
-    _boundaries: np.ndarray = field(repr=False)
-    _order: int = field(repr=False)
-    _mapped: bool = field(repr=False)
+    jacobi: tuple[float, float] | None
+    _order: int = field(repr=False)  # Legendre points per panel, or Gauss points
+    _boundaries: np.ndarray | None = field(repr=False)  # panels, in t
 
     def __post_init__(self):
         for name in ("nodes", "weights", "_boundaries"):
+            if getattr(self, name) is None:
+                continue
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -49,30 +64,96 @@ class QuadratureRule:
         return self.nodes.size
 
     def refined(self) -> "QuadratureRule":
-        """Same construction with every panel split in half."""
+        """Same construction with twice the Gauss points, or with every panel
+        split in half."""
+        if self.jacobi is not None:
+            return gauss_jacobi_rule(*self.jacobi, 2 * self._order)
         b = self._boundaries
         mid = 0.5 * (b[:-1] + b[1:])
-        newb = np.sort(np.concatenate([b, mid]))
-        return _assemble(newb, self._order, self._mapped, self.domain)
+        return _assemble(np.sort(np.concatenate([b, mid])), self._order)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(np.asarray(values, dtype=float), self.weights))
 
 
-def _assemble(boundaries, order, mapped, domain) -> QuadratureRule:
-    # no caching: rules stay pure functions of their arguments
-    t_ref, w_ref = np.polynomial.legendre.leggauss(order)
+# Golub-Welsch forms all count^2 eigenvector entries: 4096 nodes take 134 MB.
+# gram_matrix's defaults reach 2560 (40 nodes refined six times).
+_MAX_GAUSS_NODES = 4096
+
+
+def gauss_jacobi_rule(alpha: float, beta: float, count: int) -> QuadratureRule:
+    """`count`-point Gauss rule of the weight (1-x)^alpha (1+x)^beta on
+    (-1, 1), exact for polynomials of degree below 2 count.
+
+    The monic Jacobi recurrence gives the diagonal (beta^2 - alpha^2) /
+    ((2j+s)(2j+s+2)) and the squared off-diagonal 4j(j+alpha)(j+beta)(j+s) /
+    ((2j+s)^2 (2j+s+1)(2j+s-1)), s = alpha+beta; at j = 0 and j = 1 their
+    limits are used, which stay finite at s = 0 and s = -1.  mu0 =
+    2^(s+1) Gamma(alpha+1) Gamma(beta+1) / Gamma(s+2) is formed from
+    log-gammas, so large exponents do not overflow on the way.  Nodes whose
+    weight comes out zero are dropped: at exponents in the thousands the
+    eigensolver zeroes the first component of eigenvectors localized far in
+    the tails (10 of 256 nodes at (1998.5, 2000.5)).
+    """
+    if not (alpha > -1 and beta > -1 and math.isfinite(alpha + beta)):
+        raise ParameterError(
+            f"weight exponents ({alpha}, {beta}) must be finite and exceed -1 "
+            "(integrable)"
+        )
+    if not 1 <= count <= _MAX_GAUSS_NODES:
+        raise ParameterError(
+            f"a Gauss-Jacobi rule takes 1..{_MAX_GAUSS_NODES} nodes, got {count}"
+        )
+    s = alpha + beta
+    j = np.arange(count, dtype=float)
+    diag = np.empty(count)
+    diag[0] = (beta - alpha) / (s + 2)
+    t = 2 * j[1:] + s
+    diag[1:] = (beta - alpha) * (beta + alpha) / (t * (t + 2))
+    off2 = np.empty(count - 1)
+    if count > 1:
+        off2[0] = 4 * (1 + alpha) * (1 + beta) / ((2 + s) ** 2 * (3 + s))
+        j, t = j[2:], t[1:]
+        off2[1:] = (4 * j * (j + alpha) * (j + beta) * (j + s)
+                    / (t * t * (t + 1) * (t - 1)))
+    log_mu0 = ((s + 1) * math.log(2) + math.lgamma(alpha + 1) + math.lgamma(beta + 1)
+               - math.lgamma(s + 2))
+    if log_mu0 >= math.log(np.finfo(float).max):
+        raise NumericError(
+            f"the Jacobi weight ({alpha}, {beta}) has total mass e^{log_mu0:.1f}, "
+            "beyond the float64 range"
+        )
+    mu0 = math.exp(log_mu0)
+    # imported here, not with the module: `import xop` reaches this module
+    # before `spectral`, and loading scipy.linalg that early measured ~30 ms
+    # (6 %) slower start-up over 150 interleaved starts
+    from scipy.linalg import eigh_tridiagonal
+
+    nodes, vectors = eigh_tridiagonal(diag, np.sqrt(off2))
+    weights = mu0 * vectors[0] ** 2
+    keep = weights > 0
+    return QuadratureRule(nodes[keep], weights[keep], (-1.0, 1.0), mu0,
+                          (float(alpha), float(beta)), count, None)
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre reference rule on [-1, 1], built once per order."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _assemble(boundaries, order) -> QuadratureRule:
+    t_ref, w_ref = _legendre(order)
     lo = boundaries[:-1]
     width = np.diff(boundaries)
     t = (lo[:, None] + 0.5 * width[:, None] * (t_ref[None, :] + 1.0)).ravel()
     w = (0.5 * width[:, None] * w_ref[None, :]).ravel()
-    base_sum = float(np.sum(w))
-    if mapped:
-        # x = t/(1-t) maps (0,1) -> (0,inf); dx = dt/(1-t)^2
-        x = t / (1.0 - t)
-        w = w / (1.0 - t) ** 2
-        return QuadratureRule(x, w, domain, base_sum, boundaries, order, True)
-    return QuadratureRule(t, w, domain, base_sum, boundaries, order, False)
+    # x = t/(1-t) maps (0,1) -> (0,inf); dx = dt/(1-t)^2
+    return QuadratureRule(t / (1.0 - t), w / (1.0 - t) ** 2, (0.0, math.inf),
+                          float(np.sum(w)), None, order, boundaries)
 
 
 def _graded_boundaries(lo, hi, depth_lo, depth_hi):
@@ -94,19 +175,15 @@ def _depth_for_exponent(exponent: float) -> int:
     return max(12, math.ceil(44.0 / (1.0 + exponent)))
 
 
-def finite_rule(lo: float, hi: float, exponent_lo: float = 0.0,
-                exponent_hi: float = 0.0, order: int = 16) -> QuadratureRule:
-    """Rule on [lo, hi] for integrands behaving like (x-lo)^e_lo near lo and
-    (hi-x)^e_hi near hi."""
-    if not lo < hi:
-        raise ParameterError("interval must satisfy lo < hi")
-    b = _graded_boundaries(lo, hi, _depth_for_exponent(exponent_lo),
-                           _depth_for_exponent(exponent_hi))
-    return _assemble(b, order, mapped=False, domain=(lo, hi))
+# Panels toward t = 1 end at t = 1 - 2^-8, x = 255: panel edges 1, 3, 7, ...,
+# 127, 255 in x, so the bulk of e^-x x^(k+2n) (x ~ k + 2n, tens) falls in
+# panels no wider than itself and the first level is already accurate.
+_DEPTH_AT_INFINITY = 8
 
 
 def semi_infinite_rule(exponent_zero: float = 0.0, order: int = 16) -> QuadratureRule:
     """Rule on (0, inf) through x = t/(1-t), for integrands ~ x^e near 0 with
     (super)exponential decay at infinity."""
-    b = _graded_boundaries(0.0, 1.0, _depth_for_exponent(exponent_zero), 4)
-    return _assemble(b, order, mapped=True, domain=(0.0, math.inf))
+    b = _graded_boundaries(0.0, 1.0, _depth_for_exponent(exponent_zero),
+                           _DEPTH_AT_INFINITY)
+    return _assemble(b, order)

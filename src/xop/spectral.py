@@ -316,7 +316,8 @@ def extrapolate(coarse: SpectrumResult, fine: SpectrumResult) -> SpectrumResult:
     """Richardson extrapolation of two solves of the same problem assuming
     O(h^2) eigenvalue error; the fine grid must halve the coarse spacing
     (n -> 2n or 2n+1).  The result carries the fine solve's eigenfunctions,
-    None for values-only solves."""
+    None for values-only solves.  Levels the step reorders (wells narrower
+    than the coarse spacing) raise NumericError naming the coarse grid."""
     if (coarse.grid.lo, coarse.grid.hi) != (fine.grid.lo, fine.grid.hi):
         raise UsageError("grids cover different intervals")
     nc, nf = coarse.grid.n_points, fine.grid.n_points
@@ -326,6 +327,11 @@ def extrapolate(coarse: SpectrumResult, fine: SpectrumResult) -> SpectrumResult:
         raise UsageError("results hold different numbers of eigenvalues")
     rho2 = (coarse.grid.spacing / fine.grid.spacing) ** 2
     values = (rho2 * fine.eigenvalues - coarse.eigenvalues) / (rho2 - 1.0)
+    if np.any(np.diff(values) <= 0):
+        raise NumericError(
+            f"the grid of {nc} points is too coarse for {values.size} levels: "
+            "the h^2 Richardson step reorders them"
+        )
     err = float(np.max(np.abs(fine.eigenvalues - coarse.eigenvalues)) / (rho2 - 1.0))
     return SpectrumResult(values, fine.eigenfunctions, fine.grid, True, err)
 

@@ -186,7 +186,7 @@ def isospectral_compare(params: SystemParams, levels: int = 4, *,
     original, extended = solve_variants(reduced, levels, grid_points, domain)
     diffs = np.abs(extended.eigenvalues - original.eigenvalues)
     residual = _closed_form_residual(reduced, levels)
-    with np.errstate(all="ignore"):  # an overflowing weight leaves the Gram unconverged
+    with np.errstate(all="ignore"):  # entries past the float range leave the Gram unconverged
         gram = gram_matrix(reduced.x1_family, _GRAM_MEMBERS)
     gram_off = max_offdiag_ratio(gram)
     spectral_tol = (tolerances.spectral_radial if reduced.coordinate == "r"

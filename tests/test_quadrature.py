@@ -1,8 +1,11 @@
 """Quadrature rules and Gram-matrix orthogonality.
 
-The Gram cross-check at small size uses scipy.integrate.quad (adaptive
-QUADPACK) as an independent oracle for the panel rules.
+The Gram cross-checks use scipy.integrate.quad (adaptive QUADPACK) as an
+independent oracle for the rules, and scipy.special.roots_jacobi for the
+Gauss-Jacobi nodes and weights.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,24 +15,71 @@ from xop import (
     AccuracyError,
     ClassicalJacobi,
     ClassicalLaguerre,
+    NumericError,
     ParameterError,
     UsageError,
     X1Jacobi,
     X1Laguerre,
-    finite_rule,
+    gauss_jacobi_rule,
     gram_matrix,
     max_offdiag_ratio,
     semi_infinite_rule,
     weight,
     x1_eigenpairs,
+    x1_jacobi_alpha_beta,
+    x1_jacobi_from_classical,
 )
 
 
-def test_finite_rule_integrates_constants_exactly():
-    rule = finite_rule(-1.0, 1.0)
-    assert rule.base_weight_sum == pytest.approx(2.0, abs=1e-12)
-    assert np.all(rule.nodes > -1.0) and np.all(rule.nodes < 1.0)
-    assert np.all(rule.weights > 0)
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 1.5), (0.5, -0.5),
+                                         (-0.25, -0.75), (-0.9, 3.0), (40.0, 2.5)])
+def test_gauss_jacobi_rule_matches_scipy_roots(alpha, beta):
+    """Golub-Welsch nodes and weights against scipy's Gauss-Jacobi roots,
+    also at alpha+beta = 0 and -1, where the generic recurrence entries are
+    0/0.  scipy's weights are off by up to ~5e-13 of the largest weight
+    here (against a 40-digit mpmath Golub-Welsch, which these weights meet
+    within 3e-14), hence the weight tolerance."""
+    rule = gauss_jacobi_rule(alpha, beta, 24)
+    with np.errstate(invalid="ignore"):  # scipy forms 0/0 at alpha+beta = -1, then drops it
+        nodes, weights = special.roots_jacobi(24, alpha, beta)
+    assert rule.jacobi == (alpha, beta) and rule.domain == (-1.0, 1.0)
+    assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
+    assert np.max(np.abs(rule.weights - weights)) <= 1e-12 * np.max(weights)
+    assert rule.base_weight_sum == pytest.approx(np.sum(weights), rel=1e-13)
+
+
+def test_gauss_jacobi_rule_integrates_its_weight_exactly():
+    # integral (1-x)^a (1+x)^b x^m, m < 2 count, against QUADPACK
+    rule = gauss_jacobi_rule(-0.5, 0.25, 6)
+    for m in (0, 5, 11):
+        want, _ = integrate.quad(lambda x: x**m, -1.0, 1.0, weight="alg",
+                                 wvar=(0.25, -0.5), epsabs=1e-14, epsrel=1e-14)
+        assert rule.integrate(rule.nodes**m) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_gauss_jacobi_refinement_doubles_the_nodes():
+    rule = gauss_jacobi_rule(0.5, 1.5, 12)
+    finer = rule.refined()
+    assert finer.size == 24 and finer.jacobi == rule.jacobi
+    assert finer.base_weight_sum == pytest.approx(rule.base_weight_sum, rel=1e-15)
+
+
+def test_gauss_jacobi_mass_in_log_form():
+    """2^4000 and the Gamma functions overflow on their own; their ratio,
+    the total mass, does not.  A mass past the float range is refused."""
+    rule = gauss_jacobi_rule(1998.5, 2000.5, 16)
+    assert np.isfinite(rule.base_weight_sum) and rule.base_weight_sum > 0
+    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-13)
+    with pytest.raises(NumericError, match="float64 range"):
+        gauss_jacobi_rule(2000.0, 0.5, 8)
+
+
+def test_gauss_jacobi_drops_nodes_without_weight():
+    # the far tails of (1-x^2)^2000 get exactly zero weight at 256 nodes
+    rule = gauss_jacobi_rule(1998.5, 2000.5, 256)
+    assert 0 < rule.size < 256 and np.all(rule.weights > 0)
+    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-13)
+    assert 256 < rule.refined().size <= 512  # the refinement doubles the count asked for
 
 
 def test_semi_infinite_rule_base_measure():
@@ -52,9 +102,25 @@ def test_refinement_halves_panels():
     assert finer.base_weight_sum == pytest.approx(1.0, abs=1e-12)
 
 
+def test_refinement_reuses_the_reference_rule(monkeypatch):
+    rule = semi_infinite_rule(order=7)
+
+    def unexpected(order):
+        raise AssertionError("Gauss-Legendre reference rule rebuilt")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", unexpected)
+    assert rule.refined().refined().size == 4 * rule.size
+
+
 def test_rejects_nonintegrable_exponent():
     with pytest.raises(ParameterError):
-        finite_rule(-1.0, 1.0, exponent_lo=-1.0)
+        semi_infinite_rule(exponent_zero=-1.0)
+    for alpha, beta in ((-1.0, 0.5), (0.5, -1.5), (np.inf, 0.5), (0.5, np.nan)):
+        with pytest.raises(ParameterError):
+            gauss_jacobi_rule(alpha, beta, 8)
+    for count in (0, 4097):  # Golub-Welsch memory grows as count^2
+        with pytest.raises(ParameterError):
+            gauss_jacobi_rule(0.5, 0.5, count)
 
 
 # --- Gram matrices -------------------------------------------------------------
@@ -123,7 +189,18 @@ def test_gram_accepts_supplied_rule():
 
 def test_gram_rejects_mismatched_rule_domain():
     with pytest.raises(UsageError):
-        gram_matrix(ClassicalLaguerre(0.5), 2, quad=finite_rule(-1.0, 1.0))
+        gram_matrix(ClassicalLaguerre(0.5), 2, quad=gauss_jacobi_rule(0.5, 0.5, 8))
+    with pytest.raises(UsageError):
+        gram_matrix(ClassicalJacobi(0.5, 1.5), 2, quad=semi_infinite_rule())
+
+
+def test_gram_accepts_supplied_gauss_jacobi_rule_of_its_own_weight():
+    fam = X1Jacobi(a=2.0, b=1.25)
+    rule = gauss_jacobi_rule(*x1_jacobi_alpha_beta(fam.a, fam.b), 64)
+    g = gram_matrix(fam, 4)
+    assert np.max(np.abs(gram_matrix(fam, 4, quad=rule) - g)) <= 1e-12 * np.max(np.abs(g))
+    with pytest.raises(UsageError, match="Jacobi weight"):
+        gram_matrix(fam, 4, quad=gauss_jacobi_rule(1.0, 1.0, 64))
 
 
 def test_gram_usage_and_accuracy_errors():
@@ -131,9 +208,12 @@ def test_gram_usage_and_accuracy_errors():
         gram_matrix(ClassicalLaguerre(0.5), 0)
     with pytest.raises(UsageError):
         gram_matrix(ClassicalLaguerre(0.5), 17)
-    # the (a=1.5, b=-1.5) family has alpha = -3.75: not an integrable weight
-    with pytest.raises((AccuracyError, ParameterError)):
-        gram_matrix(X1Jacobi(a=1.5, b=-1.5), 2)
+    # the (a=1.5, b=-1.5) family has alpha = -3.75: not an integrable weight;
+    # it must be refused before any arithmetic warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises((AccuracyError, ParameterError)):
+            gram_matrix(X1Jacobi(a=1.5, b=-1.5), 2)
 
 
 def test_gram_nonconvergence_raises_accuracy_error():
@@ -141,3 +221,56 @@ def test_gram_nonconvergence_raises_accuracy_error():
     coarse = semi_infinite_rule(exponent_zero=0.5, order=2)
     with pytest.raises(AccuracyError):
         gram_matrix(fam, 6, quad=coarse, max_refinements=1)
+
+
+# --- Jacobi families with alpha, beta in (-1, 0) (ab < 0) ---------------------
+
+def _quad_gram_entry(fam, pairs, i, j):
+    """G_ij by QUADPACK with the algebraic endpoint weight."""
+    al, be = x1_jacobi_alpha_beta(fam.a, fam.b)
+    value, _ = integrate.quad(
+        lambda x: pairs[i].polynomial(x) * pairs[j].polynomial(x) / (x - fam.b) ** 2,
+        -1.0, 1.0, weight="alg", wvar=(be, al), epsabs=1e-13, epsrel=1e-12, limit=200)
+    return value
+
+
+@pytest.mark.parametrize("fam", [
+    X1Jacobi(a=0.125, b=-3.0),   # classical (alpha, beta) = (-0.5, -0.25)
+    X1Jacobi(a=-0.2, b=2.0),     # (-0.2, -0.6)
+    X1Jacobi(a=-0.25, b=2.0),    # (-0.25, -0.75): alpha + beta = -1 exactly
+], ids=repr)
+def test_negative_exponent_gram_against_quadpack(fam):
+    n = 4
+    pairs = x1_eigenpairs(fam, n)
+    g = gram_matrix(fam, n)
+    scale = np.sqrt(np.outer(np.diag(g), np.diag(g)))
+    for i in range(n):
+        for j in range(i, n):
+            assert abs(g[i, j] - _quad_gram_entry(fam, pairs, i, j)) <= 1e-11 * scale[i, j]
+    assert max_offdiag_ratio(g) <= 1e-13
+
+
+def test_negative_exponent_grid_is_orthogonal():
+    """A coarse grid of classical (alpha, beta) in (-1, 0)^2; before the
+    Gauss-Jacobi rules every one raised DomainError (nodes on +-1)."""
+    grid = (-0.95, -0.7, -0.45, -0.2, -0.05)
+    for alpha in grid:
+        for beta in grid:
+            if alpha == beta:
+                continue
+            fam = x1_jacobi_from_classical(alpha, beta)
+            for n in (4, 16):
+                assert max_offdiag_ratio(gram_matrix(fam, n)) <= 1e-12, (alpha, beta, n)
+    fam = x1_jacobi_from_classical(-0.95, -0.05)
+    pairs = x1_eigenpairs(fam, 2)
+    g = gram_matrix(fam, 2)
+    assert g[1, 1] == pytest.approx(_quad_gram_entry(fam, pairs, 1, 1), rel=1e-11)
+
+
+@pytest.mark.parametrize("fam", [X1Laguerre(k) for k in (0.05, 0.5, 2.8, 6.4, 20.0)]
+                         + [X1Jacobi(a=2.0, b=1.25), X1Jacobi(a=-0.2, b=2.0)], ids=repr)
+def test_gram_converges_within_three_rule_evaluations(fam):
+    """The first rule is already close: one or two refinements suffice at
+    n_max 16 (max_refinements=2 allows three evaluations)."""
+    g = gram_matrix(fam, 16, max_refinements=2)
+    assert max_offdiag_ratio(g) <= 1e-12

@@ -328,7 +328,7 @@ def test_polished_levels_meet_bisection_at_the_parameter_limits(params, solves):
         try:
             solve_variants(reduced, levels, points)
         except NumericError as exc:
-            assert points == 64 and "not strictly ascending" in str(exc)
+            assert points == 64 and "too coarse" in str(exc)
         assert [op.grid.n_points for op, _ in polishes][:2] == [points, 2 * points + 1]
         for op, result in polishes:
             plain = eigen_lowest(op, levels, vectors=False)

@@ -1,10 +1,11 @@
 """End-to-end isospectrality verification for all five systems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from xop import (
-    AccuracyError,
     DiracOscillator,
     HartmannAngularI,
     HartmannAngularII,
@@ -14,7 +15,9 @@ from xop import (
     Tolerances,
     UsageError,
     analytic_energy,
+    gram_matrix,
     isospectral_compare,
+    max_offdiag_ratio,
     reduce_system,
 )
 
@@ -88,12 +91,26 @@ def test_non_finite_residual_raises_naming_the_degree(params):
         isospectral_compare(params, levels=2, grid_points=300)
 
 
-def test_overflowing_gram_weight_fails_without_warnings():
-    """At s = 2000 the residuals are finite but the Gram weight
-    (1 - x)^alpha (1 + x)^beta overflows: the Gram does not converge, and no
-    RuntimeWarning escapes before the error."""
-    with pytest.raises(AccuracyError, match="did not converge"):
-        isospectral_compare(HartmannAngularI(lambda_a=1.0, s=2000.0), levels=2, grid_points=300)
+@pytest.mark.parametrize("params", [HartmannAngularI(lambda_a=1.0, s=2000.0),
+                                    HartmannAngularI(lambda_a=500.0, s=1000.0)], ids=repr)
+def test_large_exponent_gram_passes_without_warnings(params):
+    """Jacobi exponents in the thousands: the Gauss-Jacobi rule carries
+    (1 - x)^alpha (1 + x)^beta in its weights (total mass from log-gammas),
+    so nothing overflows, and verify passes with an orthogonal Gram."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = isospectral_compare(params, levels=2, grid_points=300)
+        gram = gram_matrix(reduce_system(params).x1_family, 4)
+    assert report.passed
+    assert report.gram_max_offdiag <= 1e-12
+    assert max_offdiag_ratio(gram) <= 1e-12
+
+
+def test_too_coarse_grid_for_the_levels_is_named():
+    """At 64 points the s = 1e4 well is narrower than the spacing, and the
+    h^2 Richardson step reorders the levels."""
+    with pytest.raises(NumericError, match="grid of 64 points is too coarse for 4 levels"):
+        isospectral_compare(HartmannAngularI(lambda_a=1.0, s=1e4), levels=4, grid_points=64)
 
 
 def test_angular_domain_matches_clipped_window():
