@@ -418,6 +418,14 @@ def _jacobi_exponents(family: FamilySpec) -> tuple[float, float]:
     return x1_jacobi_alpha_beta(family.a, family.b)
 
 
+def _jacobi_weight(family: FamilySpec) -> tuple[float, float, float | None]:
+    """(alpha, beta, pole) of a Jacobi family's whole weight (1-x)^alpha
+    (1+x)^beta / (x-pole)^2, as `QuadratureRule.jacobi` names it."""
+    alpha, beta = _jacobi_exponents(family)
+    pole = float(family.b) if isinstance(family, X1Jacobi) else None
+    return float(alpha), float(beta), pole
+
+
 def _rational_factor(family: FamilySpec, x: np.ndarray):
     """The weight over its classical part: 1/(x+k)^2 (X1-Laguerre),
     1/(x-b)^2 (X1-Jacobi), 1 (classical families)."""
@@ -457,11 +465,13 @@ def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
 
 
 def default_quadrature(family: FamilySpec, n_max: int) -> QuadratureRule:
-    """First rule of `gram_matrix`: the graded half-line panels, or the
-    Gauss-Jacobi rule of the classical weight with 2 n_max + 8 nodes."""
+    """First rule of `gram_matrix`: the graded half-line panels, or the Gauss
+    rule of the family's whole weight with n_max + 1 nodes, which already
+    integrates every product of two members exactly."""
     if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
         return semi_infinite_rule(exponent_zero=family.k)
-    return gauss_jacobi_rule(*_jacobi_exponents(family), 2 * n_max + 8)
+    alpha, beta, pole = _jacobi_weight(family)
+    return gauss_jacobi_rule(alpha, beta, n_max + 1, pole)
 
 
 def _gram_on_rule(family, n_max, rule):
@@ -472,9 +482,9 @@ def _gram_on_rule(family, n_max, rule):
         vals = _jacobi_rows(n_max, family.alpha, family.beta, x)
     else:
         vals = _two_term_values(family, n_max, x)
-    # a Gauss-Jacobi rule carries the classical weight in its weights
-    w = weight(family, x) if rule.jacobi is None else _rational_factor(family, x)
-    scaled = vals * (w * rule.weights)
+    # a Gauss rule carries the family's whole weight in its weights
+    w = rule.weights if rule.jacobi is not None else rule.weights * weight(family, x)
+    scaled = vals * w
     g = scaled @ vals.T
     return 0.5 * (g + g.T)
 
@@ -485,15 +495,17 @@ def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = No
     evaluated through the classical recurrences (X1 members through
     `_two_term_values`, after `x1_eigenpairs` has certified them).
 
-    Jacobi families integrate on the Gauss-Jacobi rule of their classical
-    weight, starting at 2 n_max + 8 nodes, so only the rational factor
-    1/(x-b)^2 of an X1 weight is evaluated; Laguerre families on the graded
-    half-line panels of `semi_infinite_rule`.  The rule (default or `quad`)
-    is refined (`QuadratureRule.refined`: nodes doubled, panels halved) until
-    two successive levels agree to `tol` relative to the largest entry, which
-    takes one or two refinements unless the pole lies close to the domain;
-    disagreement past `max_refinements` raises AccuracyError.  A supplied Gauss-Jacobi rule must carry the family's own
-    classical weight.
+    Jacobi families integrate on the Gauss rule of their whole weight,
+    (1-x)^alpha (1+x)^beta, over (x-b)^2 for X1 families (`gauss_jacobi_rule`
+    with the pole b), starting at n_max + 1 nodes: the weight is never
+    evaluated, and every level is exact however close b lies to +-1.
+    Laguerre families integrate on the graded half-line panels of
+    `semi_infinite_rule`.  The rule (default or `quad`) is refined
+    (`QuadratureRule.refined`: nodes doubled, panels halved) until two
+    successive levels agree to `tol` relative to the largest entry, which
+    takes one refinement for Jacobi families and one or two for Laguerre
+    families; disagreement past `max_refinements` raises AccuracyError.  A
+    supplied Gauss rule must carry the family's whole weight.
     """
     if not 1 <= n_max <= 16:
         raise UsageError(f"n_max must lie in 1..16, got {n_max}")
@@ -505,10 +517,10 @@ def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = No
             f"{family_domain(family)}"
         )
     if (quad is not None and quad.jacobi is not None
-            and quad.jacobi != _jacobi_exponents(family)):
+            and quad.jacobi != _jacobi_weight(family)):
         raise UsageError(
-            f"quadrature rule carries the Jacobi weight {quad.jacobi}, family "
-            f"needs {_jacobi_exponents(family)}"
+            f"quadrature rule carries the weight (alpha, beta, pole) = "
+            f"{quad.jacobi}, family needs {_jacobi_weight(family)}"
         )
     rule = quad if quad is not None else default_quadrature(family, n_max)
     g_prev = _gram_on_rule(family, n_max, rule)

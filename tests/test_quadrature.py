@@ -1,12 +1,15 @@
 """Quadrature rules and Gram-matrix orthogonality.
 
-The Gram cross-checks use scipy.integrate.quad (adaptive QUADPACK) as an
-independent oracle for the rules, and scipy.special.roots_jacobi for the
+The Gram cross-checks use scipy.integrate.quad (adaptive QUADPACK) and,
+near the poles at +-1, mpmath's adaptive quadrature with breakpoints as
+independent oracles for the rules, and scipy.special.roots_jacobi for the
 Gauss-Jacobi nodes and weights.
 """
 
+import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -34,15 +37,14 @@ from xop import (
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 1.5), (0.5, -0.5),
                                          (-0.25, -0.75), (-0.9, 3.0), (40.0, 2.5)])
 def test_gauss_jacobi_rule_matches_scipy_roots(alpha, beta):
-    """Golub-Welsch nodes and weights against scipy's Gauss-Jacobi roots,
+    """Nodes and Christoffel weights against scipy's Gauss-Jacobi roots,
     also at alpha+beta = 0 and -1, where the generic recurrence entries are
     0/0.  scipy's weights are off by up to ~5e-13 of the largest weight
-    here (against a 40-digit mpmath Golub-Welsch, which these weights meet
-    within 3e-14), hence the weight tolerance."""
+    here, hence the weight tolerance."""
     rule = gauss_jacobi_rule(alpha, beta, 24)
     with np.errstate(invalid="ignore"):  # scipy forms 0/0 at alpha+beta = -1, then drops it
         nodes, weights = special.roots_jacobi(24, alpha, beta)
-    assert rule.jacobi == (alpha, beta) and rule.domain == (-1.0, 1.0)
+    assert rule.jacobi == (alpha, beta, None) and rule.domain == (-1.0, 1.0)
     assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
     assert np.max(np.abs(rule.weights - weights)) <= 1e-12 * np.max(weights)
     assert rule.base_weight_sum == pytest.approx(np.sum(weights), rel=1e-13)
@@ -74,12 +76,53 @@ def test_gauss_jacobi_mass_in_log_form():
         gauss_jacobi_rule(2000.0, 0.5, 8)
 
 
-def test_gauss_jacobi_drops_nodes_without_weight():
-    # the far tails of (1-x^2)^2000 get exactly zero weight at 256 nodes
-    rule = gauss_jacobi_rule(1998.5, 2000.5, 256)
-    assert 0 < rule.size < 256 and np.all(rule.weights > 0)
+@pytest.mark.parametrize("count, pole", [(1024, None), (256, 1999.5)])
+def test_gauss_jacobi_drops_nodes_without_weight(count, pole):
+    """The far tails of (1-x)^1998.5 (1+x)^2000.5 get zero weight: the
+    Christoffel numbers underflow at 1024 nodes, and the first eigenvector
+    components of the divided weight's rule vanish at 256."""
+    rule = gauss_jacobi_rule(1998.5, 2000.5, count, pole)
+    assert 0 < rule.size < count and np.all(rule.weights > 0)
     assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-13)
-    assert 256 < rule.refined().size <= 512  # the refinement doubles the count asked for
+    assert count < rule.refined().size <= 2 * count  # the refinement doubles the count asked for
+
+
+@pytest.mark.parametrize("alpha, beta, pole", [
+    (0.3, -0.4, 1.5), (-0.5, -0.25, -3.0), (2.0, 0.5, -1.0001), (1e-5, 3e-5, 1.00001),
+], ids=repr)
+def test_divided_rule_integrates_its_weight_exactly(alpha, beta, pole):
+    """integral x^m (1-x)^alpha (1+x)^beta / (x-pole)^2, m < 2 count, against
+    mpmath with breakpoints toward a pole close to +-1."""
+    rule = gauss_jacobi_rule(alpha, beta, 6, pole)
+    assert rule.jacobi == (alpha, beta, pole)
+    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-14)
+    a, b, z = mp.mpf(alpha), mp.mpf(beta), mp.mpf(pole)
+    with mp.workdps(25):
+        for m in (0, 1, 5, 11):
+            want = mp.quad(lambda x: x**m * (1 - x)**a * (1 + x)**b / (x - z) ** 2,
+                           _breakpoints(pole))
+            assert rule.integrate(rule.nodes**m) == pytest.approx(float(want), rel=1e-13)
+
+
+def _breakpoints(pole):
+    """[-1, 1] split geometrically toward the end nearest the pole."""
+    gap, end = abs(pole) - 1, np.sign(pole)
+    near = [end * (1 - gap * 10.0**j) for j in range(12) if gap * 10.0**j < 1]
+    return sorted({-1.0, 0.0, 1.0, *near})
+
+
+def test_large_rules_take_memory_linear_in_the_nodes():
+    """4096 nodes: the Christoffel weights need a few node-length arrays,
+    where eigenvectors would take 134 MB.  They sum to the mass within
+    ~1e-12: at the end nodes, 1 - |x| ~ 1e-7 holds only ~9 digits."""
+    tracemalloc.start()
+    try:
+        rule = gauss_jacobi_rule(0.5, -0.5, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rule.size == 4096 and peak < 4e6
+    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-11)
 
 
 def test_semi_infinite_rule_base_measure():
@@ -118,9 +161,11 @@ def test_rejects_nonintegrable_exponent():
     for alpha, beta in ((-1.0, 0.5), (0.5, -1.5), (np.inf, 0.5), (0.5, np.nan)):
         with pytest.raises(ParameterError):
             gauss_jacobi_rule(alpha, beta, 8)
-    for count in (0, 4097):  # Golub-Welsch memory grows as count^2
+    for pole in (0.5, 1.0, -1.0, np.inf, np.nan):
         with pytest.raises(ParameterError):
-            gauss_jacobi_rule(0.5, 0.5, count)
+            gauss_jacobi_rule(0.5, 0.5, 8, pole)
+    with pytest.raises(ParameterError):
+        gauss_jacobi_rule(0.5, 0.5, 0)
 
 
 # --- Gram matrices -------------------------------------------------------------
@@ -195,12 +240,17 @@ def test_gram_rejects_mismatched_rule_domain():
 
 
 def test_gram_accepts_supplied_gauss_jacobi_rule_of_its_own_weight():
+    """A supplied rule must carry the family's whole weight; 1500 nodes
+    (Christoffel weights, refined to 3000) give the default Gram."""
     fam = X1Jacobi(a=2.0, b=1.25)
-    rule = gauss_jacobi_rule(*x1_jacobi_alpha_beta(fam.a, fam.b), 64)
+    alpha, beta = x1_jacobi_alpha_beta(fam.a, fam.b)
     g = gram_matrix(fam, 4)
-    assert np.max(np.abs(gram_matrix(fam, 4, quad=rule) - g)) <= 1e-12 * np.max(np.abs(g))
-    with pytest.raises(UsageError, match="Jacobi weight"):
-        gram_matrix(fam, 4, quad=gauss_jacobi_rule(1.0, 1.0, 64))
+    for count in (40, 1500):
+        rule = gauss_jacobi_rule(alpha, beta, count, fam.b)
+        assert np.max(np.abs(gram_matrix(fam, 4, quad=rule) - g)) <= 1e-12 * np.max(np.abs(g))
+    for wrong in (gauss_jacobi_rule(alpha, beta, 64), gauss_jacobi_rule(1.0, 1.0, 64, fam.b)):
+        with pytest.raises(UsageError, match="carries the weight"):
+            gram_matrix(fam, 4, quad=wrong)
 
 
 def test_gram_usage_and_accuracy_errors():
@@ -274,3 +324,43 @@ def test_gram_converges_within_three_rule_evaluations(fam):
     n_max 16 (max_refinements=2 allows three evaluations)."""
     g = gram_matrix(fam, 16, max_refinements=2)
     assert max_offdiag_ratio(g) <= 1e-12
+
+
+# --- X1-Jacobi poles close to +-1 ---------------------------------------------
+
+def _mp_gram_entry(fam, pairs, i, j):
+    al, be = (mp.mpf(v) for v in x1_jacobi_alpha_beta(fam.a, fam.b))
+    p, q = (mp.matrix(list(pairs[k].polynomial.coeffs)) for k in (i, j))
+    z = mp.mpf(fam.b)
+
+    def f(x):
+        px = mp.polyval(list(reversed(p)), x)
+        qx = mp.polyval(list(reversed(q)), x)
+        return px * qx * (1 - x) ** al * (1 + x) ** be / (x - z) ** 2
+
+    with mp.workdps(20):
+        return float(mp.quad(f, _breakpoints(fam.b)))
+
+
+@pytest.mark.parametrize("fam", [X1Jacobi(a=1.0, b=1.0001), X1Jacobi(a=1.0, b=1.00001),
+                                 X1Jacobi(a=-1.0, b=-1.0001)], ids=repr)
+@pytest.mark.parametrize("n", [4, 16])
+def test_near_pole_gram_against_mpmath(fam, n):
+    """With the pole inside the rule's weight, a pole 1e-4 or 1e-5 from the
+    interval costs nothing in accuracy: the corner entries agree with
+    mpmath within 1e-13 of the largest entry, in two rule evaluations."""
+    pairs = x1_eigenpairs(fam, n)
+    g = gram_matrix(fam, n, max_refinements=1)
+    scale = np.max(np.abs(g))
+    for i, j in {(0, 0), (n - 1, n - 1), (0, n - 1), (n // 2 - 1, n // 2)}:
+        assert abs(g[i, j] - _mp_gram_entry(fam, pairs, i, j)) <= 1e-13 * scale, (i, j)
+    assert max_offdiag_ratio(g) <= 1e-8
+
+
+def test_pole_too_close_to_the_interval_is_an_accuracy_error():
+    """Within ~2e-10 of +-1 the continued fraction would need more than 2^20
+    terms: refused up front, without warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AccuracyError, match="too close"):
+            gram_matrix(X1Jacobi(a=1.0, b=1.0 + 1e-12), 4)
