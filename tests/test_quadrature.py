@@ -329,14 +329,14 @@ def test_gram_converges_within_three_rule_evaluations(fam):
 # --- X1-Jacobi poles close to +-1 ---------------------------------------------
 
 def _mp_gram_entry(fam, pairs, i, j):
+    """G_ij by mpmath from the members' (ascending) monomial coefficients."""
     al, be = (mp.mpf(v) for v in x1_jacobi_alpha_beta(fam.a, fam.b))
-    p, q = (mp.matrix(list(pairs[k].polynomial.coeffs)) for k in (i, j))
+    p, q = ([mp.mpf(c) for c in pairs[k].polynomial.coeffs[::-1]] for k in (i, j))
     z = mp.mpf(fam.b)
 
     def f(x):
-        px = mp.polyval(list(reversed(p)), x)
-        qx = mp.polyval(list(reversed(q)), x)
-        return px * qx * (1 - x) ** al * (1 + x) ** be / (x - z) ** 2
+        weight = (1 - x) ** al * (1 + x) ** be / (x - z) ** 2
+        return mp.polyval(p, x) * mp.polyval(q, x) * weight
 
     with mp.workdps(20):
         return float(mp.quad(f, _breakpoints(fam.b)))
