@@ -42,12 +42,11 @@ from .polynomials import (
     laguerre_polynomial,
     polynomial_from_json,
 )
-from .quadrature import QuadratureRule, gauss_jacobi_rule, semi_infinite_rule
+from .quadrature import QuadratureRule, gauss_jacobi_rule
 from .spectral import (
     Grid,
     SpectrumResult,
     TridiagonalOperator,
-    apply_coordinate_weight,
     discretize,
     eigen_lowest,
     extrapolate,

@@ -21,6 +21,7 @@ degrees have none (see tests), which is how the convention was pinned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -31,6 +32,7 @@ from .errors import (
     AccuracyError,
     ConsistencyError,
     DomainError,
+    NumericError,
     ParameterError,
     UsageError,
 )
@@ -44,7 +46,7 @@ from .polynomials import (
     _laguerre_coefficients,
     _laguerre_rows,
 )
-from .quadrature import QuadratureRule, gauss_jacobi_rule, semi_infinite_rule
+from .quadrature import QuadratureRule, _half_line_rule, gauss_jacobi_rule
 
 __all__ = [
     "ClassicalLaguerre",
@@ -418,14 +420,6 @@ def _jacobi_exponents(family: FamilySpec) -> tuple[float, float]:
     return x1_jacobi_alpha_beta(family.a, family.b)
 
 
-def _jacobi_weight(family: FamilySpec) -> tuple[float, float, float | None]:
-    """(alpha, beta, pole) of a Jacobi family's whole weight (1-x)^alpha
-    (1+x)^beta / (x-pole)^2, as `QuadratureRule.jacobi` names it."""
-    alpha, beta = _jacobi_exponents(family)
-    pole = float(family.b) if isinstance(family, X1Jacobi) else None
-    return float(alpha), float(beta), pole
-
-
 def _rational_factor(family: FamilySpec, x: np.ndarray):
     """The weight over its classical part: 1/(x+k)^2 (X1-Laguerre),
     1/(x-b)^2 (X1-Jacobi), 1 (classical families)."""
@@ -464,13 +458,43 @@ def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
     return [pair.polynomial for pair in x1_eigenpairs(family, n_max)]
 
 
-def default_quadrature(family: FamilySpec, n_max: int) -> QuadratureRule:
+# Gram convergence: two successive rule levels agree to _GRAM_TOL relative to
+# the largest entry within _MAX_REFINEMENTS refinements.
+_GRAM_TOL = 1e-10
+_MAX_REFINEMENTS = 6
+# The symmetrization g + g.T doubles the largest entry on the way.
+_LOG_GRAM_RANGE = math.log(np.finfo(float).max / 2)
+
+
+def _log_largest_laguerre_entry(family, n_max: int) -> float:
+    """Log of the largest entry, a diagonal one, of a Laguerre family's Gram
+    matrix: Gamma(n+k+1)/n! for L_n^(k), n < n_max, and (n-1)! (n+k)
+    Gamma(n+k-1) for the monic X1 member of degree n <= n_max."""
+    k = family.k
+    try:
+        if isinstance(family, ClassicalLaguerre):
+            return max(math.lgamma(n + k + 1) - math.lgamma(n + 1) for n in range(n_max))
+        return max(math.lgamma(n) + math.log(n + k) + math.lgamma(n + k - 1)
+                   for n in range(1, n_max + 1))
+    except OverflowError:  # lgamma past ~2.5e305
+        return math.inf
+
+
+def _first_rule(family: FamilySpec, n_max: int) -> QuadratureRule:
     """First rule of `gram_matrix`: the graded half-line panels, or the Gauss
     rule of the family's whole weight with n_max + 1 nodes, which already
-    integrates every product of two members exactly."""
+    integrates every product of two members exactly.  A Laguerre Gram whose
+    entries pass the float range is refused before its weight overflows."""
     if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
-        return semi_infinite_rule(exponent_zero=family.k)
-    alpha, beta, pole = _jacobi_weight(family)
+        log_top = _log_largest_laguerre_entry(family, n_max)
+        if not log_top < _LOG_GRAM_RANGE:
+            raise NumericError(
+                f"the Gram matrix of {family_to_dict(family)} at n_max {n_max} has "
+                f"entries of e^{log_top:.1f}, beyond the float64 range"
+            )
+        return _half_line_rule(functools.partial(weight, family), family.k)
+    alpha, beta = _jacobi_exponents(family)
+    pole = family.b if isinstance(family, X1Jacobi) else None
     return gauss_jacobi_rule(alpha, beta, n_max + 1, pole)
 
 
@@ -482,57 +506,45 @@ def _gram_on_rule(family, n_max, rule):
         vals = _jacobi_rows(n_max, family.alpha, family.beta, x)
     else:
         vals = _two_term_values(family, n_max, x)
-    # a Gauss rule carries the family's whole weight in its weights
-    w = rule.weights if rule.jacobi is not None else rule.weights * weight(family, x)
-    scaled = vals * w
-    g = scaled @ vals.T
+    g = (vals * rule.weights) @ vals.T
     return 0.5 * (g + g.T)
 
 
-def gram_matrix(family: FamilySpec, n_max: int, quad: QuadratureRule | None = None,
-                *, tol: float = 1e-10, max_refinements: int = 6) -> np.ndarray:
+def gram_matrix(family: FamilySpec, n_max: int) -> np.ndarray:
     """Gram matrix G_ij = integral p_i p_j w over the first n_max members,
     evaluated through the classical recurrences (X1 members through
     `_two_term_values`, after `x1_eigenpairs` has certified them).
 
-    Jacobi families integrate on the Gauss rule of their whole weight,
-    (1-x)^alpha (1+x)^beta, over (x-b)^2 for X1 families (`gauss_jacobi_rule`
-    with the pole b), starting at n_max + 1 nodes: the weight is never
-    evaluated, and every level is exact however close b lies to +-1.
-    Laguerre families integrate on the graded half-line panels of
-    `semi_infinite_rule`.  The rule (default or `quad`) is refined
-    (`QuadratureRule.refined`: nodes doubled, panels halved) until two
-    successive levels agree to `tol` relative to the largest entry, which
-    takes one refinement for Jacobi families and one or two for Laguerre
-    families; disagreement past `max_refinements` raises AccuracyError.  A
-    supplied Gauss rule must carry the family's whole weight.
+    Every rule carries the family's whole weight w.  Jacobi families
+    integrate on the Gauss rule of (1-x)^alpha (1+x)^beta, over (x-b)^2 for
+    X1 families (`gauss_jacobi_rule` with the pole b), starting at n_max + 1
+    nodes: every level is exact however close b lies to +-1.  Laguerre
+    families integrate on the graded half-line panels, which sample w at
+    their nodes; a Gram whose entries pass the float range raises
+    NumericError first.  The rule is refined (`QuadratureRule.refined`:
+    nodes doubled, panels halved) until two successive levels agree to 1e-10
+    relative to the largest entry, which takes one refinement for Jacobi
+    families and one or two for Laguerre families; disagreement past 6
+    refinements raises AccuracyError.
     """
     if not 1 <= n_max <= 16:
         raise UsageError(f"n_max must lie in 1..16, got {n_max}")
     if isinstance(family, (X1Laguerre, X1Jacobi)):
         x1_eigenpairs(family, n_max)
-    if quad is not None and quad.domain != family_domain(family):
-        raise UsageError(
-            f"quadrature rule covers {quad.domain}, family lives on "
-            f"{family_domain(family)}"
-        )
-    if (quad is not None and quad.jacobi is not None
-            and quad.jacobi != _jacobi_weight(family)):
-        raise UsageError(
-            f"quadrature rule carries the weight (alpha, beta, pole) = "
-            f"{quad.jacobi}, family needs {_jacobi_weight(family)}"
-        )
-    rule = quad if quad is not None else default_quadrature(family, n_max)
-    g_prev = _gram_on_rule(family, n_max, rule)
-    for _ in range(max_refinements):
-        rule = rule.refined()
-        g = _gram_on_rule(family, n_max, rule)
-        if np.max(np.abs(g - g_prev)) <= tol * (1.0 + np.max(np.abs(g))):
-            return g
-        g_prev = g
+    rule = _first_rule(family, n_max)
+    # near the NumericError bound a coarse level can overshoot the float
+    # range; its inf entries then fail the comparison like any other miss
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_prev = _gram_on_rule(family, n_max, rule)
+        for _ in range(_MAX_REFINEMENTS):
+            rule = rule.refined()
+            g = _gram_on_rule(family, n_max, rule)
+            if np.max(np.abs(g - g_prev)) <= _GRAM_TOL * (1.0 + np.max(np.abs(g))):
+                return g
+            g_prev = g
     raise AccuracyError(
-        f"Gram quadrature did not converge to {tol} within "
-        f"{max_refinements} refinements for {family_to_dict(family)}"
+        f"Gram quadrature did not converge to {_GRAM_TOL} within "
+        f"{_MAX_REFINEMENTS} refinements for {family_to_dict(family)}"
     )
 
 

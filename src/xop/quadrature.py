@@ -1,13 +1,14 @@
 """Quadrature rules for the Gram-matrix orthogonality checks.
 
-Two kinds of rule, each refined by `QuadratureRule.refined`, which is what
-the convergence checks in gram-matrix assembly rely on:
+Every rule carries its whole weight in its weights, so an integral of f
+against the weight is sum(weights * f(nodes)).  Two kinds of rule, each
+refined by `QuadratureRule.refined`, which is what the convergence checks in
+gram-matrix assembly rely on:
 
-* Gauss rules on (-1, 1) (`gauss_jacobi_rule`) carry the Jacobi weight
+* Gauss rules on (-1, 1) (`gauss_jacobi_rule`) of the Jacobi weight
   (1-x)^alpha (1+x)^beta, divided by (x-pole)^2 when a pole outside [-1, 1]
-  is given, in their weights.  The integrand is never multiplied by it, and
-  polynomials of degree below 2 count are integrated exactly, however close
-  the pole lies to the interval.  The nodes are the eigenvalues of the
+  is given, integrate polynomials of degree below 2 count exactly, however
+  close the pole lies to the interval.  The nodes are the eigenvalues of the
   symmetric tridiagonal matrix of the weight's recurrence (Golub & Welsch
   1969, "Calculation of Gauss quadrature rules"), the weights the
   Christoffel numbers mass / sum_k q_k(x)^2 of the orthonormal polynomials
@@ -19,10 +20,12 @@ the convergence checks in gram-matrix assembly rely on:
   by one backward continued-fraction sweep.  A refinement doubles the node
   count.
 * The half line is mapped to (0, 1) through x = t / (1 - t) and covered by
-  Gauss-Legendre panels (`semi_infinite_rule`), graded geometrically toward
+  Gauss-Legendre panels (`_half_line_rule`), graded geometrically toward
   t = 0 for the algebraic factor x^e and toward t = 1, where the bulk of an
   exponentially decaying integrand with a polynomial factor of degree ~30
-  lies (x of order tens).  A refinement splits every panel in two.
+  lies (x of order tens).  The weight, a callable, is sampled at the nodes
+  and multiplied into the panel weights.  A refinement splits every panel in
+  two.
 """
 
 from __future__ import annotations
@@ -36,46 +39,25 @@ import numpy as np
 
 from .errors import AccuracyError, NumericError, ParameterError
 
-__all__ = ["QuadratureRule", "gauss_jacobi_rule", "semi_infinite_rule"]
+__all__ = ["QuadratureRule", "gauss_jacobi_rule"]
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights for integration over `domain` (possibly via a map).
-
-    `jacobi` is (alpha, beta, pole) when the weights carry the weight
-    (1-x)^alpha (1+x)^beta / (x-pole)^2 (pole None: no pole factor), and None
-    when they carry no weight (mapped panel rules).  `base_weight_sum`
-    records the total weight in the pre-map coordinate, so the
-    constant-integrand check stays meaningful for mapped half-line rules.
-    """
+    """Nodes and weights, the weights carrying the whole weight function."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
-    base_weight_sum: float
-    jacobi: tuple[float, float, float | None] | None
     _refine: Callable[[], "QuadratureRule"] = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("nodes", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(self.weights <= 0):
-            raise ParameterError("quadrature weights must be positive")
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
+        self.nodes.setflags(write=False)
+        self.weights.setflags(write=False)
 
     def refined(self) -> "QuadratureRule":
         """Same construction with twice the Gauss points, or with every panel
         split in half."""
         return self._refine()
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(np.asarray(values, dtype=float), self.weights))
 
 
 def gauss_jacobi_rule(alpha: float, beta: float, count: int,
@@ -121,8 +103,7 @@ def _gauss_jacobi(alpha, beta, pole, count, recurrence):
     mass = math.exp(log_mass)
     nodes, weights = _gauss_rule(diag, off2, mass, vectors=pole is not None)
     keep = weights > 0
-    return QuadratureRule(nodes[keep], weights[keep], (-1.0, 1.0), mass,
-                          (alpha, beta, pole),
+    return QuadratureRule(nodes[keep], weights[keep],
                           functools.partial(_gauss_jacobi, alpha, beta, pole, 2 * count,
                                             recurrence))
 
@@ -268,21 +249,21 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _assemble(boundaries, order) -> QuadratureRule:
-    t_ref, w_ref = _legendre(order)
+def _assemble(weight, boundaries) -> QuadratureRule:
+    t_ref, w_ref = _legendre(_PANEL_ORDER)
     lo = boundaries[:-1]
     width = np.diff(boundaries)
     t = (lo[:, None] + 0.5 * width[:, None] * (t_ref[None, :] + 1.0)).ravel()
     w = (0.5 * width[:, None] * w_ref[None, :]).ravel()
     # x = t/(1-t) maps (0,1) -> (0,inf); dx = dt/(1-t)^2
-    return QuadratureRule(t / (1.0 - t), w / (1.0 - t) ** 2, (0.0, math.inf),
-                          float(np.sum(w)), None,
-                          functools.partial(_halved, boundaries, order))
+    x = t / (1.0 - t)
+    return QuadratureRule(x, w / (1.0 - t) ** 2 * weight(x),
+                          functools.partial(_halved, weight, boundaries))
 
 
-def _halved(boundaries, order) -> QuadratureRule:
+def _halved(weight, boundaries) -> QuadratureRule:
     mid = 0.5 * (boundaries[:-1] + boundaries[1:])
-    return _assemble(np.sort(np.concatenate([boundaries, mid])), order)
+    return _assemble(weight, np.sort(np.concatenate([boundaries, mid])))
 
 
 def _graded_boundaries(lo, hi, depth_lo, depth_hi):
@@ -297,10 +278,6 @@ def _graded_boundaries(lo, hi, depth_lo, depth_hi):
 
 def _depth_for_exponent(exponent: float) -> int:
     # mass of x^p below 2^-d scales like 2^(-d(1+p)); push it under ~1e-13
-    if exponent <= -1:
-        raise ParameterError(
-            f"weight exponent {exponent} is not integrable (must exceed -1)"
-        )
     return max(12, math.ceil(44.0 / (1.0 + exponent)))
 
 
@@ -308,11 +285,17 @@ def _depth_for_exponent(exponent: float) -> int:
 # 127, 255 in x, so the bulk of e^-x x^(k+2n) (x ~ k + 2n, tens) falls in
 # panels no wider than itself and the first level is already accurate.
 _DEPTH_AT_INFINITY = 8
+_PANEL_ORDER = 16  # Gauss-Legendre points per panel
 
 
-def semi_infinite_rule(exponent_zero: float = 0.0, order: int = 16) -> QuadratureRule:
-    """Rule on (0, inf) through x = t/(1-t), for integrands ~ x^e near 0 with
-    (super)exponential decay at infinity."""
+def _half_line_rule(weight: Callable[[np.ndarray], np.ndarray],
+                    exponent_zero: float) -> QuadratureRule:
+    """Rule on (0, inf) through x = t/(1-t) for the weight w (a callable),
+    which behaves like x^e near 0, e = exponent_zero > -1, and decays
+    (super)exponentially at infinity: panel weight times dx/dt times w(x).
+    Nodes where w underflows keep their zero weight: dropping the leading
+    ones (x^k underflows below x ~ 0.005 at k ~ 140) would regroup the sums
+    of the Gram products and move their last bits."""
     b = _graded_boundaries(0.0, 1.0, _depth_for_exponent(exponent_zero),
                            _DEPTH_AT_INFINITY)
-    return _assemble(b, order)
+    return _assemble(weight, b)

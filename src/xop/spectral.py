@@ -1,9 +1,10 @@
 """Finite-difference Sturm-Liouville machinery.
 
-Operators are the standard symmetric three-point discretization of
--u'' + V(x) u with Dirichlet walls just outside the grid (interior-point
-convention: spacing h = (hi-lo)/(n+1)).  A positive coordinate weight B(x)
-turns A u = E B u into the similarity-reduced symmetric problem
+An operator is its samples on a grid: the potential V and a positive
+coordinate weight B (all ones when there is none) of the problem
+-u'' + V u = E B u, with Dirichlet walls just outside the grid
+(interior-point convention: spacing h = (hi-lo)/(n+1)).  Its matrix is the
+standard symmetric three-point discretization reduced to the symmetric form
 B^(-1/2) A B^(-1/2), still tridiagonal, which is how the coupling-form
 hydrogen eigenproblem is solved.
 
@@ -13,7 +14,7 @@ only on a small seed grid, for `spectrum --psi-out`, and as the fallback of
 `refine_lowest`.  `refine_lowest` warm-starts from approximate values (in
 `verify`, the seed levels, the original's levels or the coarse levels):
 Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
-quotients taken from the raw samples v and b the operator keeps, so they
+quotients taken from the samples v and b themselves, so they
 are not limited by the ulp * 2/h^2 rounding of the diagonal that bounds
 bisection.  Its values are certified (disjoint residual intervals and a
 Sturm count of the levels below the top one); where the certificate fails
@@ -36,7 +37,6 @@ __all__ = [
     "TridiagonalOperator",
     "SpectrumResult",
     "discretize",
-    "apply_coordinate_weight",
     "eigen_lowest",
     "refine_lowest",
     "extrapolate",
@@ -75,32 +75,33 @@ class Grid:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric tridiagonal matrix (`diag`, `off`) on `grid`, with the raw
-    samples it was built from when `discretize` built it: the potential `v`
-    and, after `apply_coordinate_weight`, the coordinate weight `b`.  The
-    samples give `refine_lowest` the pencil (-d^2/dx^2 + v, b) without the
-    rounding of 2/h^2 + v."""
+    """-d^2/dx^2 + v against the coordinate weight b, sampled on `grid`
+    (`discretize` builds it).  Its symmetric tridiagonal matrix (`diag`,
+    `off`) is B^(-1/2) A B^(-1/2) with A the three-point form, diagonal
+    2/h^2 + v and off-diagonal -1/h^2; the samples give `refine_lowest` the
+    pencil (A, b) without the rounding of 2/h^2 + v."""
 
-    diag: np.ndarray
-    off: np.ndarray
     grid: Grid
-    v: np.ndarray | None = None
-    b: np.ndarray | None = None
+    v: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        for name in ("diag", "off", "v", "b"):
-            if getattr(self, name) is None:
-                continue
-            arr = np.asarray(getattr(self, name), dtype=float)
+        v, b = (np.asarray(a, dtype=float) for a in (self.v, self.b))
+        if not v.shape == b.shape == (self.grid.n_points,):
+            raise UsageError("samples must be one per grid point")
+        h2 = self.grid.spacing**2
+        arrays = {"v": v, "b": b, "diag": (2.0 / h2 + v) / b,
+                  "off": np.full(v.size - 1, -1.0 / h2) / np.sqrt(b[:-1] * b[1:])}
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.off.size != self.diag.size - 1:
-            raise UsageError("off-diagonal must be one shorter than the diagonal")
 
 
-def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> TridiagonalOperator:
-    """Symmetric tridiagonal form of -u'' + V: diagonal 2/h^2 + V(x_i),
-    off-diagonal -1/h^2, Dirichlet boundaries implied at lo and hi."""
+def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
+               weight: Callable[[np.ndarray], np.ndarray] | None = None) -> TridiagonalOperator:
+    """The operator of -u'' + V u = E B u on `grid`, from the potential V
+    and the optional coordinate weight B sampled at the grid points; its
+    eigenvalues are the generalized eigenvalues E."""
     x = grid.points
     v = np.array(potential(x), dtype=float)
     bad = ~np.isfinite(v)
@@ -108,23 +109,10 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
         raise SingularityError(
             f"potential evaluated non-finite at x = {x[bad][0]}"
         )
-    h2 = grid.spacing**2
-    diag = 2.0 / h2 + v
-    off = np.full(grid.n_points - 1, -1.0 / h2)
-    return TridiagonalOperator(diag, off, grid, v=v)
-
-
-def apply_coordinate_weight(op: TridiagonalOperator,
-                            weight: Callable[[np.ndarray], np.ndarray]) -> TridiagonalOperator:
-    """Reduce the generalized problem A u = E diag(B) u to symmetric form;
-    the returned operator's eigenvalues are the generalized eigenvalues."""
-    b = np.array(weight(op.grid.points), dtype=float)
+    b = np.ones_like(v) if weight is None else np.array(weight(x), dtype=float)
     if not np.all(np.isfinite(b)) or np.any(b <= 0):
         raise SingularityError("coordinate weight must be positive and finite on the grid")
-    diag = op.diag / b
-    off = op.off / np.sqrt(b[:-1] * b[1:])
-    return TridiagonalOperator(diag, off, op.grid, v=op.v,
-                               b=b if op.b is None else op.b * b)
+    return TridiagonalOperator(grid, v, b)
 
 
 @dataclass(frozen=True)
@@ -133,14 +121,13 @@ class SpectrumResult:
     eigenfunctions None for a values-only solve (`eigen_lowest(...,
     vectors=False)`, which is how `verify` and `spectrum` solve).
 
-    converged=False marks a raw single-grid solve; extrapolate() produces a
-    converged result carrying a Richardson error estimate.
+    `extrapolation_error` is the Richardson error estimate of `extrapolate`,
+    0 for a single-grid solve.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray | None  # one column per state
     grid: Grid
-    converged: bool
     extrapolation_error: float
 
     def __post_init__(self):
@@ -184,7 +171,7 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"tridiagonal eigensolve failed: {exc}") from exc
     if not vectors:
-        return SpectrumResult(solved, None, op.grid, False, 0.0)
+        return SpectrumResult(solved, None, op.grid, 0.0)
     vals, vecs = solved
     h = op.grid.spacing
     # unit discrete L2 norm and a deterministic sign (largest entry positive)
@@ -193,7 +180,7 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
         col /= np.linalg.norm(col) * np.sqrt(h)
         if col[np.argmax(np.abs(col))] < 0:
             col *= -1.0
-    return SpectrumResult(vals, vecs, op.grid, False, 0.0)
+    return SpectrumResult(vals, vecs, op.grid, 0.0)
 
 
 _POLISH_STEPS = 8      # solves per level before the polish gives up
@@ -208,7 +195,7 @@ def refine_lowest(op: TridiagonalOperator, guesses) -> SpectrumResult:
     deterministic.
 
     Each guess starts shifted inverse iteration on the pencil
-    (-d^2/dx^2 + v, b) from the samples `op` keeps, with one O(n)
+    (-d^2/dx^2 + v, b) from the samples of `op`, with one O(n)
     tridiagonal solve (LAPACK gtsv) per step; later steps shift by the
     Rayleigh quotient, taken in the cancellation-free form
     (sum (dy)^2 / h^2 + sum v y^2) / sum b y^2 rather than from `diag` and
@@ -231,24 +218,22 @@ def refine_lowest(op: TridiagonalOperator, guesses) -> SpectrumResult:
     exactly `len(guesses)` eigenvalues of `op` up to a point above the top
     interval.  So the i-th value is within its bound of the i-th eigenvalue.
     A singular solve, an unsettled level or a failed certificate returns
-    `eigen_lowest(op, count, vectors=False)` instead, as does an operator
-    without its samples.
+    `eigen_lowest(op, count, vectors=False)` instead.
     """
     guesses = np.asarray(guesses, dtype=float).ravel()
     _check_count(guesses.size, op.diag.size)
     polished = None
-    if op.v is not None and np.all(np.isfinite(guesses)):
+    if np.all(np.isfinite(guesses)):
         polished = _polish(op, guesses)
     if polished is None or not _certified(op, *polished):
         return eigen_lowest(op, guesses.size, vectors=False)
-    return SpectrumResult(polished[0], None, op.grid, False, 0.0)
+    return SpectrumResult(polished[0], None, op.grid, 0.0)
 
 
 def _polish(op: TridiagonalOperator, guesses: np.ndarray):
     """(values, residual bounds) of Rayleigh-quotient iteration from each
     guess, or None where a solve is singular or a level does not settle."""
-    v = op.v
-    b = np.ones_like(v) if op.b is None else op.b
+    v, b = op.v, op.b
     inv_h2 = 1.0 / op.grid.spacing**2
     a_diag = 2.0 * inv_h2 + v
     a_off = np.full(v.size - 1, -inv_h2)
@@ -333,7 +318,7 @@ def extrapolate(coarse: SpectrumResult, fine: SpectrumResult) -> SpectrumResult:
             "the h^2 Richardson step reorders them"
         )
     err = float(np.max(np.abs(fine.eigenvalues - coarse.eigenvalues)) / (rho2 - 1.0))
-    return SpectrumResult(values, fine.eigenfunctions, fine.grid, True, err)
+    return SpectrumResult(values, fine.eigenfunctions, fine.grid, err)
 
 
 def residual_on_operator(potential: Callable[[np.ndarray], np.ndarray],

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -85,6 +86,41 @@ def test_gram_csv_shape(capsys):
         i, j, value = row.split(",")
         if i != j:
             assert abs(float(value)) < 1e-8
+
+
+@pytest.mark.parametrize("n_max", ["1", "4", "16"])
+@pytest.mark.parametrize("k", [150.0, 170.0, 200.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind", ["ClassicalLaguerre", "X1Laguerre"])
+def test_gram_past_the_float_range_exits_1_with_one_line(kind, k, n_max, capsys):
+    """Entries past the float range end in one error line and no warning;
+    the Grams that fit (k = 150, and k = 170 at n_max 1) are written."""
+    family = json.dumps({"kind": kind, "params": {"k": k}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["gram", "--family", family, "--n-max", n_max], capsys)
+    if k == 150.0 or (k == 170.0 and n_max == "1"):
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + int(n_max) ** 2
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: the Gram matrix of") and err.count("\n") == 1
+        assert err.endswith("beyond the float64 range\n")
+
+
+def test_gram_past_the_float_range_prints_no_warning():
+    import subprocess
+    import sys
+
+    import xop
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xop.__file__)))
+    done = subprocess.run([sys.executable, "-m", "xop", "gram", "--family",
+                           '{"kind":"X1Laguerre","params":{"k":200}}', "--n-max", "4"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == ("error: the Gram matrix of {'kind': 'X1Laguerre', 'params': "
+                           "{'k': 200.0}} at n_max 4 has entries of e^881.0, beyond the "
+                           "float64 range\n")
 
 
 # --- spectrum ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ independent oracles for the rules, and scipy.special.roots_jacobi for the
 Gauss-Jacobi nodes and weights.
 """
 
+import functools
+import math
 import tracemalloc
 import warnings
 
@@ -14,24 +16,38 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import xop.quadrature
 from xop import (
     AccuracyError,
     ClassicalJacobi,
     ClassicalLaguerre,
     NumericError,
     ParameterError,
+    QuadratureRule,
     UsageError,
     X1Jacobi,
     X1Laguerre,
     gauss_jacobi_rule,
     gram_matrix,
     max_offdiag_ratio,
-    semi_infinite_rule,
     weight,
     x1_eigenpairs,
     x1_jacobi_alpha_beta,
     x1_jacobi_from_classical,
 )
+from xop.quadrature import _half_line_rule
+
+
+def integral(rule, values):
+    """The rule's integral of `values` (at its nodes) against its weight."""
+    return float(np.dot(values, rule.weights))
+
+
+def jacobi_mass(alpha, beta):
+    """integral (1-x)^alpha (1+x)^beta over (-1, 1), from log-gammas."""
+    s = alpha + beta
+    return math.exp((s + 1) * math.log(2) + math.lgamma(alpha + 1) + math.lgamma(beta + 1)
+                    - math.lgamma(s + 2))
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 1.5), (0.5, -0.5),
@@ -44,10 +60,9 @@ def test_gauss_jacobi_rule_matches_scipy_roots(alpha, beta):
     rule = gauss_jacobi_rule(alpha, beta, 24)
     with np.errstate(invalid="ignore"):  # scipy forms 0/0 at alpha+beta = -1, then drops it
         nodes, weights = special.roots_jacobi(24, alpha, beta)
-    assert rule.jacobi == (alpha, beta, None) and rule.domain == (-1.0, 1.0)
     assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
     assert np.max(np.abs(rule.weights - weights)) <= 1e-12 * np.max(weights)
-    assert rule.base_weight_sum == pytest.approx(np.sum(weights), rel=1e-13)
+    assert np.sum(rule.weights) == pytest.approx(jacobi_mass(alpha, beta), rel=1e-12)
 
 
 def test_gauss_jacobi_rule_integrates_its_weight_exactly():
@@ -56,22 +71,21 @@ def test_gauss_jacobi_rule_integrates_its_weight_exactly():
     for m in (0, 5, 11):
         want, _ = integrate.quad(lambda x: x**m, -1.0, 1.0, weight="alg",
                                  wvar=(0.25, -0.5), epsabs=1e-14, epsrel=1e-14)
-        assert rule.integrate(rule.nodes**m) == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert integral(rule, rule.nodes**m) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_gauss_jacobi_refinement_doubles_the_nodes():
     rule = gauss_jacobi_rule(0.5, 1.5, 12)
     finer = rule.refined()
-    assert finer.size == 24 and finer.jacobi == rule.jacobi
-    assert finer.base_weight_sum == pytest.approx(rule.base_weight_sum, rel=1e-15)
+    assert finer.nodes.size == 24
+    assert np.sum(finer.weights) == pytest.approx(np.sum(rule.weights), rel=1e-14)
 
 
 def test_gauss_jacobi_mass_in_log_form():
     """2^4000 and the Gamma functions overflow on their own; their ratio,
     the total mass, does not.  A mass past the float range is refused."""
     rule = gauss_jacobi_rule(1998.5, 2000.5, 16)
-    assert np.isfinite(rule.base_weight_sum) and rule.base_weight_sum > 0
-    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-13)
+    assert np.sum(rule.weights) == pytest.approx(jacobi_mass(1998.5, 2000.5), rel=1e-12)
     with pytest.raises(NumericError, match="float64 range"):
         gauss_jacobi_rule(2000.0, 0.5, 8)
 
@@ -82,9 +96,10 @@ def test_gauss_jacobi_drops_nodes_without_weight(count, pole):
     Christoffel numbers underflow at 1024 nodes, and the first eigenvector
     components of the divided weight's rule vanish at 256."""
     rule = gauss_jacobi_rule(1998.5, 2000.5, count, pole)
-    assert 0 < rule.size < count and np.all(rule.weights > 0)
-    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-13)
-    assert count < rule.refined().size <= 2 * count  # the refinement doubles the count asked for
+    finer = rule.refined()
+    assert 0 < rule.nodes.size < count and np.all(rule.weights > 0)
+    assert np.sum(rule.weights) == pytest.approx(np.sum(finer.weights), rel=1e-13)
+    assert count < finer.nodes.size <= 2 * count  # the refinement doubles the count asked for
 
 
 @pytest.mark.parametrize("alpha, beta, pole", [
@@ -94,14 +109,12 @@ def test_divided_rule_integrates_its_weight_exactly(alpha, beta, pole):
     """integral x^m (1-x)^alpha (1+x)^beta / (x-pole)^2, m < 2 count, against
     mpmath with breakpoints toward a pole close to +-1."""
     rule = gauss_jacobi_rule(alpha, beta, 6, pole)
-    assert rule.jacobi == (alpha, beta, pole)
-    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-14)
     a, b, z = mp.mpf(alpha), mp.mpf(beta), mp.mpf(pole)
     with mp.workdps(25):
         for m in (0, 1, 5, 11):
             want = mp.quad(lambda x: x**m * (1 - x)**a * (1 + x)**b / (x - z) ** 2,
                            _breakpoints(pole))
-            assert rule.integrate(rule.nodes**m) == pytest.approx(float(want), rel=1e-13)
+            assert integral(rule, rule.nodes**m) == pytest.approx(float(want), rel=1e-13)
 
 
 def _breakpoints(pole):
@@ -121,43 +134,55 @@ def test_large_rules_take_memory_linear_in_the_nodes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rule.size == 4096 and peak < 4e6
-    assert rule.integrate(np.ones(rule.size)) == pytest.approx(rule.base_weight_sum, rel=1e-11)
+    assert rule.nodes.size == 4096 and peak < 4e6
+    assert np.sum(rule.weights) == pytest.approx(math.pi, rel=1e-11)  # the mass of (0.5, -0.5)
 
 
-def test_semi_infinite_rule_base_measure():
-    rule = semi_infinite_rule()
-    # pre-map measure of (0, 1) is 1
-    assert rule.base_weight_sum == pytest.approx(1.0, abs=1e-12)
-    assert np.all(rule.nodes > 0)
+def panel_rule(family):
+    """The half-line panel rule of a Laguerre family's whole weight."""
+    return _half_line_rule(functools.partial(weight, family), family.k)
 
 
-def test_semi_infinite_rule_gamma_integral():
-    rule = semi_infinite_rule(exponent_zero=0.5)
-    value = rule.integrate(np.exp(0.5 * np.log(rule.nodes) - rule.nodes))
-    assert value == pytest.approx(special.gamma(1.5), rel=1e-12)
+@pytest.mark.parametrize("k", [-0.9, -0.5, 0.0, 0.5, 2.0, 7.3, 40.0])
+def test_panel_weights_sum_to_the_classical_laguerre_mass(k):
+    """The panels carry x^k e^-x, also for k in (-1, 0) where it is
+    unbounded at 0: the weights sum to Gamma(k+1)."""
+    rule = panel_rule(ClassicalLaguerre(k))
+    assert np.all(rule.nodes > 0) and np.all(rule.weights >= 0)
+    assert np.sum(rule.weights) == pytest.approx(special.gamma(k + 1), rel=1e-12)
+    assert integral(rule, rule.nodes) == pytest.approx(special.gamma(k + 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0.05, 0.5, 2.8, 20.0])
+def test_panel_weights_sum_to_the_x1_laguerre_mass(k):
+    """x^k e^-x / (x+k)^2 against QUADPACK, with the algebraic endpoint
+    weight on (0, 1)."""
+    rule = panel_rule(X1Laguerre(k))
+    head, _ = integrate.quad(lambda x: np.exp(-x) / (x + k) ** 2, 0.0, 1.0, weight="alg",
+                             wvar=(k, 0.0), epsabs=0.0, epsrel=1e-13)
+    tail, _ = integrate.quad(lambda x: x**k * np.exp(-x) / (x + k) ** 2, 1.0, np.inf,
+                             epsabs=0.0, epsrel=1e-13)
+    assert np.sum(rule.weights) == pytest.approx(head + tail, rel=1e-11)
 
 
 def test_refinement_halves_panels():
-    rule = semi_infinite_rule()
+    rule = panel_rule(ClassicalLaguerre(0.5))
     finer = rule.refined()
-    assert finer.size == 2 * rule.size
-    assert finer.base_weight_sum == pytest.approx(1.0, abs=1e-12)
+    assert finer.nodes.size == 2 * rule.nodes.size
+    assert np.sum(finer.weights) == pytest.approx(special.gamma(1.5), rel=1e-12)
 
 
 def test_refinement_reuses_the_reference_rule(monkeypatch):
-    rule = semi_infinite_rule(order=7)
+    rule = panel_rule(ClassicalLaguerre(0.5))
 
     def unexpected(order):
         raise AssertionError("Gauss-Legendre reference rule rebuilt")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", unexpected)
-    assert rule.refined().refined().size == 4 * rule.size
+    assert rule.refined().refined().nodes.size == 4 * rule.nodes.size
 
 
 def test_rejects_nonintegrable_exponent():
-    with pytest.raises(ParameterError):
-        semi_infinite_rule(exponent_zero=-1.0)
     for alpha, beta in ((-1.0, 0.5), (0.5, -1.5), (np.inf, 0.5), (0.5, np.nan)):
         with pytest.raises(ParameterError):
             gauss_jacobi_rule(alpha, beta, 8)
@@ -225,34 +250,6 @@ def test_frozen_x1_laguerre_diagonal():
     assert g[1, 1] == pytest.approx(2.2155673136318987, rel=1e-10)
 
 
-def test_gram_accepts_supplied_rule():
-    fam = ClassicalLaguerre(0.5)
-    rule = semi_infinite_rule(exponent_zero=0.5)
-    g = gram_matrix(fam, 3, quad=rule)
-    assert max_offdiag_ratio(g) < 1e-8
-
-
-def test_gram_rejects_mismatched_rule_domain():
-    with pytest.raises(UsageError):
-        gram_matrix(ClassicalLaguerre(0.5), 2, quad=gauss_jacobi_rule(0.5, 0.5, 8))
-    with pytest.raises(UsageError):
-        gram_matrix(ClassicalJacobi(0.5, 1.5), 2, quad=semi_infinite_rule())
-
-
-def test_gram_accepts_supplied_gauss_jacobi_rule_of_its_own_weight():
-    """A supplied rule must carry the family's whole weight; 1500 nodes
-    (Christoffel weights, refined to 3000) give the default Gram."""
-    fam = X1Jacobi(a=2.0, b=1.25)
-    alpha, beta = x1_jacobi_alpha_beta(fam.a, fam.b)
-    g = gram_matrix(fam, 4)
-    for count in (40, 1500):
-        rule = gauss_jacobi_rule(alpha, beta, count, fam.b)
-        assert np.max(np.abs(gram_matrix(fam, 4, quad=rule) - g)) <= 1e-12 * np.max(np.abs(g))
-    for wrong in (gauss_jacobi_rule(alpha, beta, 64), gauss_jacobi_rule(1.0, 1.0, 64, fam.b)):
-        with pytest.raises(UsageError, match="carries the weight"):
-            gram_matrix(fam, 4, quad=wrong)
-
-
 def test_gram_usage_and_accuracy_errors():
     with pytest.raises(UsageError):
         gram_matrix(ClassicalLaguerre(0.5), 0)
@@ -266,11 +263,86 @@ def test_gram_usage_and_accuracy_errors():
             gram_matrix(X1Jacobi(a=1.5, b=-1.5), 2)
 
 
-def test_gram_nonconvergence_raises_accuracy_error():
-    fam = ClassicalLaguerre(0.5)
-    coarse = semi_infinite_rule(exponent_zero=0.5, order=2)
-    with pytest.raises(AccuracyError):
-        gram_matrix(fam, 6, quad=coarse, max_refinements=1)
+def test_gram_nonconvergence_raises_accuracy_error(monkeypatch):
+    """Two Gauss-Legendre points per panel do not settle within the six
+    refinements."""
+    monkeypatch.setattr(xop.quadrature, "_PANEL_ORDER", 2)
+    with pytest.raises(AccuracyError, match="within 6 refinements"):
+        gram_matrix(ClassicalLaguerre(0.5), 6)
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Counts `QuadratureRule.refined` calls."""
+    calls = []
+    original = QuadratureRule.refined
+
+    def counted(rule):
+        calls.append(rule.nodes.size)
+        return original(rule)
+
+    monkeypatch.setattr(QuadratureRule, "refined", counted)
+    return calls
+
+
+# --- Laguerre Grams near and past the float range ------------------------------
+
+LARGE_K = (150.0, 170.0, 200.0, 1e3, 1e6)
+# (k, n_max) whose Gram fits in float64 (largest entry below half the float
+# range, the symmetrization doubling it), for both Laguerre kinds
+FINITE_LARGE_K = {(150.0, 1), (150.0, 4), (150.0, 16), (170.0, 1)}
+
+
+def exact_diagonal(family, n_max):
+    """Gamma(n+k+1)/n! (L_n^(k)) resp. (n-1)! (n+k) Gamma(n+k-1) (monic X1
+    member of degree n), from log-gammas; inf past the float range."""
+    k = family.k
+    if isinstance(family, ClassicalLaguerre):
+        logs = [math.lgamma(n + k + 1) - math.lgamma(n + 1) for n in range(n_max)]
+    else:
+        logs = [math.lgamma(n) + math.log(n + k) + math.lgamma(n + k - 1)
+                for n in range(1, n_max + 1)]
+    with np.errstate(over="ignore"):
+        return np.exp(logs)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("k", LARGE_K)
+@pytest.mark.parametrize("kind", [ClassicalLaguerre, X1Laguerre])
+def test_laguerre_gram_past_the_float_range_is_refused_without_warnings(kind, k, n):
+    """A Gram whose entries pass the float range raises NumericError before
+    any arithmetic warns; one that fits is computed as before, its diagonal
+    the exact norms."""
+    family = kind(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if (k, n) in FINITE_LARGE_K:
+            g = gram_matrix(family, n)
+            assert np.all(np.isfinite(g))
+            assert np.diag(g) == pytest.approx(exact_diagonal(family, n), rel=1e-10)
+        else:
+            assert 2 * np.max(exact_diagonal(family, n)) > np.finfo(float).max
+            with pytest.raises(NumericError, match="beyond the float64 range"):
+                gram_matrix(family, n)
+
+
+@pytest.mark.parametrize("k", [1e306, math.inf])
+def test_gram_refusal_survives_the_log_gamma_overflow(k):
+    """lgamma itself overflows past ~2.5e305; the Gram is still refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="e\\^inf, beyond the float64 range"):
+            gram_matrix(ClassicalLaguerre(k), 2)
+
+
+def test_gram_near_the_float_range_does_not_warn():
+    """Just below the bound the first panel level overshoots the float range
+    (k = 161.85, n_max 14); the refinements still converge, silently."""
+    family = ClassicalLaguerre(161.85)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gram_matrix(family, 14)
+    assert np.diag(g) == pytest.approx(exact_diagonal(family, 14), rel=1e-10)
 
 
 # --- Jacobi families with alpha, beta in (-1, 0) (ab < 0) ---------------------
@@ -319,10 +391,11 @@ def test_negative_exponent_grid_is_orthogonal():
 
 @pytest.mark.parametrize("fam", [X1Laguerre(k) for k in (0.05, 0.5, 2.8, 6.4, 20.0)]
                          + [X1Jacobi(a=2.0, b=1.25), X1Jacobi(a=-0.2, b=2.0)], ids=repr)
-def test_gram_converges_within_three_rule_evaluations(fam):
+def test_gram_converges_within_three_rule_evaluations(fam, refinements):
     """The first rule is already close: one or two refinements suffice at
-    n_max 16 (max_refinements=2 allows three evaluations)."""
-    g = gram_matrix(fam, 16, max_refinements=2)
+    n_max 16."""
+    g = gram_matrix(fam, 16)
+    assert 1 <= len(refinements) <= 2
     assert max_offdiag_ratio(g) <= 1e-12
 
 
@@ -345,12 +418,13 @@ def _mp_gram_entry(fam, pairs, i, j):
 @pytest.mark.parametrize("fam", [X1Jacobi(a=1.0, b=1.0001), X1Jacobi(a=1.0, b=1.00001),
                                  X1Jacobi(a=-1.0, b=-1.0001)], ids=repr)
 @pytest.mark.parametrize("n", [4, 16])
-def test_near_pole_gram_against_mpmath(fam, n):
+def test_near_pole_gram_against_mpmath(fam, n, refinements):
     """With the pole inside the rule's weight, a pole 1e-4 or 1e-5 from the
     interval costs nothing in accuracy: the corner entries agree with
     mpmath within 1e-13 of the largest entry, in two rule evaluations."""
     pairs = x1_eigenpairs(fam, n)
-    g = gram_matrix(fam, n, max_refinements=1)
+    g = gram_matrix(fam, n)
+    assert len(refinements) == 1
     scale = np.max(np.abs(g))
     for i, j in {(0, 0), (n - 1, n - 1), (0, n - 1), (n // 2 - 1, n // 2)}:
         assert abs(g[i, j] - _mp_gram_entry(fam, pairs, i, j)) <= 1e-13 * scale, (i, j)

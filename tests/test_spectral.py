@@ -16,10 +16,8 @@ from xop import (
     NumericError,
     SingularityError,
     SpectrumResult,
-    TridiagonalOperator,
     UsageError,
     analytic_energy,
-    apply_coordinate_weight,
     discretize,
     eigen_lowest,
     extrapolate,
@@ -33,11 +31,7 @@ from xop.verify import variant_operator
 
 
 def solve(lo, hi, n, potential, count, weight=None):
-    grid = Grid(lo, hi, n)
-    op = discretize(potential, grid)
-    if weight is not None:
-        op = apply_coordinate_weight(op, weight)
-    return eigen_lowest(op, count)
+    return eigen_lowest(discretize(potential, Grid(lo, hi, n), weight), count)
 
 
 def solve_extrapolated(lo, hi, n, potential, count, weight=None):
@@ -52,14 +46,14 @@ def solve_extrapolated(lo, hi, n, potential, count, weight=None):
 def test_box_spectrum():
     result = solve_extrapolated(0.0, np.pi, 999, lambda x: np.zeros_like(x), 3)
     assert np.allclose(result.eigenvalues, [1.0, 4.0, 9.0], atol=1e-3)
-    assert result.converged
+    assert result.extrapolation_error > 0
 
 
 def test_box_lowest_without_extrapolation():
     result = solve(0.0, np.pi, 999, lambda x: np.zeros_like(x), 2)
     assert result.eigenvalues[0] == pytest.approx(1.0, abs=1e-4)
     assert result.eigenvalues[1] == pytest.approx(4.0, abs=1e-3)
-    assert not result.converged
+    assert result.extrapolation_error == 0.0
 
 
 def test_grid_convention():
@@ -82,6 +76,9 @@ def test_discretize_layout_and_singularity():
     assert np.allclose(op.off, -1 / h2)
     with np.errstate(divide="ignore"), pytest.raises(SingularityError):
         discretize(lambda x: 1.0 / (x - x[3]), grid)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(SingularityError, match="coordinate weight"):
+            discretize(lambda x: x, grid, lambda x: np.where(x > 0.5, bad, 1.0))
 
 
 # --- eigen_lowest contract -------------------------------------------------------
@@ -162,7 +159,7 @@ def test_solve_variants_are_values_only_with_tight_bisection_values(params):
         solves = []
         for grid in (coarse_grid, coarse_grid.refined()):
             op = variant_operator(reduced, variant, grid)
-            solves.append(SpectrumResult(tight_bisection(op, 4), None, grid, False, 0.0))
+            solves.append(SpectrumResult(tight_bisection(op, 4), None, grid, 0.0))
         want = extrapolate(*solves)
         assert np.max(np.abs(result.eigenvalues - want.eigenvalues)) <= 2 * bisection_floor(op)
 
@@ -182,7 +179,7 @@ def test_refine_lowest_matches_tight_bisection(params, variant):
     guesses, op = _coarse_and_fine(params, variant, 8, 1000)
     assert op.diag.size == 2001
     refined = refine_lowest(op, guesses)
-    assert refined.eigenfunctions is None and not refined.converged
+    assert refined.eigenfunctions is None and refined.extrapolation_error == 0.0
     tight = tight_bisection(op, 8)
     assert np.max(np.abs(refined.eigenvalues - tight)) <= bisection_floor(op)
     # the polish moved the values off bisection's, so no fallback ran
@@ -215,11 +212,9 @@ def test_refine_lowest_falls_back_when_the_certificate_fails(params):
     assert np.array_equal(refined.eigenvalues, eigen_lowest(op, 4, vectors=False).eigenvalues)
 
 
-def test_refine_lowest_falls_back_without_samples_or_on_bad_guesses():
+def test_refine_lowest_falls_back_on_bad_guesses():
     op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 799))
-    bare = TridiagonalOperator(op.diag, op.off, op.grid)
     plain = eigen_lowest(op, 3, vectors=False).eigenvalues
-    assert np.array_equal(refine_lowest(bare, [1.0, 4.0, 9.0]).eigenvalues, plain)
     # repeated guesses leave no room between their levels: the polish gives up
     assert np.array_equal(refine_lowest(op, [1.0, 1.0, 1.0]).eigenvalues, plain)
     assert np.array_equal(refine_lowest(op, [np.nan, 4.0, 9.0]).eigenvalues, plain)
@@ -335,19 +330,21 @@ def test_polished_levels_meet_bisection_at_the_parameter_limits(params, solves):
             assert np.max(np.abs(result.eigenvalues - plain.eigenvalues)) <= bisection_floor(op)
 
 
-def test_operator_keeps_its_samples():
+def test_operator_is_its_samples():
+    """b is all ones without a weight, so dividing by it leaves the bits of
+    the unweighted matrix; with a weight the matrix is B^(-1/2) A B^(-1/2)."""
     grid = Grid(1.0, 2.0, 100)
+    x, h2 = grid.points, grid.spacing**2
     op = discretize(lambda x: 3 * x, grid)
-    assert np.array_equal(op.v, 3 * grid.points) and op.b is None
-    weighted = apply_coordinate_weight(op, lambda x: x**2)
-    assert np.array_equal(weighted.v, op.v)
-    assert np.array_equal(weighted.b, grid.points**2)
-    twice = apply_coordinate_weight(weighted, lambda x: x)
-    assert np.array_equal(twice.b, grid.points**2 * grid.points)
-    # the stored matrix is unchanged by keeping the samples
-    h2 = grid.spacing**2
-    assert np.array_equal(op.diag, 2.0 / h2 + 3 * grid.points)
-    assert np.array_equal(weighted.diag, op.diag / grid.points**2)
+    assert np.array_equal(op.v, 3 * x) and np.array_equal(op.b, np.ones_like(x))
+    assert np.array_equal(op.diag, 2.0 / h2 + 3 * x)
+    assert np.array_equal(op.off, np.full(99, -1.0 / h2))
+    weighted = discretize(lambda x: 3 * x, grid, lambda x: x**2)
+    assert np.array_equal(weighted.v, op.v) and np.array_equal(weighted.b, x**2)
+    assert np.array_equal(weighted.diag, op.diag / x**2)
+    assert np.array_equal(weighted.off, op.off / np.sqrt(x[:-1] ** 2 * x[1:] ** 2))
+    with pytest.raises(UsageError, match="one per grid point"):
+        dataclasses.replace(op, b=op.b[1:])
 
 
 # --- extrapolation ----------------------------------------------------------------
