@@ -21,6 +21,7 @@ degrees have none (see tests), which is how the convention was pinned.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -532,9 +533,11 @@ def gram_matrix(family: FamilySpec, n_max: int) -> np.ndarray:
     if isinstance(family, (X1Laguerre, X1Jacobi)):
         x1_eigenpairs(family, n_max)
     rule = _first_rule(family, n_max)
-    # near the NumericError bound a coarse level can overshoot the float
-    # range; its inf entries then fail the comparison like any other miss
-    with np.errstate(over="ignore", invalid="ignore"):
+    # near the NumericError bound a coarse Laguerre level can overshoot the
+    # float range; its inf entries then fail the comparison like any other
+    # miss.  Jacobi levels are exact, so there an overflow still warns.
+    laguerre = isinstance(family, (ClassicalLaguerre, X1Laguerre))
+    with np.errstate(over="ignore", invalid="ignore") if laguerre else contextlib.nullcontext():
         g_prev = _gram_on_rule(family, n_max, rule)
         for _ in range(_MAX_REFINEMENTS):
             rule = rule.refined()

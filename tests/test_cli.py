@@ -88,17 +88,16 @@ def test_gram_csv_shape(capsys):
             assert abs(float(value)) < 1e-8
 
 
-@pytest.mark.parametrize("n_max", ["1", "4", "16"])
-@pytest.mark.parametrize("k", [150.0, 170.0, 200.0, 1e3, 1e6])
-@pytest.mark.parametrize("kind", ["ClassicalLaguerre", "X1Laguerre"])
-def test_gram_past_the_float_range_exits_1_with_one_line(kind, k, n_max, capsys):
+@pytest.mark.parametrize("k", [150.0, 1e6])
+def test_gram_past_the_float_range_exits_1_with_one_line(k, capsys):
     """Entries past the float range end in one error line and no warning;
-    the Grams that fit (k = 150, and k = 170 at n_max 1) are written."""
-    family = json.dumps({"kind": kind, "params": {"k": k}})
+    a Gram that fits (k = 150) is written."""
+    n_max = "16"
+    family = json.dumps({"kind": "ClassicalLaguerre", "params": {"k": k}})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(["gram", "--family", family, "--n-max", n_max], capsys)
-    if k == 150.0 or (k == 170.0 and n_max == "1"):
+    if k == 150.0:
         assert code == 0 and err == ""
         assert len(out.splitlines()) == 1 + int(n_max) ** 2
     else:
