@@ -16,9 +16,14 @@ only on a small seed grid, for `spectrum --psi-out`, and as the fallback of
 Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
 quotients taken from the samples v and b themselves, so they
 are not limited by the ulp * 2/h^2 rounding of the diagonal that bounds
-bisection.  Its values are certified (disjoint residual intervals and a
-Sturm count of the levels below the top one); where the certificate fails
-it falls back to `eigen_lowest`, so it never returns less than bisection.
+bisection.  Given the coarse grid's polished result, each level starts
+from its coarse eigenfunction prolonged to the refined grid; that start's
+quotient is already within O(h^4) of the level, so it counts as the step
+before the first solve and a level settles in one solve.  Other levels
+start from one seeded vector and take at least two.  Its values are
+certified (disjoint residual intervals and a Sturm count of the levels
+below the top one); where the certificate fails it falls back to
+`eigen_lowest`, so it never returns less than bisection.
 """
 
 from __future__ import annotations
@@ -139,6 +144,10 @@ class SpectrumResult:
             object.__setattr__(self, name, arr)
         if np.any(np.diff(self.eigenvalues) <= 0):
             raise NumericError("eigenvalues are not strictly ascending")
+        if (self.eigenfunctions is not None
+                and self.eigenfunctions.shape != (self.grid.n_points, self.eigenvalues.size)):
+            raise UsageError("eigenfunctions must be one column per eigenvalue, "
+                             "one row per grid point")
         if not np.isfinite(self.extrapolation_error):
             raise UsageError("extrapolation error must be finite")
 
@@ -185,30 +194,46 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
 
 _POLISH_STEPS = 8      # solves per level before the polish gives up
 _POLISH_TOL = 1e-7     # stop once the quotient moves by at most this of its scale
-_START_SEED = 7        # seed of the one start vector every polish uses
+_START_SEED = 7        # seed of the start vector of a level without a coarse one
 
 
-def refine_lowest(op: TridiagonalOperator, guesses) -> SpectrumResult:
+def refine_lowest(op: TridiagonalOperator, guesses, *,
+                  vectors: bool = False) -> SpectrumResult:
     """The lowest `len(guesses)` eigenvalues of `op`, polished from
     approximate values (levels of the same problem on another grid, or of an
-    isospectral one) by Rayleigh-quotient iteration; values-only,
-    deterministic.
+    isospectral one) by Rayleigh-quotient iteration; deterministic.
+
+    `guesses` is an array of values, or the `SpectrumResult` of the grid
+    whose `refined()` is `op.grid`: its eigenvalues are the guesses, and its
+    eigenfunctions, where it has them, give each level its start.  With
+    `vectors`, a certified polish also returns the eigenfunctions, in the
+    convention of `eigen_lowest` (unit discrete L2 norm, largest entry
+    positive); without it, only the values.
 
     Each guess starts shifted inverse iteration on the pencil
     (-d^2/dx^2 + v, b) from the samples of `op`, with one O(n)
     tridiagonal solve (LAPACK gtsv) per step; later steps shift by the
     Rayleigh quotient, taken in the cancellation-free form
     (sum (dy)^2 / h^2 + sum v y^2) / sum b y^2 rather than from `diag` and
-    `off`, whose entries carry ulp * 2/h^2 of rounding.  Every guess starts
-    from the same seeded vector.  The first solve only turns that vector
-    toward the level; from the second on, the iteration stops once the
-    quotient moved by at most 1e-7 of its scale (kinetic part plus
-    |quotient|) since the step before.  The quotient converges cubically,
-    so its own error is then far below that move.  A quotient farther from
-    its guess than half the way to the nearest other guess has strayed
-    toward another level: the next step shifts by the guess again (plain
-    inverse iteration) and the convergence test restarts.  A level not
-    settled within 8 solves fails the polish.
+    `off`, whose entries carry ulp * 2/h^2 of rounding.  The iteration
+    stops once the quotient moved by at most 1e-7 of its scale (kinetic
+    part plus |quotient|) since the step before.  The quotient converges
+    cubically, so its own error is then far below that move.
+
+    A level's start decides what "the step before" the first solve is.
+    From a coarse eigenfunction u = B^(-1/2) x, prolonged by cubic midpoint
+    interpolation (`_prolonged`), the start is already the eigenvector to
+    O(h^2), and its quotient to O(h^4): the first solve shifts by that
+    quotient, and the quotient counts as the step before, so a level
+    usually settles in one solve.  Otherwise, and where that start is zero,
+    not finite or has a quotient out of the level's reach (below), the
+    level starts from one seeded vector shifted by its guess: the first
+    solve only turns that vector toward the level, and the test runs from
+    the second solve on.  A quotient farther from its guess than half the
+    way to the nearest other guess has strayed toward another level: the
+    next step shifts by the guess again (plain inverse iteration) and the
+    convergence test restarts.  A level not settled within 8 solves fails
+    the polish.
 
     The values are returned only with a certificate: they ascend strictly;
     each lies within its residual bound ||M x - rho x|| / ||x|| of an
@@ -216,46 +241,63 @@ def refine_lowest(op: TridiagonalOperator, guesses) -> SpectrumResult:
     rounding of the residual and of the stored operator), and these
     intervals are disjoint; and one Sturm count (stebz, counting only) finds
     exactly `len(guesses)` eigenvalues of `op` up to a point above the top
-    interval.  So the i-th value is within its bound of the i-th eigenvalue.
-    A singular solve, an unsettled level or a failed certificate returns
-    `eigen_lowest(op, count, vectors=False)` instead.
+    interval.  So the i-th value is within its bound of the i-th eigenvalue,
+    whatever the starts were.  A singular solve, an unsettled level or a
+    failed certificate returns `eigen_lowest(op, count, vectors=False)`
+    instead: values only, since only a start would use its vectors.
     """
+    starts = None
+    if isinstance(guesses, SpectrumResult):
+        if guesses.grid.refined() != op.grid:
+            raise UsageError("a SpectrumResult guess must come from the grid that "
+                             "op's grid refines")
+        guesses, starts = guesses.eigenvalues, guesses.eigenfunctions
     guesses = np.asarray(guesses, dtype=float).ravel()
     _check_count(guesses.size, op.diag.size)
     polished = None
     if np.all(np.isfinite(guesses)):
-        polished = _polish(op, guesses)
-    if polished is None or not _certified(op, *polished):
+        polished = _polish(op, guesses, starts, vectors)
+    if polished is None or not _certified(op, *polished[:2]):
         return eigen_lowest(op, guesses.size, vectors=False)
-    return SpectrumResult(polished[0], None, op.grid, 0.0)
+    return SpectrumResult(polished[0], polished[2], op.grid, 0.0)
 
 
-def _polish(op: TridiagonalOperator, guesses: np.ndarray):
-    """(values, residual bounds) of Rayleigh-quotient iteration from each
-    guess, or None where a solve is singular or a level does not settle."""
+def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | None,
+            vectors: bool):
+    """(values, residual bounds, eigenfunctions or None) of Rayleigh-quotient
+    iteration from each guess, each level started from its column of the
+    coarse eigenfunctions `starts` where that start is usable; None where a
+    solve is singular or a level does not settle.  Only one level's start
+    is prolonged at a time."""
     v, b = op.v, op.b
     inv_h2 = 1.0 / op.grid.spacing**2
     a_diag = 2.0 * inv_h2 + v
     a_off = np.full(v.size - 1, -inv_h2)
-    start = np.cumsum(np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, v.size))
     # a quotient farther from its guess than half the way to the next guess
     # has strayed toward another level
     apart = np.abs(guesses[:, None] - guesses[None, :]) + np.diag(np.full(guesses.size, np.inf))
     reaches = 0.5 * np.min(apart, axis=1)
     values, bounds = [], []
-    for guess, reach in zip(guesses, reaches):
-        y, shift, previous = start, float(guess), None
+    functions = np.empty((v.size, guesses.size)) if vectors else None
+    seeded = None  # made for the first level without a usable start
+    for level, (guess, reach) in enumerate(zip(guesses, reaches)):
+        start = None if starts is None else _prolonged(starts[:, level], b)
+        rho = np.nan if start is None else _quotient(start, v, b, inv_h2)[0]
+        if abs(rho - guess) <= reach:  # False for a NaN quotient
+            y, shift, previous = start, rho, rho
+        else:
+            if seeded is None:
+                seeded = np.cumsum(np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, v.size))
+            y, shift, previous = seeded, float(guess), None
         for _ in range(_POLISH_STEPS):
-            *_, w, info = scipy.linalg.lapack.dgtsv(
-                a_off, a_diag - shift * b, a_off, b * y, overwrite_d=1, overwrite_b=1)
-            norm = np.sqrt(np.dot(b * w, w))
+            # keep only the solution: the factors are as long as y
+            y, info = scipy.linalg.lapack.dgtsv(
+                a_off, a_diag - shift * b, a_off, b * y, overwrite_d=1, overwrite_b=1)[3:]
+            norm = np.sqrt(np.dot(b * y, y))
             if info != 0 or not (np.isfinite(norm) and norm > 0):
                 return None
-            y = w / norm
-            dy = np.diff(y)
-            weight = np.dot(b * y, y)
-            kinetic = (np.dot(dy, dy) + y[0] ** 2 + y[-1] ** 2) * inv_h2 / weight
-            rho = kinetic + np.dot(v * y, y) / weight
+            y /= norm
+            rho, kinetic = _quotient(y, v, b, inv_h2)
             if abs(rho - guess) > reach:
                 shift, previous = float(guess), None  # inverse iteration at the guess
                 continue
@@ -266,7 +308,46 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray):
             return None
         values.append(rho)
         bounds.append(_residual_bound(y, rho, v, b, inv_h2))
-    return np.array(values), np.array(bounds)
+        if vectors:
+            x = np.sqrt(b / op.grid.spacing) * y  # sum b y^2 = 1
+            functions[:, level] = x if x[np.argmax(np.abs(x))] > 0 else -x
+    return np.array(values), np.array(bounds), functions
+
+
+def _quotient(y, v, b, inv_h2):
+    """(Rayleigh quotient, its kinetic part) of y on the pencil (A, b)."""
+    dy = np.diff(y)
+    weight = np.dot(b * y, y)
+    kinetic = (np.dot(dy, dy) + y[0] ** 2 + y[-1] ** 2) * inv_h2 / weight
+    return kinetic + np.dot(v * y, y) / weight, kinetic
+
+
+def _prolonged(x: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The start u = B^(-1/2) x of a coarse eigenfunction x, interpolated
+    onto the refined grid, whose odd points are the coarse points (and
+    share their samples b): each midpoint is the cubic through its four
+    nearest coarse points, (-u[i-1] + 9 u[i] + 9 u[i+1] - u[i+2]) / 16, the
+    Dirichlet walls counting as points of value zero.  The two midpoints
+    next to a wall take the cubic through the wall and the three nearest
+    points, (15 u[0] - 5 u[1] + u[2]) / 16, exact for every cubic that
+    vanishes at the wall.  An odd reflection would be exact only for odd
+    cubics, and fits the r^(s+1) of hydrogen and the theta^nu of the
+    angular wells far worse.  Prolonged is u, not x, because x = B^(1/2) u is rougher still
+    where B is singular (hydrogen's 1/r at r = 0).  None for a start that
+    is zero or not finite."""
+    with np.errstate(all="ignore"):  # a bad x shows as a non-finite u
+        u = x / np.sqrt(b[1::2])
+        scale = np.max(np.abs(u))
+    if not (np.isfinite(scale) and scale > 0):
+        return None
+    u = u / scale
+    walled = np.concatenate(([0.0], u, [0.0]))
+    fine = np.empty(b.size)
+    fine[1::2] = u
+    fine[2:-2:2] = (9.0 * (walled[1:-2] + walled[2:-1]) - walled[:-3] - walled[3:]) / 16.0
+    fine[0] = (15.0 * u[0] - 5.0 * u[1] + u[2]) / 16.0
+    fine[-1] = (15.0 * u[-1] - 5.0 * u[-2] + u[-3]) / 16.0
+    return fine
 
 
 def _residual_bound(y, rho, v, b, inv_h2) -> float:

@@ -1,6 +1,7 @@
 """Finite-difference eigensolver against analytic spectra."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from xop import (
     refine_lowest,
     solve_variants,
 )
+from xop.spectral import _prolonged
 from xop.verify import variant_operator
 
 
@@ -234,19 +236,31 @@ def test_refine_lowest_usage_errors():
 def solves(monkeypatch):
     """Records what `solve_variants` runs: each bisection as (grid points,
     vectors), fallbacks of `refine_lowest` included, and each polish as
-    (operator, result)."""
+    (operator, result).  It also checks the hand-off: every coarse polish
+    keeps its vectors, and every fine polish is given the coarse result of
+    the grid it refines, with vectors unless that polish fell back to
+    bisection."""
     import xop.spectral
     import xop.verify
 
-    bisections, polishes = [], []
+    bisections, polishes, fallbacks = [], [], []
 
     def bisect(op, count, **kwargs):
         bisections.append((op.grid.n_points, kwargs.get("vectors", True)))
         return eigen_lowest(op, count, **kwargs)
 
-    def polish(op, guesses):
-        result = refine_lowest(op, guesses)
+    def polish(op, guesses, **kwargs):
+        if isinstance(guesses, SpectrumResult):
+            coarse_op, coarse = polishes[-1]
+            assert guesses is coarse and coarse_op.grid.refined() == op.grid
+            assert kwargs == {}
+            assert (coarse.eigenfunctions is None) == fallbacks[-1]
+        else:
+            assert kwargs == {"vectors": True}
+        before = len(bisections)
+        result = refine_lowest(op, guesses, **kwargs)
         polishes.append((op, result))
+        fallbacks.append(len(bisections) > before)
         return result
 
     monkeypatch.setattr(xop.spectral, "eigen_lowest", bisect)
@@ -272,6 +286,153 @@ def test_compare_bisects_only_the_seed_grid(params, grid_points, levels, solves)
     isospectral_compare(params, levels, grid_points=grid_points)
     assert bisections == [(grid_points // 16, False)]
     assert [op.grid.n_points for op, _ in polishes] == [grid_points, 2 * grid_points + 1] * 2
+
+
+def _solve_counts(monkeypatch):
+    """Grid sizes of the tridiagonal solves `refine_lowest` makes, in order."""
+    import xop.spectral
+
+    sizes, dgtsv = [], xop.spectral.scipy.linalg.lapack.dgtsv
+
+    def counted(*args, **kwargs):
+        sizes.append(args[1].size)
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(xop.spectral.scipy.linalg.lapack, "dgtsv", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("grid_points, levels", [(2000, 4), (20000, 8)])
+@pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_each_fine_level_takes_one_solve(params, grid_points, levels, monkeypatch):
+    """Started from its coarse eigenfunction, every fine level settles in one
+    solve.  The exception is hydrogen at 2000 points: at spacing 0.04 the
+    quotient of its top level's start misses the fine level by more than
+    the stop tolerance, and that level takes a second solve."""
+    sizes = _solve_counts(monkeypatch)
+    solve_variants(reduce_system(params), levels, grid_points)
+    runs = [(size, len(list(run))) for size, run in itertools.groupby(sizes)]
+    extra = 1 if isinstance(params, HydrogenLike) and grid_points == 2000 else 0
+    assert [run for run in runs if run[0] != grid_points] == [(2 * grid_points + 1, levels + extra)] * 2
+    assert len(runs) == 4
+
+
+def _polished_coarse(params, variant, levels, coarse_points):
+    """The coarse polish of one variant, with vectors, and the operator of
+    the refined grid."""
+    reduced = reduce_system(params)
+    grid = Grid(*reduced.grid_domain, coarse_points)
+    op = variant_operator(reduced, variant, grid)
+    coarse = refine_lowest(op, eigen_lowest(op, levels, vectors=False).eigenvalues,
+                           vectors=True)
+    assert coarse.eigenfunctions is not None
+    return coarse, variant_operator(reduced, variant, grid.refined())
+
+
+def _non_finite(functions):
+    """NaN in level 0, inf in level 2, and in level 3 a column that
+    overflows once divided by the square root of a weight below 1."""
+    functions = functions.copy()
+    functions[3, 0], functions[:, 2], functions[:, 3] = np.nan, np.inf, 1e308
+    return functions
+
+
+BAD_STARTS = {
+    "permuted": lambda coarse: dataclasses.replace(
+        coarse, eigenfunctions=coarse.eigenfunctions[:, ::-1]),
+    "zero_columns": lambda coarse: dataclasses.replace(
+        coarse, eigenfunctions=np.zeros_like(coarse.eigenfunctions)),
+    "non_finite": lambda coarse: dataclasses.replace(
+        coarse, eigenfunctions=_non_finite(coarse.eigenfunctions)),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_STARTS)
+@pytest.mark.parametrize("params", [DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
+                                    HartmannAngularI(lambda_a=1.0, s=2.5)],
+                         ids=lambda params: type(params).__name__)
+def test_bad_starts_fall_back_to_the_seeded_start(params, kind):
+    """Coarse vectors in reversed order, all zero, or partly NaN, inf and
+    overflowing (RuntimeWarnings fail the suite): each level whose start is unusable
+    starts from the seeded vector, quietly, and the values still meet tight
+    bisection.  Where no level has a usable start, the polish is exactly
+    the values-only one."""
+    coarse, op = _polished_coarse(params, "extended", 4, 1000)
+    refined = refine_lowest(op, BAD_STARTS[kind](coarse))
+    assert np.max(np.abs(refined.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
+    if kind != "non_finite":
+        assert np.array_equal(refined.eigenvalues,
+                              refine_lowest(op, coarse.eigenvalues).eigenvalues)
+
+
+@pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_starts_from_the_other_variant_never_decide_the_levels(params):
+    """The original's coarse result (isospectral values, wrong vectors) as
+    the start of the extended fine polish still meets tight bisection."""
+    original, _ = _polished_coarse(params, "original", 4, 1000)
+    _, op = _polished_coarse(params, "extended", 4, 1000)
+    refined = refine_lowest(op, original)
+    assert np.max(np.abs(refined.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
+
+
+@pytest.mark.parametrize("params", [DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9)],
+                         ids=lambda params: type(params).__name__)
+def test_fine_polish_after_a_coarse_fallback_uses_the_seeded_start(params, monkeypatch):
+    """A coarse polish that falls back to bisection has no vectors, so its
+    fine polish is the values-only one, seeded start and all (two solves or
+    more per level), and meets tight bisection."""
+    reduced = reduce_system(params)
+    grid = Grid(*reduced.grid_domain, 800)
+    guesses = eigen_lowest(variant_operator(reduced, "original", grid), 5,
+                           vectors=False).eigenvalues
+    coarse = refine_lowest(variant_operator(reduced, "original", grid), guesses[1:],
+                           vectors=True)
+    assert coarse.eigenfunctions is None
+    op = variant_operator(reduced, "original", grid.refined())
+    sizes = _solve_counts(monkeypatch)
+    refined = refine_lowest(op, coarse)
+    assert len(sizes) >= 8
+    assert np.array_equal(refined.eigenvalues, refine_lowest(op, coarse.eigenvalues).eigenvalues)
+    assert np.max(np.abs(refined.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, 1500)),
+    _hydrogen_coupling_operator,
+], ids=["plain", "coordinate_weighted"])
+def test_polished_vectors_follow_the_eigenpair_convention(make_op):
+    """`vectors=True` changes no value and returns the eigenfunctions of
+    `eigen_lowest`: unit discrete L2 norm, largest entry positive."""
+    op = make_op()
+    guesses = eigen_lowest(op, 4, vectors=False).eigenvalues
+    polished = refine_lowest(op, guesses, vectors=True)
+    pairs = eigen_lowest(op, 4, vectors=True)
+    assert np.array_equal(polished.eigenvalues, refine_lowest(op, guesses).eigenvalues)
+    assert polished.eigenfunctions.shape == (op.diag.size, 4)
+    assert np.max(np.abs(polished.eigenfunctions - pairs.eigenfunctions)) < 1e-6
+
+
+def test_prolongation_is_fourth_order():
+    """Cubic midpoint interpolation, walls included: the error for sin(kx) on
+    (0, pi) falls about 16 times per halving of the spacing."""
+    for k in (1, 2, 3):
+        errors = []
+        for n in (64, 129, 259, 519):
+            coarse, fine = Grid(0.0, np.pi, n), Grid(0.0, np.pi, n).refined()
+            samples = np.sin(k * coarse.points)
+            start = _prolonged(samples, np.ones(fine.n_points)) * np.max(np.abs(samples))
+            errors.append(np.max(np.abs(start - np.sin(k * fine.points))))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios > 15.9) & (ratios < 16.1)), (k, ratios)
+
+
+def test_result_guesses_must_come_from_the_parent_grid():
+    op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 799))
+    same_grid = eigen_lowest(op, 3)
+    with pytest.raises(UsageError, match="refines"):
+        refine_lowest(op, same_grid)
+    with pytest.raises(UsageError, match="one column per eigenvalue"):
+        dataclasses.replace(same_grid, eigenfunctions=same_grid.eigenfunctions[:, :2])
 
 
 WRONG_SHIFTS = {"scaled": (1.01, 0.0), "raised": (1.0, 0.6), "lowered": (1.0, -2.0)}

@@ -19,6 +19,7 @@ from xop import (
     HartmannAngularII,
     HartmannRadial,
     HydrogenLike,
+    Interval,
     ParameterError,
     UsageError,
     X1Jacobi,
@@ -244,6 +245,21 @@ def test_wavefunction_domain_and_variant_errors():
         psi(np.array([-1.0]))
     with pytest.raises(UsageError):
         wavefunction(DiracOscillator(l=0), "both", 1)
+
+
+def test_interval_is_open():
+    """`contains` holds only when every point lies strictly inside, ends
+    excluded, for scalars and arrays alike; an infinite end is never
+    reached, and NaN is inside nothing."""
+    unit = Interval(0.0, 1.0)
+    assert unit.contains(0.5)
+    assert not unit.contains(0.0) and not unit.contains(1.0)
+    assert unit.contains(np.array([1e-300, 0.5, 1.0 - 1e-16]))
+    assert not unit.contains([0.25, 1.5]) and not unit.contains([-0.25, 0.5])
+    half_line = Interval(0.0, np.inf)
+    assert half_line.contains([1e-300, 1e300])
+    assert not half_line.contains(np.inf) and not half_line.contains([1.0, np.nan])
+    assert reduce_system(HydrogenLike(s=0.9, lambda_c=1.9)).domain == half_line
 
 
 # --- energies -------------------------------------------------------------------
