@@ -168,7 +168,7 @@ def cmd_plot_data(args) -> int:
         family, first = reduced.x1_family, 1
     polys = family_members(family, args.levels) if args.levels else []
     with np.errstate(all="ignore"):  # overflow shows as a non-finite row
-        psis = [_closed_form(reduced, args.variant, poly)(x).val for poly in polys]
+        psis = [jet.val for jet in _closed_form(reduced, args.variant, polys)(x)]
         columns = [x, reduced.original(x), reduced.shift(x), reduced.extended(x), *psis]
     header = (["x", "V_original", "V_e", "V_extended"]
               + [f"psi_{n}" for n in range(first, first + args.levels)])

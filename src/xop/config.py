@@ -52,8 +52,9 @@ class OutputConfig:
     path: str = "reports"
 
     def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"output format must be 'csv' or 'json', got {self.format!r}")
+        if self.format != "json":
+            raise UsageError(f"output format must be 'json' (verify writes JSON reports "
+                             f"only), got {self.format!r}")
         if not isinstance(self.path, str):
             raise UsageError(f"output path must be a string, got {self.path!r}")
 

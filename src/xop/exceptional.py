@@ -532,6 +532,12 @@ def gram_matrix(family: FamilySpec, n_max: int) -> np.ndarray:
         raise UsageError(f"n_max must lie in 1..16, got {n_max}")
     if isinstance(family, (X1Laguerre, X1Jacobi)):
         x1_eigenpairs(family, n_max)
+    return _gram(family, n_max)
+
+
+def _gram(family: FamilySpec, n_max: int) -> np.ndarray:
+    """`gram_matrix` of members already certified: for an X1 family, the
+    caller has run `x1_eigenpairs(family, n_max)` (or a larger n_max)."""
     rule = _first_rule(family, n_max)
     # near the NumericError bound a coarse Laguerre level can overshoot the
     # float range; its inf entries then fail the comparison like any other

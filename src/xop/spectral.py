@@ -14,6 +14,8 @@ only on a small seed grid, for `spectrum --psi-out`, and as the fallback of
 `refine_lowest`.  `refine_lowest` warm-starts from approximate values (in
 `verify`, the seed levels, the original's levels or the coarse levels):
 Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
+and besides it a handful of vector passes (the shifted diagonal, the
+quotient's three dot products and the next right-hand side), with
 quotients taken from the samples v and b themselves, so they
 are not limited by the ulp * 2/h^2 rounding of the diagonal that bounds
 bisection.  Given the coarse grid's polished result, each level starts
@@ -268,7 +270,12 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
     iteration from each guess, each level started from its column of the
     coarse eigenfunctions `starts` where that start is usable; None where a
     solve is singular or a level does not settle.  Only one level's start
-    is prolonged at a time."""
+    is prolonged at a time.
+
+    A step is one gtsv solve of (A - shift B) y = rhs and one `_quotient`
+    of its solution, whose sum b y^2 and b y also give the next right-hand
+    side, b y / sqrt(sum b y^2): the solution itself is never normalized,
+    since the quotient and the residual bound are ratios."""
     v, b = op.v, op.b
     inv_h2 = 1.0 / op.grid.spacing**2
     a_diag = 2.0 * inv_h2 + v
@@ -284,42 +291,46 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
         start = None if starts is None else _prolonged(starts[:, level], b)
         rho = np.nan if start is None else _quotient(start, v, b, inv_h2)[0]
         if abs(rho - guess) <= reach:  # False for a NaN quotient
-            y, shift, previous = start, rho, rho
+            rhs, shift, previous = b * start, rho, rho
         else:
             if seeded is None:
                 seeded = np.cumsum(np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, v.size))
-            y, shift, previous = seeded, float(guess), None
+            rhs, shift, previous = b * seeded, float(guess), None
         for _ in range(_POLISH_STEPS):
             # keep only the solution: the factors are as long as y
             y, info = scipy.linalg.lapack.dgtsv(
-                a_off, a_diag - shift * b, a_off, b * y, overwrite_d=1, overwrite_b=1)[3:]
-            norm = np.sqrt(np.dot(b * y, y))
-            if info != 0 or not (np.isfinite(norm) and norm > 0):
+                a_off, a_diag - shift * b, a_off, rhs, overwrite_d=1, overwrite_b=1)[3:]
+            if info != 0:
                 return None
-            y /= norm
-            rho, kinetic = _quotient(y, v, b, inv_h2)
+            rho, kinetic, weight, by = _quotient(y, v, b, inv_h2)
+            if not (np.isfinite(weight) and weight > 0):
+                return None
             if abs(rho - guess) > reach:
                 shift, previous = float(guess), None  # inverse iteration at the guess
-                continue
-            if previous is not None and abs(rho - previous) <= _POLISH_TOL * (kinetic + abs(rho)):
+            elif previous is not None and abs(rho - previous) <= _POLISH_TOL * (kinetic + abs(rho)):
                 break
-            shift = previous = rho
+            else:
+                shift = previous = rho
+            rhs = by
+            rhs *= 1.0 / np.sqrt(weight)  # B y / ||B^(1/2) y||
         else:
             return None
         values.append(rho)
-        bounds.append(_residual_bound(y, rho, v, b, inv_h2))
+        bounds.append(_residual_bound(y, rho, a_diag, b, inv_h2))
         if vectors:
-            x = np.sqrt(b / op.grid.spacing) * y  # sum b y^2 = 1
+            x = np.sqrt(b / (op.grid.spacing * weight)) * y  # unit discrete L2 norm
             functions[:, level] = x if x[np.argmax(np.abs(x))] > 0 else -x
     return np.array(values), np.array(bounds), functions
 
 
 def _quotient(y, v, b, inv_h2):
-    """(Rayleigh quotient, its kinetic part) of y on the pencil (A, b)."""
-    dy = np.diff(y)
-    weight = np.dot(b * y, y)
+    """(Rayleigh quotient, its kinetic part, sum b y^2, b y) of y on the
+    pencil (A, b)."""
+    dy = y[1:] - y[:-1]
+    by = b * y
+    weight = np.dot(by, y)
     kinetic = (np.dot(dy, dy) + y[0] ** 2 + y[-1] ** 2) * inv_h2 / weight
-    return kinetic + np.dot(v * y, y) / weight, kinetic
+    return kinetic + np.dot(v * y, y) / weight, kinetic, weight, by
 
 
 def _prolonged(x: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -350,9 +361,10 @@ def _prolonged(x: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return fine
 
 
-def _residual_bound(y, rho, v, b, inv_h2) -> float:
-    """||M x - rho x|| / ||x|| for x = B^(1/2) y, M = B^(-1/2) A B^(-1/2)."""
-    r = (2.0 * inv_h2 + v - rho * b) * y
+def _residual_bound(y, rho, a_diag, b, inv_h2) -> float:
+    """||M x - rho x|| / ||x|| for x = B^(1/2) y, M = B^(-1/2) A B^(-1/2),
+    with a_diag = 2/h^2 + v the diagonal of A."""
+    r = (a_diag - rho * b) * y
     r[1:] -= inv_h2 * y[:-1]
     r[:-1] -= inv_h2 * y[1:]
     return float(np.sqrt(np.dot(r / b, r) / np.dot(b * y, y)))
@@ -420,7 +432,13 @@ def residual_on_operator(potential: Callable[[np.ndarray], np.ndarray],
         raise DomainError(f"sample points must lie strictly inside {domain}")
     jets = psi(x)
     b = eigen_weight(x) if eigen_weight is not None else 1.0
-    resid = -jets.d2 + potential(x) * jets.val - energy * b * jets.val
+    return _jet_residual(jets, potential(x), b, energy)
+
+
+def _jet_residual(jets: Jet2, v, b, energy: float) -> float:
+    """`residual_on_operator` from the jets of psi and the samples v of V and
+    b of B (the scalar 1.0 without a weight) at the same points."""
+    resid = -jets.d2 + v * jets.val - energy * b * jets.val
     sup = np.max(np.abs(jets.val))
     if sup == 0:
         raise UsageError("wavefunction vanishes identically on the samples")

@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -422,8 +422,27 @@ class ReducedSystem:
     def operator_extended(self, x):
         return self.operator_potential(x) + self.shift(x)
 
-    def wavefunction(self, variant: str, n: int):
-        return wavefunction(self.params, variant, n)
+    def wavefunction(self, variant: str, n: int) -> Callable[[np.ndarray], Jet2]:
+        """Closed-form eigenfunction with analytic first/second derivatives.
+
+        variant "original": level n >= 0, prefactor times the classical
+        polynomial.  variant "exceptional": X1 degree n >= 1 (level n-1),
+        prefactor times the X1 polynomial over the pole factor; degree 0
+        does not exist (codimension gap).
+        """
+        if variant not in ("original", "exceptional"):
+            raise UsageError(f"variant must be 'original' or 'exceptional', got {variant!r}")
+        if n != int(n) or n < 0:
+            raise UsageError(f"index must be a nonnegative integer, got {n}")
+        n = int(n)
+        if variant == "exceptional":
+            if n == 0:
+                raise UsageError("codimension gap: no degree-0 exceptional wavefunction")
+            poly = x1_polynomial(self.x1_family, n).polynomial
+        else:
+            poly = family_members(self.classical_family, n + 1)[n]
+        jets = _closed_form(self, variant, [poly])
+        return lambda x: jets(x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -597,45 +616,31 @@ def analytic_energy(params: SystemParams, n: int) -> float:
 
 
 def wavefunction(params: SystemParams, variant: str, n: int) -> Callable[[np.ndarray], Jet2]:
-    """Closed-form eigenfunction with analytic first/second derivatives.
-
-    variant "original": level n >= 0, prefactor times the classical
-    polynomial.  variant "exceptional": X1 degree n >= 1 (level n-1),
-    prefactor times the X1 polynomial over the pole factor; degree 0 does not
-    exist (codimension gap).
-    """
-    if variant not in ("original", "exceptional"):
-        raise UsageError(f"variant must be 'original' or 'exceptional', got {variant!r}")
-    if n != int(n) or n < 0:
-        raise UsageError(f"index must be a nonnegative integer, got {n}")
-    n = int(n)
-    system = reduce_system(params)
-    if variant == "exceptional":
-        if n == 0:
-            raise UsageError("codimension gap: no degree-0 exceptional wavefunction")
-        poly = x1_polynomial(system.x1_family, n).polynomial
-    else:
-        poly = family_members(system.classical_family, n + 1)[n]
-    return _closed_form(system, variant, poly)
+    """`ReducedSystem.wavefunction` of the system `params`."""
+    return reduce_system(params).wavefunction(variant, n)
 
 
-def _closed_form(system: ReducedSystem, variant: str, poly: Polynomial):
-    """Closed-form eigenfunction of `system` with `poly` as its polynomial:
+def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial]):
+    """Closed-form eigenfunctions of `system`, one per polynomial of `polys`:
     the prefactor times poly(z), over the pole factor for the exceptional
-    variant."""
+    variant.  The returned function gives their jets at x as a list; the
+    coordinate, prefactor and pole-factor jets are evaluated once for all
+    of them."""
     c0, c1 = system.pole_offset
     domain = system.domain
 
-    def psi(x) -> Jet2:
+    def psis(x) -> list[Jet2]:
         x = np.asarray(x, dtype=float)
         if not domain.contains(x):
             raise DomainError(
                 f"coordinate outside open domain ({domain.lo}, {domain.hi})"
             )
         z = system.coordinate_jet(x)
-        value = system.prefactor_jet(z) * jet_poly(poly, z)
+        prefactor = system.prefactor_jet(z)
+        values = [prefactor * jet_poly(poly, z) for poly in polys]
         if variant == "exceptional":
-            value = value / (z * c1 + c0)
-        return value
+            pole = z * c1 + c0
+            values = [value / pole for value in values]
+        return values
 
-    return psi
+    return psis

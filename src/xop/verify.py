@@ -1,6 +1,14 @@
 """Isospectrality verification: solve original and extended operators on the
-same grids, Richardson-extrapolate, and bundle spectral differences with
-closed-form residuals and Gram orthogonality checks into one report.
+same grids, Richardson-extrapolate, and bundle spectral differences and
+distances from the analytic levels with closed-form residuals and Gram
+orthogonality checks into one report.
+
+Each system builds its X1 members once: one `x1_eigenpairs` call certifies
+the four members whose degrees 1..3 give the closed-form residuals and
+whose Gram matrix gives the orthogonality check.  The residuals take one
+jet pass: the coordinate, prefactor and pole-factor jets, the extended
+operator and the coordinate weight are evaluated once at the samples and
+shared by every degree.
 
 `solve_variants` bisects only a seed grid 16 times coarser than the coarse
 grid; every coarse and fine level is a certified `refine_lowest` polish
@@ -18,20 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .exceptional import gram_matrix, max_offdiag_ratio
+from .exceptional import EigenPair, _gram, max_offdiag_ratio, x1_eigenpairs
 from .spectral import (
     Grid,
     SpectrumResult,
     TridiagonalOperator,
+    _jet_residual,
     discretize,
     eigen_lowest,
     extrapolate,
     refine_lowest,
-    residual_on_operator,
 )
 from .systems import (
     ReducedSystem,
     SystemParams,
+    _closed_form,
     _finite_number,
     reduce_system,
     system_to_dict,
@@ -46,7 +55,7 @@ __all__ = [
     "variant_operator",
 ]
 
-_RESIDUAL_DEGREES = (1, 2, 3)
+_RESIDUAL_DEGREES = 3  # closed-form residuals of X1 degrees 1..3, at most `levels` of them
 _GRAM_MEMBERS = 4
 
 
@@ -79,6 +88,8 @@ class VerificationReport:
     eigenvalues_original: tuple[float, ...]
     eigenvalues_extended: tuple[float, ...]
     spectral_diffs: tuple[float, ...]
+    analytic_errors_original: tuple[float, ...]
+    analytic_errors_extended: tuple[float, ...]
     max_wavefunction_residual: float
     gram_max_offdiag: float
     spectral_tolerance: float
@@ -94,6 +105,8 @@ class VerificationReport:
             "eigenvalues_original": list(self.eigenvalues_original),
             "eigenvalues_extended": list(self.eigenvalues_extended),
             "spectral_diffs": list(self.spectral_diffs),
+            "analytic_errors_original": list(self.analytic_errors_original),
+            "analytic_errors_extended": list(self.analytic_errors_extended),
             "max_wavefunction_residual": self.max_wavefunction_residual,
             "gram_max_offdiag": self.gram_max_offdiag,
             "tolerances": {
@@ -153,26 +166,26 @@ def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
     return solved[0], solved[1]
 
 
-def _closed_form_residual(reduced: ReducedSystem, levels: int) -> float:
-    """Worst closed-form residual of the extended operator's lowest X1
-    wavefunctions; a non-finite one (the closed form overflows at large
-    parameters) raises NumericError naming its degree."""
+def _closed_form_residuals(reduced: ReducedSystem, members: list[EigenPair]) -> list[float]:
+    """Closed-form residual of the extended operator at each X1 member's
+    wavefunction, in the order of `members` (degrees 1, 2, ...); a non-finite
+    one (the closed form overflows at large parameters) raises NumericError
+    naming its degree.  One pass evaluates the operator, the weight and the
+    shared jets of all members at the samples."""
     lo, hi = reduced.residual_window
     samples = np.linspace(lo, hi, 200)
-    worst = 0.0
-    for degree in _RESIDUAL_DEGREES[: max(1, min(len(_RESIDUAL_DEGREES), levels))]:
-        psi = reduced.wavefunction("exceptional", degree)
-        energy = reduced.energy(degree - 1)
-        with np.errstate(all="ignore"):  # overflow shows as a non-finite residual
-            residual = residual_on_operator(
-                reduced.operator_extended, psi, energy, samples,
-                eigen_weight=reduced.eigen_weight,
-            )
-        if not np.isfinite(residual):
-            raise NumericError(f"closed-form residual of the degree-{degree} X1 "
-                               f"wavefunction is not finite ({residual})")
-        worst = max(worst, residual)
-    return worst
+    residuals = []
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite residual
+        jets = _closed_form(reduced, "exceptional", [pair.polynomial for pair in members])(samples)
+        v = reduced.operator_extended(samples)
+        b = reduced.eigen_weight(samples) if reduced.eigen_weight is not None else 1.0
+        for degree, jet in enumerate(jets, start=1):
+            residual = _jet_residual(jet, v, b, reduced.energy(degree - 1))
+            if not np.isfinite(residual):
+                raise NumericError(f"closed-form residual of the degree-{degree} X1 "
+                                   f"wavefunction is not finite ({residual})")
+            residuals.append(residual)
+    return residuals
 
 
 def isospectral_compare(params: SystemParams, levels: int = 4, *,
@@ -180,21 +193,28 @@ def isospectral_compare(params: SystemParams, levels: int = 4, *,
                         tolerances: Tolerances = DEFAULT_TOLERANCES,
                         domain: tuple[float, float] | None = None) -> VerificationReport:
     """Compare the lowest `levels` extrapolated eigenvalues of the original
-    and extended operators and run the residual and orthogonality checks.
+    and extended operators with each other and with the analytic levels,
+    and run the residual and orthogonality checks.
 
     Eigenvalues are energies, except for the hydrogen-like system where the
     eigenproblem is the coupling form and they are the quantized couplings.
+    The report passes when the spectral differences and both spectra's
+    distances from the analytic levels are within the spectral tolerance
+    and the residual and Gram ratio within theirs.
     """
     reduced = reduce_system(params)
     original, extended = solve_variants(reduced, levels, grid_points, domain)
     diffs = np.abs(extended.eigenvalues - original.eigenvalues)
-    residual = _closed_form_residual(reduced, levels)
-    gram = gram_matrix(reduced.x1_family, _GRAM_MEMBERS)
-    gram_off = max_offdiag_ratio(gram)
+    analytic = np.array([reduced.energy(n) for n in range(levels)])
+    errors = [np.abs(result.eigenvalues - analytic) for result in (original, extended)]
+    members = x1_eigenpairs(reduced.x1_family, _GRAM_MEMBERS)
+    residual = max(_closed_form_residuals(reduced, members[:min(_RESIDUAL_DEGREES, levels)]))
+    gram_off = max_offdiag_ratio(_gram(reduced.x1_family, _GRAM_MEMBERS))
     spectral_tol = (tolerances.spectral_radial if reduced.coordinate == "r"
                     else tolerances.spectral_angular)
     passed = bool(
         np.max(diffs) <= spectral_tol
+        and np.max(errors) <= spectral_tol
         and residual <= tolerances.residual
         and gram_off <= tolerances.gram
     )
@@ -204,6 +224,8 @@ def isospectral_compare(params: SystemParams, levels: int = 4, *,
         eigenvalues_original=tuple(float(v) for v in original.eigenvalues),
         eigenvalues_extended=tuple(float(v) for v in extended.eigenvalues),
         spectral_diffs=tuple(float(v) for v in diffs),
+        analytic_errors_original=tuple(float(v) for v in errors[0]),
+        analytic_errors_extended=tuple(float(v) for v in errors[1]),
         max_wavefunction_residual=float(residual),
         gram_max_offdiag=float(gram_off),
         spectral_tolerance=spectral_tol,

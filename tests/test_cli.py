@@ -253,6 +253,30 @@ def test_verify_tightened_tolerance_exits_1(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_refuses_csv_reports(tmp_path, capsys):
+    path = write_config(tmp_path, output={"format": "csv", "path": str(tmp_path / "reports")})
+    code, out, err = run(["verify", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "JSON" in err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_verify_fails_levels_off_the_analytic_ones(tmp_path, capsys):
+    """A wall 0.01 in from theta = 0 moves both angular spectra up to 8e-3
+    off (s + n)^2 together; the analytic gate fails the report."""
+    path = write_config(
+        tmp_path, levels=4,
+        systems=[{"kind": "HartmannAngularI", "params": {"lambda_a": 1.0, "s": 2.5}}],
+        grid={"points": 2000, "domain_overrides": {"HartmannAngularI": [0.01, math.pi]}},
+    )
+    code, out, _ = run(["verify", "--config", str(path)], capsys)
+    assert code == 1 and out.startswith("FAIL HartmannAngularI")
+    data = json.loads((tmp_path / "reports" / "report_0_HartmannAngularI.json").read_text())
+    assert max(data["spectral_diffs"]) <= data["tolerances"]["spectral"]
+    assert max(data["analytic_errors_original"]) > data["tolerances"]["spectral"]
+    assert data["passed"] is False
+
+
 def test_verify_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json at all")

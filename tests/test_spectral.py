@@ -28,8 +28,9 @@ from xop import (
     refine_lowest,
     solve_variants,
 )
-from xop.spectral import _prolonged
-from xop.verify import variant_operator
+from xop.exceptional import x1_eigenpairs
+from xop.spectral import _prolonged, _residual_bound, residual_on_operator
+from xop.verify import _closed_form_residuals, variant_operator
 
 
 def solve(lo, hi, n, potential, count, weight=None):
@@ -426,6 +427,33 @@ def test_prolongation_is_fourth_order():
         assert np.all((ratios > 15.9) & (ratios < 16.1)), (k, ratios)
 
 
+@pytest.mark.parametrize("make_op", [
+    lambda: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, 100)),
+    lambda: discretize(lambda r: 2.0 / r**2 + 0.25, Grid(0.0, 30.0, 100), lambda r: 1.0 / r),
+], ids=["plain", "coordinate_weighted"])
+def test_residual_bound_is_the_dense_residual(make_op):
+    """The polish's bound from the samples is ||M x - rho x|| / ||x|| of the
+    stored symmetric matrix M, for x = B^(1/2) y: at a random vector to
+    rounding, and at an eigenvector of `eigen_lowest` within 16 ulp of ||M||."""
+    op = make_op()
+    inv_h2 = 1.0 / op.grid.spacing**2
+    dense = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+
+    def dense_bound(y, rho):
+        x = np.sqrt(op.b) * y
+        return np.linalg.norm(dense @ x - rho * x) / np.linalg.norm(x)
+
+    y = np.random.default_rng(3).uniform(-1.0, 1.0, op.diag.size)
+    bound = _residual_bound(y, 2.5, 2.0 * inv_h2 + op.v, op.b, inv_h2)
+    assert bound == pytest.approx(dense_bound(y, 2.5), rel=1e-12)
+    pairs = eigen_lowest(op, 2)
+    for rho, x in zip(pairs.eigenvalues, pairs.eigenfunctions.T):
+        y = x / np.sqrt(op.b)
+        bound = _residual_bound(y, rho, 2.0 * inv_h2 + op.v, op.b, inv_h2)
+        floor = 16 * np.finfo(float).eps * np.max(np.abs(op.diag))
+        assert abs(bound - dense_bound(y, rho)) <= floor
+
+
 def test_result_guesses_must_come_from_the_parent_grid():
     op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 799))
     same_grid = eigen_lowest(op, 3)
@@ -489,6 +517,29 @@ def test_polished_levels_meet_bisection_at_the_parameter_limits(params, solves):
         for op, result in polishes:
             plain = eigen_lowest(op, levels, vectors=False)
             assert np.max(np.abs(result.eigenvalues - plain.eigenvalues)) <= bisection_floor(op)
+
+
+@pytest.mark.parametrize("params", BENCH_SYSTEMS + LIMIT_SYSTEMS, ids=repr)
+def test_closed_form_residuals_are_the_per_degree_residuals(params):
+    """verify's one jet pass over the X1 members gives each degree the bits
+    of `residual_on_operator` on that degree's own wavefunction; where one
+    is not finite (the s = 1e4 angular wells overflow), it raises naming the
+    first such degree."""
+    reduced = reduce_system(params)
+    members = x1_eigenpairs(reduced.x1_family, 4)[:3]
+    samples = np.linspace(*reduced.residual_window, 200)
+    with np.errstate(all="ignore"):
+        expected = [residual_on_operator(reduced.operator_extended,
+                                         reduced.wavefunction("exceptional", degree),
+                                         reduced.energy(degree - 1), samples,
+                                         eigen_weight=reduced.eigen_weight)
+                    for degree in (1, 2, 3)]
+    if np.all(np.isfinite(expected)):
+        assert _closed_form_residuals(reduced, members) == expected
+    else:
+        first = 1 + int(np.argmin(np.isfinite(expected)))
+        with pytest.raises(NumericError, match=f"degree-{first} X1 wavefunction"):
+            _closed_form_residuals(reduced, members)
 
 
 def test_operator_is_its_samples():

@@ -5,11 +5,13 @@ property: the extended closed-form wavefunctions must satisfy the extended
 operators at the original eigenvalues.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import xop.systems
 from xop import (
     ClassicalJacobi,
     ClassicalLaguerre,
@@ -245,6 +247,20 @@ def test_wavefunction_domain_and_variant_errors():
         psi(np.array([-1.0]))
     with pytest.raises(UsageError):
         wavefunction(DiracOscillator(l=0), "both", 1)
+
+
+@pytest.mark.parametrize("variant, n", [("original", 2), ("exceptional", 3)])
+def test_reduced_wavefunction_is_built_on_its_own_record(variant, n, monkeypatch):
+    """`ReducedSystem.wavefunction` reads the record it is called on and does
+    not reduce the system again: a record whose prefactor is doubled gives
+    twice the jets, and no `reduce_system` call is made."""
+    reduced = reduce_system(HydrogenLike(s=0.9, lambda_c=1.9))
+    doubled = dataclasses.replace(reduced, prefactor_jet=lambda z: reduced.prefactor_jet(z) * 2.0)
+    monkeypatch.setattr(xop.systems, "reduce_system", None)
+    r = np.linspace(0.1, 40.0, 50)
+    jets, twice = reduced.wavefunction(variant, n)(r), doubled.wavefunction(variant, n)(r)
+    for part in ("val", "d1", "d2"):
+        assert np.array_equal(getattr(twice, part), 2.0 * getattr(jets, part))
 
 
 def test_interval_is_open():

@@ -1,10 +1,13 @@
 """End-to-end isospectrality verification for all five systems."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import xop.exceptional
+import xop.verify
 from xop import (
     DiracOscillator,
     HartmannAngularI,
@@ -96,10 +99,12 @@ def test_non_finite_residual_raises_naming_the_degree(params):
 def test_large_exponent_gram_passes_without_warnings(params):
     """Jacobi exponents in the thousands: the Gauss-Jacobi rule carries
     (1 - x)^alpha (1 + x)^beta in its weights (total mass from log-gammas),
-    so nothing overflows, and verify passes with an orthogonal Gram."""
+    so nothing overflows, and verify passes with an orthogonal Gram.  The
+    levels, near 1e6 and 4e6, need 2000 points to meet the analytic ones
+    within the absolute tolerance 1e-3 (300 points miss them by up to 0.9)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        report = isospectral_compare(params, levels=2, grid_points=300)
+        report = isospectral_compare(params, levels=2, grid_points=2000)
         gram = gram_matrix(reduce_system(params).x1_family, 4)
     assert report.passed
     assert report.gram_max_offdiag <= 1e-12
@@ -111,6 +116,54 @@ def test_too_coarse_grid_for_the_levels_is_named():
     h^2 Richardson step reorders the levels."""
     with pytest.raises(NumericError, match="grid of 64 points is too coarse for 4 levels"):
         isospectral_compare(HartmannAngularI(lambda_a=1.0, s=1e4), levels=4, grid_points=64)
+
+
+FIVE_SYSTEMS = [
+    HartmannRadial(l=0, omega=1.0), HartmannAngularI(lambda_a=1.0, s=2.5),
+    DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
+    HartmannAngularII(lambda_a=2.0, s=4.0),
+]
+
+
+@pytest.mark.parametrize("levels", [1, 4])
+@pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda p: type(p).__name__)
+def test_compare_builds_the_x1_members_once(params, levels, monkeypatch):
+    """One x1_eigenpairs call certifies the four members that both the
+    closed-form residual and the Gram use; nothing else rebuilds them."""
+    calls = []
+    build = xop.exceptional.x1_eigenpairs
+
+    def counted(family, n_max):
+        calls.append((family, n_max))
+        return build(family, n_max)
+
+    monkeypatch.setattr(xop.exceptional, "x1_eigenpairs", counted)
+    monkeypatch.setattr(xop.verify, "x1_eigenpairs", counted)
+    isospectral_compare(params, levels=levels, grid_points=500)
+    assert calls == [(reduce_system(params).x1_family, 4)]
+
+
+# walls that cut the well short move the original and extended levels
+# together, up to 8e-3 off (angular, tolerance 1e-3) resp. 8e-4 (hydrogen,
+# tolerance 1e-4), while the two spectra still agree within the tolerance
+TRUNCATED = [
+    (HartmannAngularI(lambda_a=1.0, s=2.5), (0.01, math.pi)),
+    (HydrogenLike(s=0.9, lambda_c=1.9), (0.0, 31.0)),
+]
+
+
+@pytest.mark.parametrize("params, domain", TRUNCATED, ids=lambda v: repr(v))
+def test_levels_off_the_analytic_ones_fail(params, domain):
+    report = isospectral_compare(params, domain=domain)
+    analytic = np.array([analytic_energy(params, n) for n in range(report.level_count)])
+    for values, errors in ((report.eigenvalues_original, report.analytic_errors_original),
+                           (report.eigenvalues_extended, report.analytic_errors_extended)):
+        assert errors == tuple(np.abs(np.subtract(values, analytic)))
+        assert max(errors) > 5 * report.spectral_tolerance
+    assert max(report.spectral_diffs) <= report.spectral_tolerance
+    assert report.max_wavefunction_residual <= report.residual_tolerance
+    assert report.gram_max_offdiag <= report.gram_tolerance
+    assert not report.passed
 
 
 def test_angular_domain_matches_clipped_window():
@@ -141,7 +194,8 @@ def test_report_dict_shape():
     data = report.to_dict()
     assert set(data) == {
         "system", "level_count", "eigenvalues_original", "eigenvalues_extended",
-        "spectral_diffs", "max_wavefunction_residual", "gram_max_offdiag",
+        "spectral_diffs", "analytic_errors_original", "analytic_errors_extended",
+        "max_wavefunction_residual", "gram_max_offdiag",
         "tolerances", "extrapolation_error", "passed",
     }
     assert data["system"]["kind"] == "DiracOscillator"
