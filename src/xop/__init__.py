@@ -32,6 +32,7 @@ from .exceptional import (
     x1_eigenpairs,
     x1_jacobi_alpha_beta,
     x1_jacobi_from_classical,
+    x1_members_and_gram,
     x1_polynomial,
 )
 from .polynomials import (

@@ -69,6 +69,7 @@ __all__ = [
     "weight",
     "family_members",
     "gram_matrix",
+    "x1_members_and_gram",
     "max_offdiag_ratio",
 ]
 
@@ -528,16 +529,29 @@ def gram_matrix(family: FamilySpec, n_max: int) -> np.ndarray:
     families and one or two for Laguerre families; disagreement past 6
     refinements raises AccuracyError.
     """
-    if not 1 <= n_max <= 16:
-        raise UsageError(f"n_max must lie in 1..16, got {n_max}")
     if isinstance(family, (X1Laguerre, X1Jacobi)):
-        x1_eigenpairs(family, n_max)
+        return x1_members_and_gram(family, n_max)[1]
+    _check_gram_size(n_max)
     return _gram(family, n_max)
 
 
+def x1_members_and_gram(family: FamilySpec, n_max: int) -> tuple[list[EigenPair], np.ndarray]:
+    """The first n_max members of an X1 family as certified by
+    `x1_eigenpairs`, and their `gram_matrix`, from one build of them."""
+    if not isinstance(family, (X1Laguerre, X1Jacobi)):
+        raise UsageError(f"not an X1 family: {family_to_dict(family)}")
+    _check_gram_size(n_max)
+    members = x1_eigenpairs(family, n_max)
+    return members, _gram(family, n_max)
+
+
+def _check_gram_size(n_max: int) -> None:
+    if not 1 <= n_max <= 16:
+        raise UsageError(f"n_max must lie in 1..16, got {n_max}")
+
+
 def _gram(family: FamilySpec, n_max: int) -> np.ndarray:
-    """`gram_matrix` of members already certified: for an X1 family, the
-    caller has run `x1_eigenpairs(family, n_max)` (or a larger n_max)."""
+    """`gram_matrix` without the certification of X1 members."""
     rule = _first_rule(family, n_max)
     # near the NumericError bound a coarse Laguerre level can overshoot the
     # float range; its inf entries then fail the comparison like any other

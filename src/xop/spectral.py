@@ -15,7 +15,8 @@ only on a small seed grid, for `spectrum --psi-out`, and as the fallback of
 `verify`, the seed levels, the original's levels or the coarse levels):
 Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
 and besides it a handful of vector passes (the shifted diagonal, the
-quotient's three dot products and the next right-hand side), with
+normalization, and the quotient's three dot products, whose b y is the
+next right-hand side), with
 quotients taken from the samples v and b themselves, so they
 are not limited by the ulp * 2/h^2 rounding of the diagonal that bounds
 bisection.  Given the coarse grid's polished result, each level starts
@@ -272,10 +273,9 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
     solve is singular or a level does not settle.  Only one level's start
     is prolonged at a time.
 
-    A step is one gtsv solve of (A - shift B) y = rhs and one `_quotient`
-    of its solution, whose sum b y^2 and b y also give the next right-hand
-    side, b y / sqrt(sum b y^2): the solution itself is never normalized,
-    since the quotient and the residual bound are ratios."""
+    A step is one gtsv solve of (A - shift B) y = rhs, the normalization of
+    its solution to sum b y^2 = 1, and one `_quotient` of it, whose b y is
+    the next right-hand side."""
     v, b = op.v, op.b
     inv_h2 = 1.0 / op.grid.spacing**2
     a_diag = 2.0 * inv_h2 + v
@@ -300,37 +300,34 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
             # keep only the solution: the factors are as long as y
             y, info = scipy.linalg.lapack.dgtsv(
                 a_off, a_diag - shift * b, a_off, rhs, overwrite_d=1, overwrite_b=1)[3:]
-            if info != 0:
+            norm = np.sqrt(np.dot(b * y, y))
+            if info != 0 or not (np.isfinite(norm) and norm > 0):
                 return None
-            rho, kinetic, weight, by = _quotient(y, v, b, inv_h2)
-            if not (np.isfinite(weight) and weight > 0):
-                return None
+            y /= norm
+            rho, kinetic, rhs = _quotient(y, v, b, inv_h2)
             if abs(rho - guess) > reach:
                 shift, previous = float(guess), None  # inverse iteration at the guess
-            elif previous is not None and abs(rho - previous) <= _POLISH_TOL * (kinetic + abs(rho)):
+                continue
+            if previous is not None and abs(rho - previous) <= _POLISH_TOL * (kinetic + abs(rho)):
                 break
-            else:
-                shift = previous = rho
-            rhs = by
-            rhs *= 1.0 / np.sqrt(weight)  # B y / ||B^(1/2) y||
+            shift = previous = rho
         else:
             return None
         values.append(rho)
         bounds.append(_residual_bound(y, rho, a_diag, b, inv_h2))
         if vectors:
-            x = np.sqrt(b / (op.grid.spacing * weight)) * y  # unit discrete L2 norm
+            x = np.sqrt(b / op.grid.spacing) * y  # sum b y^2 = 1
             functions[:, level] = x if x[np.argmax(np.abs(x))] > 0 else -x
     return np.array(values), np.array(bounds), functions
 
 
 def _quotient(y, v, b, inv_h2):
-    """(Rayleigh quotient, its kinetic part, sum b y^2, b y) of y on the
-    pencil (A, b)."""
+    """(Rayleigh quotient, its kinetic part, b y) of y on the pencil (A, b)."""
     dy = y[1:] - y[:-1]
     by = b * y
     weight = np.dot(by, y)
     kinetic = (np.dot(dy, dy) + y[0] ** 2 + y[-1] ** 2) * inv_h2 / weight
-    return kinetic + np.dot(v * y, y) / weight, kinetic, weight, by
+    return kinetic + np.dot(v * y, y) / weight, kinetic, by
 
 
 def _prolonged(x: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -34,6 +34,7 @@ from xop import (
     x1_eigenpairs,
     x1_jacobi_alpha_beta,
     x1_jacobi_from_classical,
+    x1_members_and_gram,
 )
 from xop.quadrature import _half_line_rule
 
@@ -251,6 +252,19 @@ def test_x1_gram_against_quadpack_oracle():
                 0.0, np.inf,
             )
             assert g[i, j] == pytest.approx(want, rel=1e-8, abs=1e-9)
+
+
+@pytest.mark.parametrize("fam", [X1Laguerre(0.5), X1Jacobi(a=2.0, b=1.25)], ids=repr)
+def test_x1_members_and_gram_is_one_certified_build(fam):
+    members, g = x1_members_and_gram(fam, 4)
+    for ours, theirs in zip(members, x1_eigenpairs(fam, 4), strict=True):
+        assert np.array_equal(ours.polynomial.coeffs, theirs.polynomial.coeffs)
+    assert np.array_equal(g, gram_matrix(fam, 4))
+    for bad in (0, 17):
+        with pytest.raises(UsageError, match="n_max must lie in 1..16"):
+            x1_members_and_gram(fam, bad)
+    with pytest.raises(UsageError, match="not an X1 family"):
+        x1_members_and_gram(ClassicalLaguerre(0.5), 4)
 
 
 def test_frozen_x1_laguerre_diagonal():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import xop.exceptional
+import xop.systems
 import xop.verify
 from xop import (
     DiracOscillator,
@@ -66,13 +67,14 @@ def test_angular_levels_match_the_analytic_levels(params):
 
 
 FINE_BOUNDS = {"r": 5e-9, "theta": 2e-7}
-
-
-@pytest.mark.parametrize("params", [
+FIVE_SYSTEMS = [
     HartmannRadial(l=0, omega=1.0), HartmannAngularI(lambda_a=1.0, s=2.5),
     DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
     HartmannAngularII(lambda_a=2.0, s=4.0),
-], ids=lambda p: type(p).__name__)
+]
+
+
+@pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda p: type(p).__name__)
 def test_fine_grid_levels_match_the_analytic_levels(params):
     """8 levels on 20000 points: the polished fine grid is not limited by
     bisection's ulp * 2/h^2 floor (1.1e-8 radial, 1.0e-6 angular)."""
@@ -100,12 +102,15 @@ def test_large_exponent_gram_passes_without_warnings(params):
     """Jacobi exponents in the thousands: the Gauss-Jacobi rule carries
     (1 - x)^alpha (1 + x)^beta in its weights (total mass from log-gammas),
     so nothing overflows, and verify passes with an orthogonal Gram.  The
-    levels, near 1e6 and 4e6, need 2000 points to meet the analytic ones
-    within the absolute tolerance 1e-3 (300 points miss them by up to 0.9)."""
+    levels, near 4e6 and 1e6, miss the analytic ones by up to 0.9 on 300
+    points: far past the absolute tolerance 1e-3, but inside the grid's own
+    error estimate, which the analytic gate admits."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        report = isospectral_compare(params, levels=2, grid_points=2000)
+        report = isospectral_compare(params, levels=2, grid_points=300)
         gram = gram_matrix(reduce_system(params).x1_family, 4)
+    worst = max(report.analytic_errors_original + report.analytic_errors_extended)
+    assert report.spectral_tolerance < worst <= report.extrapolation_error
     assert report.passed
     assert report.gram_max_offdiag <= 1e-12
     assert max_offdiag_ratio(gram) <= 1e-12
@@ -116,13 +121,6 @@ def test_too_coarse_grid_for_the_levels_is_named():
     h^2 Richardson step reorders the levels."""
     with pytest.raises(NumericError, match="grid of 64 points is too coarse for 4 levels"):
         isospectral_compare(HartmannAngularI(lambda_a=1.0, s=1e4), levels=4, grid_points=64)
-
-
-FIVE_SYSTEMS = [
-    HartmannRadial(l=0, omega=1.0), HartmannAngularI(lambda_a=1.0, s=2.5),
-    DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
-    HartmannAngularII(lambda_a=2.0, s=4.0),
-]
 
 
 @pytest.mark.parametrize("levels", [1, 4])
@@ -137,8 +135,9 @@ def test_compare_builds_the_x1_members_once(params, levels, monkeypatch):
         calls.append((family, n_max))
         return build(family, n_max)
 
-    monkeypatch.setattr(xop.exceptional, "x1_eigenpairs", counted)
-    monkeypatch.setattr(xop.verify, "x1_eigenpairs", counted)
+    for module in (xop.exceptional, xop.systems, xop.verify):
+        if hasattr(module, "x1_eigenpairs"):
+            monkeypatch.setattr(module, "x1_eigenpairs", counted)
     isospectral_compare(params, levels=levels, grid_points=500)
     assert calls == [(reduce_system(params).x1_family, 4)]
 
@@ -159,7 +158,7 @@ def test_levels_off_the_analytic_ones_fail(params, domain):
     for values, errors in ((report.eigenvalues_original, report.analytic_errors_original),
                            (report.eigenvalues_extended, report.analytic_errors_extended)):
         assert errors == tuple(np.abs(np.subtract(values, analytic)))
-        assert max(errors) > 5 * report.spectral_tolerance
+        assert max(errors) > 5 * (report.spectral_tolerance + report.extrapolation_error)
     assert max(report.spectral_diffs) <= report.spectral_tolerance
     assert report.max_wavefunction_residual <= report.residual_tolerance
     assert report.gram_max_offdiag <= report.gram_tolerance
