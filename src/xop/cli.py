@@ -139,8 +139,9 @@ def cmd_spectrum(args) -> int:
         _emit(csv_lines(["level", "E_original", "E_extended", "abs_diff"], columns), args.out)
     if args.psi_out:
         # the eigenfunctions come from their own eigenpair solve (stein) on the
-        # coarse original operator, so the table does not depend on --psi-out
-        grid = Grid(*reduced.grid_domain, args.grid_points)
+        # coarse original operator, so the table does not depend on --psi-out;
+        # they and their uniform grid are those of the record the grid solves
+        grid = Grid(*reduced.grid_form()[1], args.grid_points)
         psi = eigen_lowest(variant_operator(reduced, "original", grid), args.levels)
         header = ["x"] + [f"psi_{n}" for n in range(args.levels)]
         write_atomic(args.psi_out, csv_lines(header, [grid.points, *psi.eigenfunctions.T]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import UsageError
-from .systems import _SYSTEM_KINDS, SystemParams, _finite_number, system_from_dict
+from .systems import _SYSTEM_KINDS, SystemParams, _finite_number, reduce_system, system_from_dict
 from .verify import Tolerances
 
 __all__ = ["RunConfig", "GridConfig", "OutputConfig", "load_config", "default_config"]
@@ -72,6 +72,8 @@ class RunConfig:
             raise UsageError("config lists no systems")
         if not 1 <= self.levels <= 8:
             raise UsageError(f"levels must lie in 1..8, got {self.levels}")
+        for params in self.systems:  # refuse an override outside its domain before any solve
+            reduce_system(params).grid_form(self.grid.domain_for(type(params).__name__))
 
 
 def _tolerance_scale() -> float:

@@ -1,12 +1,11 @@
 """Finite-difference Sturm-Liouville machinery.
 
-An operator is its samples on a grid: the potential V and a positive
-coordinate weight B (all ones when there is none) of the problem
--u'' + V u = E B u, with Dirichlet walls just outside the grid
+An operator is its samples on a grid: the potential V of the problem
+-u'' + V u = E u, with Dirichlet walls just outside the grid
 (interior-point convention: spacing h = (hi-lo)/(n+1)).  Its matrix is the
-standard symmetric three-point discretization reduced to the symmetric form
-B^(-1/2) A B^(-1/2), still tridiagonal, which is how the coupling-form
-hydrogen eigenproblem is solved.
+standard symmetric three-point discretization.  Every system is solved in
+this form; the hydrogen-like one in the coordinate y = 2 sqrt(r), where its
+coupling form carries no weight (see `xop.systems`).
 
 Two eigensolvers share one result type.  `eigen_lowest` bisects from
 scratch (LAPACK stebz, with stein for eigenfunctions); `verify` runs it
@@ -15,15 +14,14 @@ only on a small seed grid, for `spectrum --psi-out`, and as the fallback of
 `verify`, the seed levels, the original's levels or the coarse levels):
 Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
 and besides it a handful of vector passes (the shifted diagonal, the
-normalization, and the quotient's three dot products, whose b y is the
-next right-hand side), with
-quotients taken from the samples v and b themselves, so they
-are not limited by the ulp * 2/h^2 rounding of the diagonal that bounds
-bisection.  Given the coarse grid's polished result, each level starts
-from its coarse eigenfunction prolonged to the refined grid; that start's
-quotient is already within O(h^4) of the level, so it counts as the step
-before the first solve and a level settles in one solve.  Other levels
-start from one seeded vector and take at least two.  Its values are
+normalization, and the quotient's three dot products), with quotients
+taken from the samples v themselves, so they are not limited by the
+ulp * 2/h^2 rounding of the diagonal that bounds bisection.  Given the
+coarse grid's polished result, each level starts from its coarse
+eigenfunction prolonged to the refined grid; that start's quotient is
+already within O(h^4) of the level, so it counts as the step before the
+first solve and a level settles in one solve.  Other levels start from one
+seeded vector and take at least two.  Its values are
 certified (disjoint residual intervals and a Sturm count of the levels
 below the top one); where the certificate fails it falls back to
 `eigen_lowest`, so it never returns less than bisection.
@@ -83,33 +81,28 @@ class Grid:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """-d^2/dx^2 + v against the coordinate weight b, sampled on `grid`
-    (`discretize` builds it).  Its symmetric tridiagonal matrix (`diag`,
-    `off`) is B^(-1/2) A B^(-1/2) with A the three-point form, diagonal
-    2/h^2 + v and off-diagonal -1/h^2; the samples give `refine_lowest` the
-    pencil (A, b) without the rounding of 2/h^2 + v."""
+    """-d^2/dx^2 + v sampled on `grid` (`discretize` builds it).  Its
+    symmetric tridiagonal matrix (`diag`, `off`) is the three-point form,
+    diagonal 2/h^2 + v and off-diagonal -1/h^2; the samples give
+    `refine_lowest` the operator without the rounding of 2/h^2 + v."""
 
     grid: Grid
     v: np.ndarray
-    b: np.ndarray
 
     def __post_init__(self):
-        v, b = (np.asarray(a, dtype=float) for a in (self.v, self.b))
-        if not v.shape == b.shape == (self.grid.n_points,):
+        v = np.asarray(self.v, dtype=float)
+        if not v.shape == (self.grid.n_points,):
             raise UsageError("samples must be one per grid point")
         h2 = self.grid.spacing**2
-        arrays = {"v": v, "b": b, "diag": (2.0 / h2 + v) / b,
-                  "off": np.full(v.size - 1, -1.0 / h2) / np.sqrt(b[:-1] * b[1:])}
+        arrays = {"v": v, "diag": 2.0 / h2 + v, "off": np.full(v.size - 1, -1.0 / h2)}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
-def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
-               weight: Callable[[np.ndarray], np.ndarray] | None = None) -> TridiagonalOperator:
-    """The operator of -u'' + V u = E B u on `grid`, from the potential V
-    and the optional coordinate weight B sampled at the grid points; its
-    eigenvalues are the generalized eigenvalues E."""
+def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> TridiagonalOperator:
+    """The operator of -u'' + V u = E u on `grid`, from the potential V
+    sampled at the grid points."""
     x = grid.points
     v = np.array(potential(x), dtype=float)
     bad = ~np.isfinite(v)
@@ -117,10 +110,7 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
         raise SingularityError(
             f"potential evaluated non-finite at x = {x[bad][0]}"
         )
-    b = np.ones_like(v) if weight is None else np.array(weight(x), dtype=float)
-    if not np.all(np.isfinite(b)) or np.any(b <= 0):
-        raise SingularityError("coordinate weight must be positive and finite on the grid")
-    return TridiagonalOperator(grid, v, b)
+    return TridiagonalOperator(grid, v)
 
 
 @dataclass(frozen=True)
@@ -213,20 +203,20 @@ def refine_lowest(op: TridiagonalOperator, guesses, *,
     convention of `eigen_lowest` (unit discrete L2 norm, largest entry
     positive); without it, only the values.
 
-    Each guess starts shifted inverse iteration on the pencil
-    (-d^2/dx^2 + v, b) from the samples of `op`, with one O(n)
-    tridiagonal solve (LAPACK gtsv) per step; later steps shift by the
-    Rayleigh quotient, taken in the cancellation-free form
-    (sum (dy)^2 / h^2 + sum v y^2) / sum b y^2 rather than from `diag` and
-    `off`, whose entries carry ulp * 2/h^2 of rounding.  The iteration
-    stops once the quotient moved by at most 1e-7 of its scale (kinetic
-    part plus |quotient|) since the step before.  The quotient converges
-    cubically, so its own error is then far below that move.
+    Each guess starts shifted inverse iteration on -d^2/dx^2 + v from the
+    samples of `op`, with one O(n) tridiagonal solve (LAPACK gtsv) per
+    step; later steps shift by the Rayleigh quotient, taken in the
+    cancellation-free form (sum (dy)^2 / h^2 + sum v y^2) / sum y^2 rather
+    than from `diag` and `off`, whose entries carry ulp * 2/h^2 of
+    rounding.  The iteration stops once the quotient moved by at most 1e-7
+    of its scale (kinetic part plus |quotient|) since the step before.  The
+    quotient converges cubically, so its own error is then far below that
+    move.
 
     A level's start decides what "the step before" the first solve is.
-    From a coarse eigenfunction u = B^(-1/2) x, prolonged by cubic midpoint
-    interpolation (`_prolonged`), the start is already the eigenvector to
-    O(h^2), and its quotient to O(h^4): the first solve shifts by that
+    From a coarse eigenfunction, prolonged by cubic midpoint interpolation
+    (`_prolonged`), the start is already the eigenvector to O(h^2), and its
+    quotient to O(h^4): the first solve shifts by that
     quotient, and the quotient counts as the step before, so a level
     usually settles in one solve.  Otherwise, and where that start is zero,
     not finite or has a quotient out of the level's reach (below), the
@@ -239,9 +229,9 @@ def refine_lowest(op: TridiagonalOperator, guesses, *,
     the polish.
 
     The values are returned only with a certificate: they ascend strictly;
-    each lies within its residual bound ||M x - rho x|| / ||x|| of an
-    eigenvalue of the symmetric operator M (plus 16 ulp of ||M||, for the
-    rounding of the residual and of the stored operator), and these
+    each lies within its residual bound ||M y - rho y|| / ||y|| of an
+    eigenvalue of the symmetric matrix M of `op` (plus 16 ulp of ||M||, for
+    the rounding of the residual and of the stored operator), and these
     intervals are disjoint; and one Sturm count (stebz, counting only) finds
     exactly `len(guesses)` eigenvalues of `op` up to a point above the top
     interval.  So the i-th value is within its bound of the i-th eigenvalue,
@@ -273,10 +263,10 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
     solve is singular or a level does not settle.  Only one level's start
     is prolonged at a time.
 
-    A step is one gtsv solve of (A - shift B) y = rhs, the normalization of
-    its solution to sum b y^2 = 1, and one `_quotient` of it, whose b y is
-    the next right-hand side."""
-    v, b = op.v, op.b
+    A step is one gtsv solve of (M - shift) y = rhs, the normalization of
+    its solution to sum y^2 = 1, and one `_quotient` of it; y is the next
+    right-hand side."""
+    v = op.v
     inv_h2 = 1.0 / op.grid.spacing**2
     a_diag = 2.0 * inv_h2 + v
     a_off = np.full(v.size - 1, -inv_h2)
@@ -288,23 +278,24 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
     functions = np.empty((v.size, guesses.size)) if vectors else None
     seeded = None  # made for the first level without a usable start
     for level, (guess, reach) in enumerate(zip(guesses, reaches)):
-        start = None if starts is None else _prolonged(starts[:, level], b)
-        rho = np.nan if start is None else _quotient(start, v, b, inv_h2)[0]
+        start = None if starts is None else _prolonged(starts[:, level])
+        rho = np.nan if start is None else _quotient(start, v, inv_h2)[0]
         if abs(rho - guess) <= reach:  # False for a NaN quotient
-            rhs, shift, previous = b * start, rho, rho
+            rhs, shift, previous = start, rho, rho
         else:
             if seeded is None:
                 seeded = np.cumsum(np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, v.size))
-            rhs, shift, previous = b * seeded, float(guess), None
+            rhs, shift, previous = seeded.copy(), float(guess), None  # gtsv overwrites rhs
         for _ in range(_POLISH_STEPS):
             # keep only the solution: the factors are as long as y
             y, info = scipy.linalg.lapack.dgtsv(
-                a_off, a_diag - shift * b, a_off, rhs, overwrite_d=1, overwrite_b=1)[3:]
-            norm = np.sqrt(np.dot(b * y, y))
+                a_off, a_diag - shift, a_off, rhs, overwrite_d=1, overwrite_b=1)[3:]
+            norm = np.sqrt(np.dot(y, y))
             if info != 0 or not (np.isfinite(norm) and norm > 0):
                 return None
             y /= norm
-            rho, kinetic, rhs = _quotient(y, v, b, inv_h2)
+            rho, kinetic = _quotient(y, v, inv_h2)
+            rhs = y
             if abs(rho - guess) > reach:
                 shift, previous = float(guess), None  # inverse iteration at the guess
                 continue
@@ -314,43 +305,38 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
         else:
             return None
         values.append(rho)
-        bounds.append(_residual_bound(y, rho, a_diag, b, inv_h2))
+        bounds.append(_residual_bound(y, rho, a_diag, inv_h2))
         if vectors:
-            x = np.sqrt(b / op.grid.spacing) * y  # sum b y^2 = 1
+            x = np.sqrt(1.0 / op.grid.spacing) * y  # sum y^2 = 1
             functions[:, level] = x if x[np.argmax(np.abs(x))] > 0 else -x
     return np.array(values), np.array(bounds), functions
 
 
-def _quotient(y, v, b, inv_h2):
-    """(Rayleigh quotient, its kinetic part, b y) of y on the pencil (A, b)."""
+def _quotient(y, v, inv_h2):
+    """(Rayleigh quotient, its kinetic part) of y on -d^2/dx^2 + v."""
     dy = y[1:] - y[:-1]
-    by = b * y
-    weight = np.dot(by, y)
-    kinetic = (np.dot(dy, dy) + y[0] ** 2 + y[-1] ** 2) * inv_h2 / weight
-    return kinetic + np.dot(v * y, y) / weight, kinetic, by
+    norm2 = np.dot(y, y)
+    kinetic = (np.dot(dy, dy) + y[0] ** 2 + y[-1] ** 2) * inv_h2 / norm2
+    return kinetic + np.dot(v * y, y) / norm2, kinetic
 
 
-def _prolonged(x: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The start u = B^(-1/2) x of a coarse eigenfunction x, interpolated
-    onto the refined grid, whose odd points are the coarse points (and
-    share their samples b): each midpoint is the cubic through its four
-    nearest coarse points, (-u[i-1] + 9 u[i] + 9 u[i+1] - u[i+2]) / 16, the
+def _prolonged(u: np.ndarray) -> np.ndarray | None:
+    """The coarse eigenfunction u interpolated onto the refined grid, whose
+    odd points are the coarse points: each midpoint is the cubic through its
+    four nearest coarse points, (-u[i-1] + 9 u[i] + 9 u[i+1] - u[i+2]) / 16, the
     Dirichlet walls counting as points of value zero.  The two midpoints
     next to a wall take the cubic through the wall and the three nearest
     points, (15 u[0] - 5 u[1] + u[2]) / 16, exact for every cubic that
     vanishes at the wall.  An odd reflection would be exact only for odd
-    cubics, and fits the r^(s+1) of hydrogen and the theta^nu of the
-    angular wells far worse.  Prolonged is u, not x, because x = B^(1/2) u is rougher still
-    where B is singular (hydrogen's 1/r at r = 0).  None for a start that
-    is zero or not finite."""
-    with np.errstate(all="ignore"):  # a bad x shows as a non-finite u
-        u = x / np.sqrt(b[1::2])
-        scale = np.max(np.abs(u))
+    cubics, and fits the y^(2s+3/2) of hydrogen and the theta^nu of the
+    angular wells far worse.  None for a start that is zero or not
+    finite."""
+    scale = np.max(np.abs(u))
     if not (np.isfinite(scale) and scale > 0):
         return None
     u = u / scale
     walled = np.concatenate(([0.0], u, [0.0]))
-    fine = np.empty(b.size)
+    fine = np.empty(2 * u.size + 1)
     fine[1::2] = u
     fine[2:-2:2] = (9.0 * (walled[1:-2] + walled[2:-1]) - walled[:-3] - walled[3:]) / 16.0
     fine[0] = (15.0 * u[0] - 5.0 * u[1] + u[2]) / 16.0
@@ -358,13 +344,13 @@ def _prolonged(x: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return fine
 
 
-def _residual_bound(y, rho, a_diag, b, inv_h2) -> float:
-    """||M x - rho x|| / ||x|| for x = B^(1/2) y, M = B^(-1/2) A B^(-1/2),
-    with a_diag = 2/h^2 + v the diagonal of A."""
-    r = (a_diag - rho * b) * y
+def _residual_bound(y, rho, a_diag, inv_h2) -> float:
+    """||M y - rho y|| / ||y|| for the three-point matrix M with diagonal
+    a_diag = 2/h^2 + v."""
+    r = (a_diag - rho) * y
     r[1:] -= inv_h2 * y[:-1]
     r[:-1] -= inv_h2 * y[1:]
-    return float(np.sqrt(np.dot(r / b, r) / np.dot(b * y, y)))
+    return float(np.sqrt(np.dot(r, r) / np.dot(y, y)))
 
 
 def _certified(op: TridiagonalOperator, values: np.ndarray, bounds: np.ndarray) -> bool:
@@ -416,26 +402,22 @@ def residual_on_operator(potential: Callable[[np.ndarray], np.ndarray],
                          energy: float,
                          sample_points,
                          *,
-                         eigen_weight: Callable[[np.ndarray], np.ndarray] | None = None,
                          domain: tuple[float, float] | None = None) -> float:
-    """max |-psi'' + V psi - E B psi| over the samples, for the
+    """max |-psi'' + V psi - E psi| over the samples, for the
     sup-normalized closed-form psi (derivatives are analytic jets).
 
-    B is the optional coordinate weight (1 otherwise).  Samples on a supplied
-    domain boundary raise DomainError.
+    Samples on a supplied domain boundary raise DomainError.
     """
     x = np.asarray(sample_points, dtype=float)
     if domain is not None and (np.any(x <= domain[0]) or np.any(x >= domain[1])):
         raise DomainError(f"sample points must lie strictly inside {domain}")
-    jets = psi(x)
-    b = eigen_weight(x) if eigen_weight is not None else 1.0
-    return _jet_residual(jets, potential(x), b, energy)
+    return _jet_residual(psi(x), potential(x), energy)
 
 
-def _jet_residual(jets: Jet2, v, b, energy: float) -> float:
-    """`residual_on_operator` from the jets of psi and the samples v of V and
-    b of B (the scalar 1.0 without a weight) at the same points."""
-    resid = -jets.d2 + v * jets.val - energy * b * jets.val
+def _jet_residual(jets: Jet2, v, energy: float) -> float:
+    """`residual_on_operator` from the jets of psi and the samples v of V at
+    the same points."""
+    resid = -jets.d2 + v * jets.val - energy * jets.val
     sup = np.max(np.abs(jets.val))
     if sup == 0:
         raise UsageError("wavefunction vanishes identically on the samples")

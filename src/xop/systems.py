@@ -10,15 +10,17 @@ builder supplies:
 * the coordinate name, the open domain, the truncated grid domain and the
   window where closed-form residuals are sampled;
 * the potentials ``original`` and ``shift`` (the rational term that turns
-  it into its isospectral partner; ``extended`` is their pointwise sum),
-  and the operator form ``operator_potential`` with its optional
-  ``eigen_weight``;
+  it into its isospectral partner; ``extended`` is their pointwise sum);
+  the grid solves -u'' + V u = E u for V either of them;
 * the classical and X1 families whose members carry the original and
   extended levels;
 * the level-energy law, and the three pieces of the closed-form
   wavefunctions: the jet of the polynomial variable z in the coordinate,
   the prefactor jet in z, and the pole offset (c0, c1) of the pole factor
-  c0 + c1 z.
+  c0 + c1 z;
+* for a system the grid solves in another coordinate, ``solved_as``: the
+  record in that coordinate and the map onto it (its own grid domain and
+  residual window are then None).
 
 The ``ve_*`` functions reproduce the source expressions for the rational
 terms verbatim (in the polynomial-equation normalization they were derived
@@ -37,19 +39,22 @@ labelled accessor.
 
 The hydrogen-like system is conditionally exactly solvable: with the radial
 variable fixed at chi = 1 scale the energy sits at -1/4 and the Coulomb
-coupling is quantized at lambda_n = n + s + 1.  Its eigenproblem is therefore
-posed in coupling form  A u = lambda (1/r) u  with
-A = -d^2/dr^2 + s(s+1)/r^2 + 1/4 (+ shift), and "isospectral" means equal
-coupling spectra.  The plain bound-state form with a fixed coupling
-``lambda_c`` is exposed for potential plots and the Coulomb-level
-cross-check.
+coupling is quantized at lambda_n = n + s + 1, the eigenvalues of the
+coupling form  A u = lambda (1/r) u  with A = -d^2/dr^2 + s(s+1)/r^2 + 1/4
+(+ shift ve_hydrogen(r)/r); "isospectral" means equal coupling spectra.
+With r = y^2/4 and u = (y/2)^(1/2) w (the Coulomb-oscillator duality) the
+coupling form is exactly the oscillator in y at l = 2s + 1/2, omega = 1/2,
+-w'' + [l(l+1)/y^2 + y^2/16 + ve_hydrogen(y^2/4)] w = lambda w, with the
+couplings as levels and the same families and pole: the grid solves that
+(``solved_as``).  The r record keeps the fixed-coupling potential
+``lambda_c`` as ``original``, for plots and the Coulomb-level cross-check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -99,9 +104,10 @@ __all__ = [
 #
 # Beyond these ranges values overflow (l(l+1), s(s+1), the squared pole) or
 # the fixed grid domains no longer hold the levels, so they are rejected.
-# At the limits the eight lowest levels still come out of the default grids:
-# to ~1e-10 for the oscillators at l = 64 (the grid ends at xi = 200) and to
-# ~2e-8 for the hydrogen-like system at s = 5 (the grid ends at r = 80).
+# At the limits the eight lowest levels still come out of the default grids,
+# relative to the level: to ~1e-10 for the oscillators at l = 64 (the grid
+# ends at xi = 200) and to ~3e-10 for the hydrogen-like system at s = 5,
+# solved as the oscillator at l = 10.5 in y (the grid ends at r = 200).
 _MAX_OSCILLATOR_L = 64
 _OMEGA_RANGE = (1e-8, 1e8)
 _MAX_HYDROGEN_S = 5.0
@@ -395,20 +401,20 @@ class ReducedSystem:
     docstring).  The potential callables take float arrays."""
 
     params: SystemParams
-    coordinate: str  # "r" | "theta"
+    coordinate: str  # "r" | "theta" | "y"
     domain: Interval
-    grid_domain: tuple[float, float]
-    residual_window: tuple[float, float]
+    grid_domain: tuple[float, float] | None  # None with `solved_as`
+    residual_window: tuple[float, float] | None  # None with `solved_as`
     original: Callable[[np.ndarray], np.ndarray]
     shift: Callable[[np.ndarray], np.ndarray]
-    operator_potential: Callable[[np.ndarray], np.ndarray]
     classical_family: FamilySpec
     x1_family: FamilySpec
     level_energy: Callable[[int], float]
     coordinate_jet: Callable[[np.ndarray], Jet2]
     prefactor_jet: Callable[[Jet2], Jet2]
     pole_offset: tuple[float, float]  # (c0, c1): the pole factor is c0 + c1 z
-    eigen_weight: Callable[[np.ndarray], np.ndarray] | None = None  # B in -u'' + V u = E B u
+    # the record the grid solves and the map of this coordinate onto its own
+    solved_as: tuple[ReducedSystem, Callable[[float], float]] | None = None
 
     def extended(self, x):
         return self.original(x) + self.shift(x)
@@ -419,8 +425,19 @@ class ReducedSystem:
             raise UsageError(f"level must be a nonnegative integer, got {n}")
         return self.level_energy(int(n))
 
-    def operator_extended(self, x):
-        return self.operator_potential(x) + self.shift(x)
+    def grid_form(self, domain: tuple[float, float] | None = None
+                  ) -> tuple[ReducedSystem, tuple[float, float]]:
+        """The record whose grid solves this system (this one, or
+        `solved_as`) and its grid domain.  An override `domain`, in this
+        record's coordinate, must lie within the closed domain."""
+        record, to_grid = self.solved_as or (self, lambda x: x)
+        if domain is None:
+            return record, record.grid_domain
+        lo, hi = domain
+        if not self.domain.lo <= lo < hi <= self.domain.hi:
+            raise UsageError(f"grid domain ({lo}, {hi}) of {type(self.params).__name__} "
+                             f"lies outside its domain ({self.domain.lo}, {self.domain.hi})")
+        return record, (to_grid(lo), to_grid(hi))
 
     def wavefunction(self, variant: str, n: int) -> Callable[[np.ndarray], Jet2]:
         """Closed-form eigenfunction with analytic first/second derivatives.
@@ -448,11 +465,11 @@ class ReducedSystem:
 # ---------------------------------------------------------------------------
 # one builder per system
 
-def _oscillator(params: HartmannRadial | DiracOscillator) -> ReducedSystem:
-    """Radial oscillator in xi = omega r^2/2; the Dirac oscillator is its
-    omega = 1 case.  The truncation radii keep the dropped prefactor tail
-    below 1e-12 of its peak."""
-    l, w = params.l, params.omega
+def _oscillator(params: SystemParams, l: float, w: float) -> ReducedSystem:
+    """Radial oscillator in xi = omega r^2/2 at a real orbital index l; the
+    Dirac oscillator is its omega = 1 case and the hydrogen-like system its
+    omega = 1/2 case in y.  The truncation radii keep the dropped prefactor
+    tail below 1e-12 of its peak."""
 
     def original(r):
         return l * (l + 1) / r**2 + w**2 * r**2 / 4
@@ -469,7 +486,6 @@ def _oscillator(params: HartmannRadial | DiracOscillator) -> ReducedSystem:
         residual_window=(0.05, 12.0 / math.sqrt(w)),
         original=original,
         shift=shift,
-        operator_potential=original,
         classical_family=ClassicalLaguerre(l + 0.5),
         x1_family=X1Laguerre(l + 0.5),
         level_energy=lambda n: (2 * n + l + 1.5) * w,
@@ -480,7 +496,8 @@ def _oscillator(params: HartmannRadial | DiracOscillator) -> ReducedSystem:
 
 
 def _hydrogen(params: HydrogenLike) -> ReducedSystem:
-    """Coupling form A u = lambda (1/r) u; `original` is the fixed-coupling
+    """The coupling form in r, solved as the omega = 1/2 oscillator in
+    y = 2 sqrt(r) (module docstring); `original` is the fixed-coupling
     potential."""
     s = params.s
 
@@ -490,28 +507,24 @@ def _hydrogen(params: HydrogenLike) -> ReducedSystem:
     def shift(r):
         return ve_hydrogen(params, r) / r
 
-    def operator_potential(r):
-        return s * (s + 1) / r**2 + 0.25
-
-    def eigen_weight(r):
-        return 1.0 / r
-
+    # l = (2s + 1) - 1/2 is exact, so the oscillator's families and pole
+    # offset take the parameter 2s + 1 to the bit
+    in_y = replace(_oscillator(params, 2 * s + 1 - 0.5, 0.5), coordinate="y")
     return ReducedSystem(
         params=params,
         coordinate="r",
         domain=Interval(0.0, math.inf),
-        grid_domain=(0.0, 80.0),
-        residual_window=(0.1, 40.0),
+        grid_domain=None,
+        residual_window=None,
         original=original,
         shift=shift,
-        operator_potential=operator_potential,
-        classical_family=ClassicalLaguerre(2 * s + 1),
-        x1_family=X1Laguerre(2 * s + 1),
+        classical_family=in_y.classical_family,
+        x1_family=in_y.x1_family,
         level_energy=lambda n: n + s + 1,
         coordinate_jet=jet_identity,
         prefactor_jet=lambda z: jet_pow(z, s + 1) * jet_exp(z * (-0.5)),
-        pole_offset=(2 * s + 1, 1.0),
-        eigen_weight=eigen_weight,
+        pole_offset=in_y.pole_offset,
+        solved_as=(in_y, lambda r: 2.0 * math.sqrt(r)),
     )
 
 
@@ -546,7 +559,6 @@ def _angular_i(params: HartmannAngularI) -> ReducedSystem:
         residual_window=(0.15, math.pi - 0.15),
         original=original,
         shift=shift,
-        operator_potential=original,
         classical_family=ClassicalJacobi(*params.jacobi_ab),
         x1_family=X1Jacobi(a=la, b=b),
         level_energy=lambda n: (s + n) ** 2,
@@ -573,7 +585,6 @@ def _angular_ii(params: HartmannAngularII) -> ReducedSystem:
         residual_window=(0.08, math.pi / 2 - 0.08),
         original=original,
         shift=shift,
-        operator_potential=original,
         classical_family=ClassicalJacobi(*params.jacobi_ab),
         x1_family=X1Jacobi(a=(s - la) / 2, b=b),
         level_energy=lambda n: (la + s + 2 * n) ** 2,
@@ -584,10 +595,10 @@ def _angular_ii(params: HartmannAngularII) -> ReducedSystem:
 
 
 _BUILDERS: dict[type, Callable[..., ReducedSystem]] = {
-    HartmannRadial: _oscillator,
+    HartmannRadial: lambda params: _oscillator(params, params.l, params.omega),
     HartmannAngularI: _angular_i,
     HartmannAngularII: _angular_ii,
-    DiracOscillator: _oscillator,
+    DiracOscillator: lambda params: _oscillator(params, params.l, params.omega),
     HydrogenLike: _hydrogen,
 }
 

@@ -7,8 +7,10 @@ Each system builds its X1 members once: one `x1_members_and_gram` call
 (one `x1_eigenpairs` build) certifies the four members whose degrees 1..3
 give the closed-form residuals and whose Gram matrix gives the
 orthogonality check.  The residuals take one jet pass: the coordinate,
-prefactor and pole-factor jets, the extended operator and the coordinate
-weight are evaluated once at the samples and shared by every degree.
+prefactor and pole-factor jets and the extended potential are evaluated
+once at the samples and shared by every degree.  Grids and residuals are
+those of the record that the grid solves (`ReducedSystem.grid_form`); for
+the hydrogen-like system, the oscillator in y = 2 sqrt(r).
 
 `solve_variants` bisects only a seed grid 16 times coarser than the coarse
 grid; every coarse and fine level is a certified `refine_lowest` polish
@@ -120,15 +122,12 @@ class VerificationReport:
 
 
 def variant_operator(reduced: ReducedSystem, variant: str, grid: Grid) -> TridiagonalOperator:
-    """Finite-difference operator of one potential variant on `grid`, reduced
-    to symmetric form by the system's coordinate weight when it has one."""
-    if variant == "original":
-        potential = reduced.operator_potential
-    elif variant == "extended":
-        potential = reduced.operator_extended
-    else:
+    """Finite-difference operator of one potential variant of the record
+    that the grid solves (`ReducedSystem.grid_form`), on `grid` in that
+    record's coordinate."""
+    if variant not in ("original", "extended"):
         raise UsageError(f"variant must be 'original' or 'extended', got {variant!r}")
-    return discretize(potential, grid, reduced.eigen_weight)
+    return discretize(getattr(reduced.grid_form()[0], variant), grid)
 
 
 def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
@@ -148,10 +147,12 @@ def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
     polish certifies its values or falls back to bisection, so a poor guess
     or start, wrong physics included, costs time and never changes a
     result.
+
+    `domain` overrides the grid domain, in the coordinate of `reduced`.
     """
     if not 1 <= levels <= 8:
         raise UsageError(f"levels must lie in 1..8, got {levels}")
-    lo, hi = domain if domain is not None else reduced.grid_domain
+    lo, hi = reduced.grid_form(domain)[1]
     coarse_grid = Grid(lo, hi, grid_points)
     seed_grid = Grid(lo, hi, max(64, 10 * levels + 1, grid_points // 16))
     guesses = eigen_lowest(variant_operator(reduced, "original", seed_grid), levels,
@@ -170,17 +171,17 @@ def _closed_form_residuals(reduced: ReducedSystem, members: list[EigenPair]) -> 
     """Closed-form residual of the extended operator at each X1 member's
     wavefunction, in the order of `members` (degrees 1, 2, ...); a non-finite
     one (the closed form overflows at large parameters) raises NumericError
-    naming its degree.  One pass evaluates the operator, the weight and the
-    shared jets of all members at the samples."""
-    lo, hi = reduced.residual_window
-    samples = np.linspace(lo, hi, 200)
+    naming its degree.  One pass evaluates the extended potential of the
+    record that the grid solves and the shared jets of all members at the
+    samples."""
+    record = reduced.grid_form()[0]
+    samples = np.linspace(*record.residual_window, 200)
     residuals = []
     with np.errstate(all="ignore"):  # overflow shows as a non-finite residual
-        jets = _closed_form(reduced, "exceptional", [pair.polynomial for pair in members])(samples)
-        v = reduced.operator_extended(samples)
-        b = reduced.eigen_weight(samples) if reduced.eigen_weight is not None else 1.0
+        jets = _closed_form(record, "exceptional", [pair.polynomial for pair in members])(samples)
+        v = record.extended(samples)
         for degree, jet in enumerate(jets, start=1):
-            residual = _jet_residual(jet, v, b, reduced.energy(degree - 1))
+            residual = _jet_residual(jet, v, record.energy(degree - 1))
             if not np.isfinite(residual):
                 raise NumericError(f"closed-form residual of the degree-{degree} X1 "
                                    f"wavefunction is not finite ({residual})")
@@ -196,8 +197,8 @@ def isospectral_compare(params: SystemParams, levels: int = 4, *,
     and extended operators with each other and with the analytic levels,
     and run the residual and orthogonality checks.
 
-    Eigenvalues are energies, except for the hydrogen-like system where the
-    eigenproblem is the coupling form and they are the quantized couplings.
+    Eigenvalues are energies, except for the hydrogen-like system where they
+    are the quantized couplings of its coupling form.
     The report passes when the spectral differences are within the
     spectral tolerance, both spectra's distances from the analytic levels
     within the spectral tolerance plus the Richardson error estimate, and

@@ -127,17 +127,27 @@ def test_criterion_5_analytic_spectrum_cross_check():
 
 
 def test_criterion_6_substitute_back_residual():
+    """For the hydrogen-like systems the residual is that of the coupling
+    form A u = lambda (1/r) u in r, on r in (0.1, 40), its weight 1/r
+    written out."""
     worst = 0.0
     for params in RADIAL_SYSTEMS:
         reduced = reduce_system(params)
-        samples = np.linspace(*reduced.residual_window, 200)
+        samples = np.linspace(*(reduced.residual_window or (0.1, 40.0)), 200)
         for degree in (1, 2, 3):
+            potential, energy = reduced.extended, reduced.energy(degree - 1)
+            if isinstance(params, HydrogenLike):
+                s, coupling = params.s, energy
+
+                def potential(r):
+                    return s * (s + 1) / r**2 + 0.25 + reduced.shift(r) - coupling / r
+
+                energy = 0.0
             resid = residual_on_operator(
-                reduced.operator_extended,
+                potential,
                 wavefunction(params, "exceptional", degree),
-                reduced.energy(degree - 1),
+                energy,
                 samples,
-                eigen_weight=reduced.eigen_weight,
             )
             worst = max(worst, resid)
             assert resid <= 1e-8, (params, degree, resid)
@@ -182,7 +192,7 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
     params = DiracOscillator(l=0)
     reduced = reduce_system(params)
     resid_psi = residual_on_operator(
-        reduced.operator_extended,
+        reduced.extended,
         wavefunction(params, "original", 0),
         reduced.energy(0),
         np.linspace(0.05, 12.0, 200),

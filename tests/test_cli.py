@@ -370,6 +370,24 @@ def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
     assert path.read_text() == csv_lines(["x", "psi_0", "psi_1", "psi_2"], [grid.points, *psi.T])
 
 
+def test_psi_out_of_hydrogen_is_on_its_uniform_grid_in_y(tmp_path, capsys):
+    """Hydrogen's --psi-out holds the uniform grid in y = 2 sqrt(r) that its
+    eigenfunctions solve, so the columns are orthonormal under
+    sum f g h with h read off the first and last x."""
+    import numpy as np
+
+    path = tmp_path / "psi.csv"
+    system = '{"kind": "HydrogenLike", "params": {"s": 0.9, "lambda_c": 1.9}}'
+    code, _, _ = run(["spectrum", "--system", system, "--levels", "4",
+                      "--psi-out", str(path)], capsys)
+    assert code == 0
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    x, psi = table[:, 0], table[:, 1:]
+    h = (x[-1] - x[0]) / (x.size - 1)
+    assert np.max(np.abs(np.diff(x) - h)) <= 1e-9
+    assert np.max(np.abs(psi.T @ psi * h - np.eye(4))) <= 1e-9
+
+
 def test_eval_poly_eigenvalue_collision_exits_1(capsys):
     # 1 - 2ab = 7: degrees d and 7 - d share an eigenvalue
     family = '{"kind": "X1Jacobi", "params": {"a": 1.0, "b": -3.0}}'
@@ -653,6 +671,32 @@ def test_verify_non_finite_residual_exits_1_with_one_line(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err == ("error: closed-form residual of the degree-1 X1 wavefunction "
                    "is not finite (nan)\n")
+
+
+OUT_OF_DOMAIN_OVERRIDES = [
+    ({"kind": "HydrogenLike", "params": {"s": 0.9, "lambda_c": 1.9}}, [-1, 80]),
+    ({"kind": "HartmannAngularI", "params": {"lambda_a": 1.0, "s": 2.5}}, [-0.5, 3.0]),
+    ({"kind": "HartmannRadial", "params": {"l": 0, "omega": 1.0}}, [-5, 20]),
+]
+
+
+@pytest.mark.parametrize("system, bounds", OUT_OF_DOMAIN_OVERRIDES,
+                         ids=lambda v: v["kind"] if isinstance(v, dict) else json.dumps(v))
+def test_override_outside_the_domain_exits_2(system, bounds, tmp_path, capsys):
+    """A grid domain reaching past the system's domain is refused when the
+    config loads, before any potential is sampled: exit 2 naming the domain,
+    no warning, and no report, not even of the system listed before it."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "systems": [json.loads(DIRAC), system], "levels": 2,
+        "grid": {"points": 300, "domain_overrides": {system["kind"]: bounds}},
+        "output": {"path": str(tmp_path / "reports")}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["verify", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "outside its domain" in err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_unknown_override_kind_names_the_known_kinds(tmp_path, capsys):

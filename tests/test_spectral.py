@@ -33,15 +33,20 @@ from xop.spectral import _prolonged, _residual_bound, residual_on_operator
 from xop.verify import _closed_form_residuals, variant_operator
 
 
-def solve(lo, hi, n, potential, count, weight=None):
-    return eigen_lowest(discretize(potential, Grid(lo, hi, n), weight), count)
+def solve(lo, hi, n, potential, count):
+    return eigen_lowest(discretize(potential, Grid(lo, hi, n)), count)
 
 
-def solve_extrapolated(lo, hi, n, potential, count, weight=None):
+def solve_extrapolated(lo, hi, n, potential, count):
     return extrapolate(
-        solve(lo, hi, n, potential, count, weight),
-        solve(lo, hi, 2 * n + 1, potential, count, weight),
+        solve(lo, hi, n, potential, count),
+        solve(lo, hi, 2 * n + 1, potential, count),
     )
+
+
+def grid_of(reduced, points):
+    """The grid of `points` on which `solve_variants` solves `reduced`."""
+    return Grid(*reduced.grid_form()[1], points)
 
 
 # --- particle in a box ---------------------------------------------------------
@@ -79,9 +84,6 @@ def test_discretize_layout_and_singularity():
     assert np.allclose(op.off, -1 / h2)
     with np.errstate(divide="ignore"), pytest.raises(SingularityError):
         discretize(lambda x: 1.0 / (x - x[3]), grid)
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(SingularityError, match="coordinate weight"):
-            discretize(lambda x: x, grid, lambda x: np.where(x > 0.5, bad, 1.0))
 
 
 # --- eigen_lowest contract -------------------------------------------------------
@@ -112,15 +114,16 @@ def test_determinism():
     assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
 
 
-def _hydrogen_coupling_operator():
+def _hydrogen_operator(points=3000):
+    """The hydrogen-like original on its grid in y, singular at y = 0."""
     reduced = reduce_system(HydrogenLike(s=0.9, lambda_c=1.9))
-    return variant_operator(reduced, "original", Grid(0.0, 80.0, 3000))
+    return variant_operator(reduced, "original", grid_of(reduced, points))
 
 
 @pytest.mark.parametrize("make_op", [
     lambda: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, 1500)),
-    _hydrogen_coupling_operator,
-], ids=["plain", "coordinate_weighted"])
+    _hydrogen_operator,
+], ids=["plain", "hydrogen_in_y"])
 def test_values_only_solve_matches_eigenpair_solve(make_op):
     op = make_op()
     values_only = eigen_lowest(op, 4, vectors=False)
@@ -156,7 +159,7 @@ def test_solve_variants_are_values_only_with_tight_bisection_values(params):
     only the seed grid is bisected."""
     reduced = reduce_system(params)
     results = solve_variants(reduced, 4, 500)
-    coarse_grid = Grid(*reduced.grid_domain, 500)
+    coarse_grid = grid_of(reduced, 500)
     for variant, result in zip(("original", "extended"), results):
         assert result.eigenfunctions is None
         solves = []
@@ -171,7 +174,7 @@ def test_solve_variants_are_values_only_with_tight_bisection_values(params):
 
 def _coarse_and_fine(params, variant, levels, coarse_points):
     reduced = reduce_system(params)
-    grid = Grid(*reduced.grid_domain, coarse_points)
+    grid = grid_of(reduced, coarse_points)
     coarse = eigen_lowest(variant_operator(reduced, variant, grid), levels, vectors=False)
     return coarse.eigenvalues, variant_operator(reduced, variant, grid.refined())
 
@@ -307,14 +310,11 @@ def _solve_counts(monkeypatch):
 @pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
 def test_each_fine_level_takes_one_solve(params, grid_points, levels, monkeypatch):
     """Started from its coarse eigenfunction, every fine level settles in one
-    solve.  The exception is hydrogen at 2000 points: at spacing 0.04 the
-    quotient of its top level's start misses the fine level by more than
-    the stop tolerance, and that level takes a second solve."""
+    solve, hydrogen's in y included."""
     sizes = _solve_counts(monkeypatch)
     solve_variants(reduce_system(params), levels, grid_points)
     runs = [(size, len(list(run))) for size, run in itertools.groupby(sizes)]
-    extra = 1 if isinstance(params, HydrogenLike) and grid_points == 2000 else 0
-    assert [run for run in runs if run[0] != grid_points] == [(2 * grid_points + 1, levels + extra)] * 2
+    assert [run for run in runs if run[0] != grid_points] == [(2 * grid_points + 1, levels)] * 2
     assert len(runs) == 4
 
 
@@ -322,7 +322,7 @@ def _polished_coarse(params, variant, levels, coarse_points):
     """The coarse polish of one variant, with vectors, and the operator of
     the refined grid."""
     reduced = reduce_system(params)
-    grid = Grid(*reduced.grid_domain, coarse_points)
+    grid = grid_of(reduced, coarse_points)
     op = variant_operator(reduced, variant, grid)
     coarse = refine_lowest(op, eigen_lowest(op, levels, vectors=False).eigenvalues,
                            vectors=True)
@@ -331,8 +331,7 @@ def _polished_coarse(params, variant, levels, coarse_points):
 
 
 def _non_finite(functions):
-    """NaN in level 0, inf in level 2, and in level 3 a column that
-    overflows once divided by the square root of a weight below 1."""
+    """NaN in level 0, inf in level 2, and 1e308 all down level 3."""
     functions = functions.copy()
     functions[3, 0], functions[:, 2], functions[:, 3] = np.nan, np.inf, 1e308
     return functions
@@ -354,7 +353,7 @@ BAD_STARTS = {
                          ids=lambda params: type(params).__name__)
 def test_bad_starts_fall_back_to_the_seeded_start(params, kind):
     """Coarse vectors in reversed order, all zero, or partly NaN, inf and
-    overflowing (RuntimeWarnings fail the suite): each level whose start is unusable
+    1e308 (RuntimeWarnings fail the suite): each level whose start is unusable
     starts from the seeded vector, quietly, and the values still meet tight
     bisection.  Where no level has a usable start, the polish is exactly
     the values-only one."""
@@ -383,7 +382,7 @@ def test_fine_polish_after_a_coarse_fallback_uses_the_seeded_start(params, monke
     fine polish is the values-only one, seeded start and all (two solves or
     more per level), and meets tight bisection."""
     reduced = reduce_system(params)
-    grid = Grid(*reduced.grid_domain, 800)
+    grid = grid_of(reduced, 800)
     guesses = eigen_lowest(variant_operator(reduced, "original", grid), 5,
                            vectors=False).eigenvalues
     coarse = refine_lowest(variant_operator(reduced, "original", grid), guesses[1:],
@@ -399,8 +398,8 @@ def test_fine_polish_after_a_coarse_fallback_uses_the_seeded_start(params, monke
 
 @pytest.mark.parametrize("make_op", [
     lambda: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, 1500)),
-    _hydrogen_coupling_operator,
-], ids=["plain", "coordinate_weighted"])
+    _hydrogen_operator,
+], ids=["plain", "hydrogen_in_y"])
 def test_polished_vectors_follow_the_eigenpair_convention(make_op):
     """`vectors=True` changes no value and returns the eigenfunctions of
     `eigen_lowest`: unit discrete L2 norm, largest entry positive."""
@@ -421,7 +420,7 @@ def test_prolongation_is_fourth_order():
         for n in (64, 129, 259, 519):
             coarse, fine = Grid(0.0, np.pi, n), Grid(0.0, np.pi, n).refined()
             samples = np.sin(k * coarse.points)
-            start = _prolonged(samples, np.ones(fine.n_points)) * np.max(np.abs(samples))
+            start = _prolonged(samples) * np.max(np.abs(samples))
             errors.append(np.max(np.abs(start - np.sin(k * fine.points))))
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((ratios > 15.9) & (ratios < 16.1)), (k, ratios)
@@ -429,27 +428,25 @@ def test_prolongation_is_fourth_order():
 
 @pytest.mark.parametrize("make_op", [
     lambda: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, 100)),
-    lambda: discretize(lambda r: 2.0 / r**2 + 0.25, Grid(0.0, 30.0, 100), lambda r: 1.0 / r),
-], ids=["plain", "coordinate_weighted"])
+    lambda: _hydrogen_operator(100),
+], ids=["plain", "hydrogen_in_y"])
 def test_residual_bound_is_the_dense_residual(make_op):
-    """The polish's bound from the samples is ||M x - rho x|| / ||x|| of the
-    stored symmetric matrix M, for x = B^(1/2) y: at a random vector to
-    rounding, and at an eigenvector of `eigen_lowest` within 16 ulp of ||M||."""
+    """The polish's bound from the samples is ||M y - rho y|| / ||y|| of the
+    stored symmetric matrix M: at a random vector to rounding, and at an
+    eigenvector of `eigen_lowest` within 16 ulp of ||M||."""
     op = make_op()
     inv_h2 = 1.0 / op.grid.spacing**2
     dense = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
 
     def dense_bound(y, rho):
-        x = np.sqrt(op.b) * y
-        return np.linalg.norm(dense @ x - rho * x) / np.linalg.norm(x)
+        return np.linalg.norm(dense @ y - rho * y) / np.linalg.norm(y)
 
     y = np.random.default_rng(3).uniform(-1.0, 1.0, op.diag.size)
-    bound = _residual_bound(y, 2.5, 2.0 * inv_h2 + op.v, op.b, inv_h2)
+    bound = _residual_bound(y, 2.5, 2.0 * inv_h2 + op.v, inv_h2)
     assert bound == pytest.approx(dense_bound(y, 2.5), rel=1e-12)
     pairs = eigen_lowest(op, 2)
-    for rho, x in zip(pairs.eigenvalues, pairs.eigenfunctions.T):
-        y = x / np.sqrt(op.b)
-        bound = _residual_bound(y, rho, 2.0 * inv_h2 + op.v, op.b, inv_h2)
+    for rho, y in zip(pairs.eigenvalues, pairs.eigenfunctions.T):
+        bound = _residual_bound(y, rho, 2.0 * inv_h2 + op.v, inv_h2)
         floor = 16 * np.finfo(float).eps * np.max(np.abs(op.diag))
         assert abs(bound - dense_bound(y, rho)) <= floor
 
@@ -473,11 +470,12 @@ def test_seeding_from_the_original_never_decides_the_levels(params, kind, solves
     with a wrong shift (scaled by 1.01, or with 0.6 or -2 level spacings
     added) every polished grid still meets tight bisection.  Lowered by two
     spacings, the oscillators' original levels are exactly the wrong
-    operator's levels 2..5: only the Sturm count tells them apart."""
-    reduced = reduce_system(params)
+    operator's levels 2..5: only the Sturm count tells them apart.  The
+    shift is changed in the record that the grid solves."""
+    record = reduce_system(params).grid_form()[0]
     factor, spacings = WRONG_SHIFTS[kind]
-    constant = spacings * (reduced.energy(1) - reduced.energy(0))
-    wrong = dataclasses.replace(reduced, shift=lambda x: factor * reduced.shift(x) + constant)
+    constant = spacings * (record.energy(1) - record.energy(0))
+    wrong = dataclasses.replace(record, shift=lambda x: factor * record.shift(x) + constant)
     _, polishes = solves
     solve_variants(wrong, 4, 2000)
     assert len(polishes) == 4
@@ -527,12 +525,12 @@ def test_closed_form_residuals_are_the_per_degree_residuals(params):
     first such degree."""
     reduced = reduce_system(params)
     members = x1_eigenpairs(reduced.x1_family, 4)[:3]
-    samples = np.linspace(*reduced.residual_window, 200)
+    record = reduced.grid_form()[0]
+    samples = np.linspace(*record.residual_window, 200)
     with np.errstate(all="ignore"):
-        expected = [residual_on_operator(reduced.operator_extended,
-                                         reduced.wavefunction("exceptional", degree),
-                                         reduced.energy(degree - 1), samples,
-                                         eigen_weight=reduced.eigen_weight)
+        expected = [residual_on_operator(record.extended,
+                                         record.wavefunction("exceptional", degree),
+                                         record.energy(degree - 1), samples)
                     for degree in (1, 2, 3)]
     if np.all(np.isfinite(expected)):
         assert _closed_form_residuals(reduced, members) == expected
@@ -543,20 +541,15 @@ def test_closed_form_residuals_are_the_per_degree_residuals(params):
 
 
 def test_operator_is_its_samples():
-    """b is all ones without a weight, so dividing by it leaves the bits of
-    the unweighted matrix; with a weight the matrix is B^(-1/2) A B^(-1/2)."""
+    """The matrix is the three-point form of the samples, to the bit."""
     grid = Grid(1.0, 2.0, 100)
     x, h2 = grid.points, grid.spacing**2
     op = discretize(lambda x: 3 * x, grid)
-    assert np.array_equal(op.v, 3 * x) and np.array_equal(op.b, np.ones_like(x))
+    assert np.array_equal(op.v, 3 * x)
     assert np.array_equal(op.diag, 2.0 / h2 + 3 * x)
     assert np.array_equal(op.off, np.full(99, -1.0 / h2))
-    weighted = discretize(lambda x: 3 * x, grid, lambda x: x**2)
-    assert np.array_equal(weighted.v, op.v) and np.array_equal(weighted.b, x**2)
-    assert np.array_equal(weighted.diag, op.diag / x**2)
-    assert np.array_equal(weighted.off, op.off / np.sqrt(x[:-1] ** 2 * x[1:] ** 2))
     with pytest.raises(UsageError, match="one per grid point"):
-        dataclasses.replace(op, b=op.b[1:])
+        dataclasses.replace(op, v=op.v[1:])
 
 
 # --- extrapolation ----------------------------------------------------------------
@@ -578,7 +571,7 @@ def test_extrapolate_constant_shift_identity():
 
 def test_extrapolate_dirac_oscillator_target():
     reduced = reduce_system(DiracOscillator(l=0))
-    result = solve_extrapolated(0.0, 20.0, 2000, reduced.operator_potential, 1)
+    result = solve_extrapolated(0.0, 20.0, 2000, reduced.original, 1)
     assert abs(result.eigenvalues[0] - 1.5) < 1e-5
 
 
@@ -608,16 +601,30 @@ def test_oscillator_spectra_match_analytic():
                    DiracOscillator(l=0), DiracOscillator(l=1)):
         reduced = reduce_system(params)
         lo, hi = reduced.grid_domain
-        result = solve_extrapolated(lo, hi, 2000, reduced.operator_potential, 4)
+        result = solve_extrapolated(lo, hi, 2000, reduced.original, 4)
         want = [analytic_energy(params, n) for n in range(4)]
         assert np.max(np.abs(result.eigenvalues - want)) < 1e-4, params
 
 
+def coupling_form_levels(params, grid, count):
+    """Lowest eigenvalues of the coupling form A u = lambda (1/r) u in r, with
+    A = -d^2/dr^2 + s(s+1)/r^2 + 1/4, its weight 1/r written out: the
+    tridiagonal r^(1/2) A r^(1/2) of the three-point A."""
+    r, h2 = grid.points, grid.spacing**2
+    s = params.s
+    diag = (2.0 / h2 + s * (s + 1) / r**2 + 0.25) * r
+    off = -np.sqrt(r[:-1] * r[1:]) / h2
+    values = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                           select_range=(0, count - 1))
+    return SpectrumResult(values, None, grid, 0.0)
+
+
 def test_hydrogen_coupling_spectrum():
+    """The coupling form solved in r, the reference for the map to y."""
     params = HydrogenLike(s=0.9, lambda_c=1.9)
-    reduced = reduce_system(params)
-    result = solve_extrapolated(0.0, 80.0, 3000, reduced.operator_potential, 4,
-                                weight=reduced.eigen_weight)
+    grid = Grid(0.0, 80.0, 3000)
+    result = extrapolate(coupling_form_levels(params, grid, 4),
+                         coupling_form_levels(params, grid.refined(), 4))
     want = [analytic_energy(params, n) for n in range(4)]
     assert np.max(np.abs(result.eigenvalues - want)) < 1e-4
 

@@ -56,6 +56,34 @@ ALL_SYSTEMS = [
     HydrogenLike(s=1.5, lambda_c=2.5),
 ]
 
+# the hydrogen-like r record has no residual window (its grid form in y has
+# one); its closed forms in r are checked on this one
+HYDROGEN_R_WINDOW = (0.1, 40.0)
+
+
+def residual_samples(reduced):
+    return np.linspace(*(reduced.residual_window or HYDROGEN_R_WINDOW), 200)
+
+
+def eigen_residual(reduced, variant, n):
+    """Residual of the closed form of `variant` and index n in its system's
+    eigenproblem: -u'' + V u = E u, V the original or the extended; for the
+    hydrogen-like system the coupling form A u = lambda (1/r) u in r, with
+    A = -d^2/dr^2 + s(s+1)/r^2 + 1/4 (+ shift), the weight 1/r written
+    out."""
+    potential = reduced.original if variant == "original" else reduced.extended
+    energy = reduced.energy(n if variant == "original" else n - 1)
+    if isinstance(reduced.params, HydrogenLike):
+        s, coupling = reduced.params.s, energy
+        shift = reduced.shift if variant == "exceptional" else np.zeros_like
+
+        def potential(r):
+            return s * (s + 1) / r**2 + 0.25 + shift(r) - coupling / r
+
+        energy = 0.0
+    return residual_on_operator(potential, reduced.wavefunction(variant, n), energy,
+                                residual_samples(reduced))
+
 
 # --- printed rational terms ---------------------------------------------------
 
@@ -130,7 +158,7 @@ def test_ve_hydrogen_values():
 def test_extended_is_original_plus_shift(params):
     reduced = reduce_system(params)
     rng = np.random.default_rng(11)
-    lo, hi = reduced.residual_window
+    lo, hi = reduced.residual_window or HYDROGEN_R_WINDOW
     x = rng.uniform(lo, hi, 1000)
     total = reduced.original(x) + reduced.shift(x)
     ext = reduced.extended(x)
@@ -170,14 +198,8 @@ def test_angular_shift_anchor():
 @pytest.mark.parametrize("params", ALL_SYSTEMS, ids=lambda p: repr(p))
 def test_original_wavefunctions_satisfy_original_operator(params):
     reduced = reduce_system(params)
-    lo, hi = reduced.residual_window
-    samples = np.linspace(lo, hi, 200)
     for n in range(3):
-        psi = wavefunction(params, "original", n)
-        resid = residual_on_operator(
-            reduced.operator_potential, psi, reduced.energy(n), samples,
-            eigen_weight=reduced.eigen_weight,
-        )
+        resid = eigen_residual(reduced, "original", n)
         assert resid < 1e-10, (params, n, resid)
 
 
@@ -186,14 +208,8 @@ def test_exceptional_wavefunctions_satisfy_extended_operator(params):
     """Isospectrality at the solution level: X1 degree n pairs with the
     original level n-1 eigenvalue."""
     reduced = reduce_system(params)
-    lo, hi = reduced.residual_window
-    samples = np.linspace(lo, hi, 200)
     for degree in (1, 2, 3):
-        psi = wavefunction(params, "exceptional", degree)
-        resid = residual_on_operator(
-            reduced.operator_extended, psi, reduced.energy(degree - 1), samples,
-            eigen_weight=reduced.eigen_weight,
-        )
+        resid = eigen_residual(reduced, "exceptional", degree)
         assert resid < 1e-8, (params, degree, resid)
 
 
@@ -203,8 +219,7 @@ def test_classical_wavefunction_fails_extended_operator():
     reduced = reduce_system(params)
     samples = np.linspace(0.05, 12.0, 200)
     psi = wavefunction(params, "original", 0)
-    resid = residual_on_operator(
-        reduced.operator_extended, psi, reduced.energy(0), samples)
+    resid = residual_on_operator(reduced.extended, psi, reduced.energy(0), samples)
     assert resid >= 1e-2
 
 
@@ -215,7 +230,7 @@ def test_wrong_sign_shift_breaks_residual():
     psi = wavefunction(params, "exceptional", 1)
 
     def flipped(theta):
-        return reduced.operator_potential(theta) - reduced.shift(theta)
+        return reduced.original(theta) - reduced.shift(theta)
 
     resid = residual_on_operator(flipped, psi, reduced.energy(0), samples)
     assert resid >= 1e-2
@@ -371,7 +386,7 @@ def test_angular_printed_vs_operator_form_differ_by_2s_csc2():
     reduced = reduce_system(params)
     theta = np.linspace(0.2, np.pi - 0.2, 50)
     printed = potential_hartmann_angular_i_printed(params, theta)
-    used = reduced.operator_potential(theta)
+    used = reduced.original(theta)
     assert np.allclose(printed - used, 2 * params.s / np.sin(theta) ** 2, rtol=1e-12)
 
 
@@ -439,7 +454,7 @@ RECORDS = [
     (DiracOscillator(l=0), "r", (0.0, math.inf), (0.0, 20.0), (0.05, 12.0),
      (0.5, 1.0), ("ClassicalLaguerre", {"k": 0.5}), ("X1Laguerre", {"k": 0.5}),
      [1.5, 3.5, 5.5, 7.5]),
-    (HydrogenLike(s=0.9, lambda_c=1.9), "r", (0.0, math.inf), (0.0, 80.0), (0.1, 40.0),
+    (HydrogenLike(s=0.9, lambda_c=1.9), "r", (0.0, math.inf), None, None,
      (2.8, 1.0), ("ClassicalLaguerre", {"k": 2.8}), ("X1Laguerre", {"k": 2.8}),
      [1.9, 2.9, 3.9, 4.9]),
     (HartmannAngularII(lambda_a=2.0, s=4.0), "theta", (0.0, 1.5707963267948966),
@@ -466,3 +481,41 @@ def test_reduced_record_values(record):
         assert family_to_dict(family) == {"kind": kind, "params": values}
     assert [reduced.energy(n) for n in range(4)] == levels
     assert [analytic_energy(params, n) for n in range(4)] == levels
+
+
+@pytest.mark.parametrize("s", [0.05, 0.9, 5.0])
+def test_hydrogen_is_the_half_omega_oscillator_in_y(s):
+    """With r = y^2/4 and u = (y/2)^(1/2) w, the coupling form is the radial
+    oscillator at l = 2s + 1/2 and omega = 1/2: its grid record has the
+    oscillator potential, the shift ve_hydrogen(y^2/4), the couplings
+    n + s + 1 as levels, the r record's families and pole offset, and the
+    closed forms (y/2)^(-1/2) u(y^2/4)."""
+    params = HydrogenLike(s=s, lambda_c=1.9)
+    reduced = reduce_system(params)
+    in_y, grid = reduced.grid_form()
+    assert in_y.coordinate == "y" and grid == in_y.grid_domain == (0.0, 20.0 / math.sqrt(0.5))
+    y = np.linspace(0.05, 25.0, 500)
+    nu = 2 * s + 0.5
+    assert np.allclose(in_y.original(y), nu * (nu + 1) / y**2 + y**2 / 16, rtol=1e-14, atol=0)
+    ve = ve_hydrogen(params, y**2 / 4)
+    assert np.max(np.abs(in_y.shift(y) - ve)) <= 1e-12 * np.max(np.abs(ve))
+    assert [in_y.energy(n) for n in range(4)] == pytest.approx(
+        [n + s + 1 for n in range(4)], rel=1e-15, abs=0)
+    assert (in_y.classical_family, in_y.x1_family, in_y.pole_offset) == (
+        reduced.classical_family, reduced.x1_family, reduced.pole_offset)
+    for variant, n in (("original", 2), ("exceptional", 3)):
+        w = in_y.wavefunction(variant, n)(y).val
+        u = reduced.wavefunction(variant, n)(y**2 / 4).val
+        assert np.max(np.abs(w - (y / 2) ** -0.5 * u)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_grid_form_checks_and_maps_overrides():
+    """An override lies within the closed domain and is given in the
+    system's own coordinate; hydrogen's is mapped by y = 2 sqrt(r)."""
+    hydrogen = reduce_system(HydrogenLike(s=0.9, lambda_c=1.9))
+    assert hydrogen.grid_form((0.0, 31.0))[1] == (0.0, 2 * math.sqrt(31.0))
+    angular = reduce_system(HartmannAngularI(lambda_a=1.0, s=2.5))
+    assert angular.grid_form((0.0, math.pi)) == (angular, (0.0, math.pi))
+    for reduced, bounds in ((hydrogen, (-1.0, 80.0)), (angular, (0.5, 3.5))):
+        with pytest.raises(UsageError, match="outside its domain"):
+            reduced.grid_form(bounds)

@@ -66,7 +66,7 @@ def test_angular_levels_match_the_analytic_levels(params):
         assert np.max(np.abs(np.subtract(values, analytic))) <= 1e-5
 
 
-FINE_BOUNDS = {"r": 5e-9, "theta": 2e-7}
+FINE_BOUNDS = {"r": 1e-11, "theta": 2e-7}
 FIVE_SYSTEMS = [
     HartmannRadial(l=0, omega=1.0), HartmannAngularI(lambda_a=1.0, s=2.5),
     DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
@@ -83,6 +83,16 @@ def test_fine_grid_levels_match_the_analytic_levels(params):
     bound = FINE_BOUNDS[reduce_system(params).coordinate]
     for values in (report.eigenvalues_original, report.eigenvalues_extended):
         assert np.max(np.abs(np.subtract(values, analytic))) <= bound
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.3])
+def test_small_s_hydrogen_passes(s):
+    """Near s = 0 the r^(s+1) endpoint of the coupling form in r cost the
+    h^2 Richardson step its order (levels 1.1e-3 off at s = 0.1); in
+    y = 2 sqrt(r) the endpoint is y^(2s+3/2) and the levels are right."""
+    report = isospectral_compare(HydrogenLike(s, 1.0), levels=4, grid_points=2000)
+    assert report.passed
+    assert max(report.analytic_errors_original + report.analytic_errors_extended) <= 1e-6
 
 
 @pytest.mark.parametrize("params", [HartmannAngularI(lambda_a=1.0, s=3000.0),
