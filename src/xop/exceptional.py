@@ -256,8 +256,10 @@ def _two_term_values(family: FamilySpec, n_max: int, x: np.ndarray) -> np.ndarra
     else:
         p = _jacobi_rows(n_max, *x1_jacobi_alpha_beta(family.a, family.b), x)
     p /= _classical_leads(n_max, **classical)[:, None]
-    vals = (x + shift[:, None]) * p
-    vals[1:] += lower[1:, None] * p[:-1]
+    vals = x + shift[:, None]
+    vals *= p
+    p[:-1] *= lower[1:, None]  # in place: two blocks of values at a time
+    vals[1:] += p[:-1]
     return vals
 
 
@@ -500,14 +502,18 @@ def _first_rule(family: FamilySpec, n_max: int) -> QuadratureRule:
     return gauss_jacobi_rule(alpha, beta, n_max + 1, pole)
 
 
-def _gram_on_rule(family, n_max, rule):
-    x = rule.nodes
+def _member_values(family: FamilySpec, n_max: int, x: np.ndarray) -> np.ndarray:
+    """Row m: the (m+1)-th member of `family` (`family_members`) at x, from
+    the classical recurrences (X1 members through `_two_term_values`)."""
     if isinstance(family, ClassicalLaguerre):
-        vals = _laguerre_rows(n_max, family.k, x)
-    elif isinstance(family, ClassicalJacobi):
-        vals = _jacobi_rows(n_max, family.alpha, family.beta, x)
-    else:
-        vals = _two_term_values(family, n_max, x)
+        return _laguerre_rows(n_max, family.k, x)
+    if isinstance(family, ClassicalJacobi):
+        return _jacobi_rows(n_max, family.alpha, family.beta, x)
+    return _two_term_values(family, n_max, x)
+
+
+def _gram_on_rule(family, n_max, rule):
+    vals = _member_values(family, n_max, rule.nodes)
     g = (vals * rule.weights) @ vals.T
     return 0.5 * (g + g.T)
 

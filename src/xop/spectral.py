@@ -9,22 +9,24 @@ coupling form carries no weight (see `xop.systems`).
 
 Two eigensolvers share one result type.  `eigen_lowest` bisects from
 scratch (LAPACK stebz, with stein for eigenfunctions); `verify` runs it
-only on a small seed grid, for `spectrum --psi-out`, and as the fallback of
-`refine_lowest`.  `refine_lowest` warm-starts from approximate values (in
-`verify`, the seed levels, the original's levels or the coarse levels):
-Rayleigh-quotient iteration with one O(n) tridiagonal solve per step,
-and besides it a handful of vector passes (the shifted diagonal, the
+only for `spectrum --psi-out` and as the fallback of `refine_lowest`.
+`refine_lowest` warm-starts from approximate values (in `verify`, the
+analytic levels on the coarse grid and the coarse levels on the fine
+grid): Rayleigh-quotient iteration with one O(n) tridiagonal solve per
+step, and besides it a handful of vector passes (the shifted diagonal, the
 normalization, and the quotient's three dot products), with quotients
 taken from the samples v themselves, so they are not limited by the
-ulp * 2/h^2 rounding of the diagonal that bounds bisection.  Given the
-coarse grid's polished result, each level starts from its coarse
-eigenfunction prolonged to the refined grid; that start's quotient is
-already within O(h^4) of the level, so it counts as the step before the
-first solve and a level settles in one solve.  Other levels start from one
-seeded vector and take at least two.  Its values are
+ulp * 2/h^2 rounding of the diagonal that bounds bisection.  Given start
+vectors, each level starts from its own: sampled on the grid itself (in
+`verify`, the closed-form eigenfunctions on the coarse grid) or the coarse
+grid's polished eigenfunction prolonged to the refined grid.  Either
+start's quotient is already within O(h^4) of the level, so it counts as
+the step before the first solve and a level settles in one solve.  Other
+levels start from one seeded vector and take at least two.  Its values are
 certified (disjoint residual intervals and a Sturm count of the levels
 below the top one); where the certificate fails it falls back to
-`eigen_lowest`, so it never returns less than bisection.
+`eigen_lowest`, so it never returns less than bisection.  Both load
+scipy.linalg at their first solve, so importing xop does not.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import Jet2
 from .errors import DomainError, NumericError, SingularityError, UsageError
@@ -159,10 +160,12 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
     deterministic for identical inputs.
 
     The eigenvalues do not depend on `vectors`: both solves run stebz with
-    the same tolerance on one unsplit block.  `verify` and `spectrum` solve
-    their seed grids this way, values-only, and `spectrum --psi-out` its
-    coarse original grid with eigenfunctions.
+    the same tolerance on one unsplit block.  `spectrum --psi-out` solves
+    its coarse original grid this way, with eigenfunctions.
     """
+    # scipy.linalg is loaded at the first solve, not when xop is imported
+    import scipy.linalg
+
     n = op.diag.size
     _check_count(count, n)
     try:
@@ -196,9 +199,10 @@ def refine_lowest(op: TridiagonalOperator, guesses, *,
     approximate values (levels of the same problem on another grid, or of an
     isospectral one) by Rayleigh-quotient iteration; deterministic.
 
-    `guesses` is an array of values, or the `SpectrumResult` of the grid
-    whose `refined()` is `op.grid`: its eigenvalues are the guesses, and its
-    eigenfunctions, where it has them, give each level its start.  With
+    `guesses` is an array of values, or a `SpectrumResult` on `op.grid`
+    itself or on the grid whose `refined()` is `op.grid`: its eigenvalues
+    are the guesses, and its eigenfunctions, where it has them, give each
+    level its start (used as they are, or prolonged).  With
     `vectors`, a certified polish also returns the eigenfunctions, in the
     convention of `eigen_lowest` (unit discrete L2 norm, largest entry
     positive); without it, only the values.
@@ -214,7 +218,8 @@ def refine_lowest(op: TridiagonalOperator, guesses, *,
     move.
 
     A level's start decides what "the step before" the first solve is.
-    From a coarse eigenfunction, prolonged by cubic midpoint interpolation
+    From samples of the level's eigenfunction on `op.grid`, or from a
+    coarse eigenfunction prolonged by cubic midpoint interpolation
     (`_prolonged`), the start is already the eigenvector to O(h^2), and its
     quotient to O(h^4): the first solve shifts by that
     quotient, and the quotient counts as the step before, so a level
@@ -239,33 +244,39 @@ def refine_lowest(op: TridiagonalOperator, guesses, *,
     failed certificate returns `eigen_lowest(op, count, vectors=False)`
     instead: values only, since only a start would use its vectors.
     """
-    starts = None
+    starts, lift = None, None
     if isinstance(guesses, SpectrumResult):
-        if guesses.grid.refined() != op.grid:
-            raise UsageError("a SpectrumResult guess must come from the grid that "
-                             "op's grid refines")
+        if guesses.grid == op.grid:
+            lift = _scaled
+        elif guesses.grid.refined() == op.grid:
+            lift = _prolonged
+        else:
+            raise UsageError("a SpectrumResult guess must come from op's grid or from "
+                             "the grid that op's grid refines")
         guesses, starts = guesses.eigenvalues, guesses.eigenfunctions
     guesses = np.asarray(guesses, dtype=float).ravel()
     _check_count(guesses.size, op.diag.size)
     polished = None
     if np.all(np.isfinite(guesses)):
-        polished = _polish(op, guesses, starts, vectors)
+        polished = _polish(op, guesses, starts, lift, vectors)
     if polished is None or not _certified(op, *polished[:2]):
         return eigen_lowest(op, guesses.size, vectors=False)
     return SpectrumResult(polished[0], polished[2], op.grid, 0.0)
 
 
 def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | None,
-            vectors: bool):
+            lift, vectors: bool):
     """(values, residual bounds, eigenfunctions or None) of Rayleigh-quotient
-    iteration from each guess, each level started from its column of the
-    coarse eigenfunctions `starts` where that start is usable; None where a
-    solve is singular or a level does not settle.  Only one level's start
-    is prolonged at a time.
+    iteration from each guess, each level started from its column of
+    `starts`, taken onto op's grid by `lift` (`_scaled` or `_prolonged`),
+    where that start is usable; None where a solve is singular or a level
+    does not settle.  Only one level's start is lifted at a time.
 
     A step is one gtsv solve of (M - shift) y = rhs, the normalization of
     its solution to sum y^2 = 1, and one `_quotient` of it; y is the next
     right-hand side."""
+    import scipy.linalg
+
     v = op.v
     inv_h2 = 1.0 / op.grid.spacing**2
     a_diag = 2.0 * inv_h2 + v
@@ -278,7 +289,7 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
     functions = np.empty((v.size, guesses.size)) if vectors else None
     seeded = None  # made for the first level without a usable start
     for level, (guess, reach) in enumerate(zip(guesses, reaches)):
-        start = None if starts is None else _prolonged(starts[:, level])
+        start = None if starts is None else lift(starts[:, level])
         rho = np.nan if start is None else _quotient(start, v, inv_h2)[0]
         if abs(rho - guess) <= reach:  # False for a NaN quotient
             rhs, shift, previous = start, rho, rho
@@ -320,6 +331,16 @@ def _quotient(y, v, inv_h2):
     return kinetic + np.dot(v * y, y) / norm2, kinetic
 
 
+def _scaled(u: np.ndarray) -> np.ndarray | None:
+    """A start on op's own grid: u over its largest magnitude, a new array
+    (gtsv overwrites its right-hand side); None for a start that is zero or
+    not finite."""
+    scale = np.max(np.abs(u))
+    if not (np.isfinite(scale) and scale > 0):
+        return None
+    return u / scale
+
+
 def _prolonged(u: np.ndarray) -> np.ndarray | None:
     """The coarse eigenfunction u interpolated onto the refined grid, whose
     odd points are the coarse points: each midpoint is the cubic through its
@@ -331,10 +352,9 @@ def _prolonged(u: np.ndarray) -> np.ndarray | None:
     cubics, and fits the y^(2s+3/2) of hydrogen and the theta^nu of the
     angular wells far worse.  None for a start that is zero or not
     finite."""
-    scale = np.max(np.abs(u))
-    if not (np.isfinite(scale) and scale > 0):
+    u = _scaled(u)
+    if u is None:
         return None
-    u = u / scale
     walled = np.concatenate(([0.0], u, [0.0]))
     fine = np.empty(2 * u.size + 1)
     fine[1::2] = u
@@ -355,6 +375,8 @@ def _residual_bound(y, rho, a_diag, inv_h2) -> float:
 
 def _certified(op: TridiagonalOperator, values: np.ndarray, bounds: np.ndarray) -> bool:
     """The certificate of `refine_lowest`."""
+    import scipy.linalg
+
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(bounds))):
         return False
     spread = 2.0 * np.max(np.abs(op.off))

@@ -16,8 +16,8 @@ builder supplies:
   extended levels;
 * the level-energy law, and the three pieces of the closed-form
   wavefunctions: the jet of the polynomial variable z in the coordinate,
-  the prefactor jet in z, and the pole offset (c0, c1) of the pole factor
-  c0 + c1 z;
+  the prefactor jet in z (which maps plain values of z to plain values),
+  and the pole offset (c0, c1) of the pole factor c0 + c1 z;
 * for a system the grid solves in another coordinate, ``solved_as``: the
   record in that coordinate and the map onto it (its own grid domain and
   residual window are then None).
@@ -67,6 +67,7 @@ from .exceptional import (
     FamilySpec,
     X1Jacobi,
     X1Laguerre,
+    _member_values,
     family_members,
     x1_polynomial,
 )
@@ -411,7 +412,7 @@ class ReducedSystem:
     x1_family: FamilySpec
     level_energy: Callable[[int], float]
     coordinate_jet: Callable[[np.ndarray], Jet2]
-    prefactor_jet: Callable[[Jet2], Jet2]
+    prefactor_jet: Callable[[Jet2], Jet2]  # plain values of z give plain values
     pole_offset: tuple[float, float]  # (c0, c1): the pole factor is c0 + c1 z
     # the record the grid solves and the map of this coordinate onto its own
     solved_as: tuple[ReducedSystem, Callable[[float], float]] | None = None
@@ -536,8 +537,7 @@ def _jacobi_insertion(b: float, z):
 def _jacobi_prefactor(a_exp: float, b_exp: float) -> Callable[[Jet2], Jet2]:
     """(1 - z)^a_exp (1 + z)^b_exp."""
     def prefactor(z: Jet2) -> Jet2:
-        one = Jet2(np.ones_like(z.val), np.zeros_like(z.val), np.zeros_like(z.val))
-        return jet_pow(one - z, a_exp) * jet_pow(one + z, b_exp)
+        return jet_pow(1.0 - z, a_exp) * jet_pow(1.0 + z, b_exp)
     return prefactor
 
 
@@ -655,3 +655,20 @@ def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial
         return values
 
     return psis
+
+
+def _level_samples(system: ReducedSystem, variant: str, count: int, x: np.ndarray) -> np.ndarray:
+    """Column n (n = 0..count-1): the closed-form eigenfunction of level n of
+    the `variant` operator ("original" or "extended") at the points x, values
+    only and unnormalized: the prefactor times the classical member of
+    degree n, or times the X1 member of degree n + 1 over the pole factor.
+    Values past the float range come out non-finite, without a warning."""
+    family = system.classical_family if variant == "original" else system.x1_family
+    with np.errstate(all="ignore"):
+        z = system.coordinate_jet(x).val
+        rows = _member_values(family, count, z)
+        rows *= system.prefactor_jet(z)
+        if variant != "original":
+            c0, c1 = system.pole_offset
+            rows /= c0 + c1 * z
+    return rows.T

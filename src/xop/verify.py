@@ -12,14 +12,14 @@ once at the samples and shared by every degree.  Grids and residuals are
 those of the record that the grid solves (`ReducedSystem.grid_form`); for
 the hydrogen-like system, the oscillator in y = 2 sqrt(r).
 
-`solve_variants` bisects only a seed grid 16 times coarser than the coarse
-grid; every coarse and fine level is a certified `refine_lowest` polish
-(or its bisection fallback), the extended coarse grid seeded from the
-original's coarse levels.  The coarse polishes start every level from one
-seeded vector; each fine polish starts every level from the coarse
-polish's eigenfunction, prolonged to the fine grid.  That start's Rayleigh
-quotient is already within O(h^4) of the fine level, so it counts as the
-step before the first solve, and a fine level settles in one solve."""
+`solve_variants` bisects nothing: every coarse and fine level is a
+certified `refine_lowest` polish (or its bisection fallback).  Each coarse
+polish starts every level from its closed-form eigenfunction sampled on the
+coarse grid, at its analytic level; each fine polish starts every level
+from the coarse polish's eigenfunction, prolonged to the fine grid.  Either
+start's Rayleigh quotient is already within O(h^4) of the grid's level, so
+it counts as the step before the first solve, and a level settles in one
+solve on every grid."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .spectral import (
     TridiagonalOperator,
     _jet_residual,
     discretize,
-    eigen_lowest,
     extrapolate,
     refine_lowest,
 )
@@ -44,6 +43,7 @@ from .systems import (
     SystemParams,
     _closed_form,
     _finite_number,
+    _level_samples,
     reduce_system,
     system_to_dict,
 )
@@ -137,34 +137,38 @@ def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
     of `grid_points` and its half-spacing refinement; `levels` must lie in
     1..8.
 
-    Only a seed grid, 16 times coarser (but at least 64 points and more
-    than ten per level), is bisected.  Every other solve is a
-    `refine_lowest` polish: the original's coarse grid from the seed
-    levels, the extended coarse grid from the original's coarse levels (the
-    two operators are isospectral), and each fine grid from its own coarse
-    result, each level started from its coarse eigenfunction prolonged to
-    the fine grid.  Only the coarse polishes keep eigenfunctions.  The
-    polish certifies its values or falls back to bisection, so a poor guess
-    or start, wrong physics included, costs time and never changes a
-    result.
+    Every solve is a `refine_lowest` polish.  Each coarse grid is polished
+    from the analytic levels of the record that the grid solves, each level
+    started from its closed-form eigenfunction sampled on the coarse grid
+    (`_level_samples`, one variant at a time); each fine grid from its own
+    coarse result, each level started from its coarse eigenfunction
+    prolonged to the fine grid.  So each level takes one solve per grid.
+    Only the coarse polishes keep eigenfunctions.  The polish certifies its
+    values or falls back to bisection, so a poor guess or start, wrong
+    physics included, costs time and never changes a result.
 
     `domain` overrides the grid domain, in the coordinate of `reduced`.
     """
     if not 1 <= levels <= 8:
         raise UsageError(f"levels must lie in 1..8, got {levels}")
-    lo, hi = reduced.grid_form(domain)[1]
-    coarse_grid = Grid(lo, hi, grid_points)
-    seed_grid = Grid(lo, hi, max(64, 10 * levels + 1, grid_points // 16))
-    guesses = eigen_lowest(variant_operator(reduced, "original", seed_grid), levels,
-                           vectors=False).eigenvalues
-    solved = []
-    for variant in ("original", "extended"):
-        coarse = refine_lowest(variant_operator(reduced, variant, coarse_grid), guesses,
-                               vectors=True)
-        fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()), coarse)
-        solved.append(extrapolate(coarse, fine))
-        guesses = coarse.eigenvalues
-    return solved[0], solved[1]
+    coarse_grid = Grid(*reduced.grid_form(domain)[1], grid_points)
+    return (_solve_variant(reduced, "original", levels, coarse_grid),
+            _solve_variant(reduced, "extended", levels, coarse_grid))
+
+
+def _solve_variant(reduced: ReducedSystem, variant: str, levels: int,
+                   coarse_grid: Grid) -> SpectrumResult:
+    """`solve_variants` for one variant.  Its start vectors and coarse
+    eigenfunctions are freed on return, so only one variant's are held at a
+    time."""
+    record = reduced.grid_form()[0]
+    start = SpectrumResult([record.energy(n) for n in range(levels)],
+                           _level_samples(record, variant, levels, coarse_grid.points),
+                           coarse_grid, 0.0)
+    coarse = refine_lowest(variant_operator(reduced, variant, coarse_grid), start, vectors=True)
+    del start  # not held through the fine polish
+    fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()), coarse)
+    return extrapolate(coarse, fine)
 
 
 def _closed_form_residuals(reduced: ReducedSystem, members: list[EigenPair]) -> list[float]:

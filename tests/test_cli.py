@@ -338,9 +338,9 @@ def test_psi_out(tmp_path, capsys):
 def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
     """spectrum --psi-out adds one eigenpair solve (stein) of the coarse
     original operator and changes nothing else: the values still come from
-    the seed-grid bisection and the polishes, so the table bytes are those
-    without --psi-out (a polish seeded from other guesses can differ in the
-    last bits), and the eigenfunctions are those of a separate solve."""
+    the polishes alone, so the table bytes are those without --psi-out (a
+    polish started elsewhere can differ in the last bits), and the
+    eigenfunctions are those of a separate solve."""
     import xop.cli
     import xop.spectral
     import xop.verify
@@ -355,15 +355,15 @@ def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
         calls.append((op.grid.n_points, kwargs.get("vectors", True)))
         return eigen_lowest(op, count, **kwargs)
 
-    for module in (xop.cli, xop.spectral, xop.verify):
+    for module in (xop.cli, xop.spectral):
         monkeypatch.setattr(module, "eigen_lowest", counted)
     path = tmp_path / "psi.csv"
     for fmt, table in tables.items():
         calls.clear()
         code, out, _ = run(argv + ["--format", fmt, "--psi-out", str(path)], capsys)
         assert code == 0 and out == table
-        # the 64-point seed grid, values only, then the eigenpairs; no fallback
-        assert calls == [(64, False), (900, True)]
+        # only the eigenpairs: no seed grid and no fallback
+        assert calls == [(900, True)]
     reduced = reduce_system(system_from_json(DIRAC))
     grid = Grid(*reduced.grid_domain, 900)
     psi = eigen_lowest(xop.verify.variant_operator(reduced, "original", grid), 3).eigenfunctions
@@ -634,6 +634,28 @@ def test_python_dash_m_runs_the_cli():
                            "--n", "1", "--points", "nan"], capture_output=True, text=True,
                           env=env, check=False)
     assert done.returncode == 2 and done.stderr.startswith("error:")
+
+
+def test_loading_and_evaluating_never_import_scipy_linalg():
+    """scipy.linalg is imported at the first solve: a fresh interpreter that
+    imports xop, loads the bundled config and runs eval-poly and plot-data
+    has not loaded it."""
+    import subprocess
+    import sys
+
+    import xop
+
+    code = ("import sys, xop, xop.config; from xop.cli import main; "
+            "xop.config.load_config(None); "
+            f"assert main(['eval-poly', '--family', {LAG_X1!r}, '--n', '3', '--points', '0,1']) == 0; "
+            f"assert main(['plot-data', '--system', {DIRAC!r}, '--range', '0.1', '3', "
+            "'--count', '5', '--levels', '2']) == 0; "
+            "print('scipy.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xop.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 BAD_CONFIGS = [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from xop import (
 )
 from xop.exceptional import x1_eigenpairs
 from xop.spectral import _prolonged, _residual_bound, residual_on_operator
+from xop.systems import _level_samples
 from xop.verify import _closed_form_residuals, variant_operator
 
 
@@ -156,7 +158,7 @@ def bisection_floor(op):
 def test_solve_variants_are_values_only_with_tight_bisection_values(params):
     """Values-only, and both grids of both variants meet bisection to the
     last bit (tol 1e-300) within bisection's own rounding floor, although
-    only the seed grid is bisected."""
+    no grid is bisected."""
     reduced = reduce_system(params)
     results = solve_variants(reduced, 4, 500)
     coarse_grid = grid_of(reduced, 500)
@@ -239,11 +241,12 @@ def test_refine_lowest_usage_errors():
 @pytest.fixture
 def solves(monkeypatch):
     """Records what `solve_variants` runs: each bisection as (grid points,
-    vectors), fallbacks of `refine_lowest` included, and each polish as
-    (operator, result).  It also checks the hand-off: every coarse polish
-    keeps its vectors, and every fine polish is given the coarse result of
-    the grid it refines, with vectors unless that polish fell back to
-    bisection."""
+    vectors), which can only be a fallback of `refine_lowest`, and each
+    polish as (operator, result).  It also checks the hand-off: every coarse
+    polish is given the analytic levels with one sampled start per level on
+    its own grid, and keeps its vectors; every fine polish is given the
+    coarse result of the grid it refines, with vectors unless that polish
+    fell back to bisection."""
     import xop.spectral
     import xop.verify
 
@@ -254,13 +257,15 @@ def solves(monkeypatch):
         return eigen_lowest(op, count, **kwargs)
 
     def polish(op, guesses, **kwargs):
-        if isinstance(guesses, SpectrumResult):
+        assert isinstance(guesses, SpectrumResult)
+        if guesses.grid == op.grid:
+            assert kwargs == {"vectors": True}
+            assert guesses.eigenfunctions.shape == (op.grid.n_points, guesses.eigenvalues.size)
+        else:
             coarse_op, coarse = polishes[-1]
             assert guesses is coarse and coarse_op.grid.refined() == op.grid
             assert kwargs == {}
             assert (coarse.eigenfunctions is None) == fallbacks[-1]
-        else:
-            assert kwargs == {"vectors": True}
         before = len(bisections)
         result = refine_lowest(op, guesses, **kwargs)
         polishes.append((op, result))
@@ -268,7 +273,6 @@ def solves(monkeypatch):
         return result
 
     monkeypatch.setattr(xop.spectral, "eigen_lowest", bisect)
-    monkeypatch.setattr(xop.verify, "eigen_lowest", bisect)
     monkeypatch.setattr(xop.verify, "refine_lowest", polish)
     return bisections, polishes
 
@@ -283,39 +287,38 @@ BENCH_SYSTEMS = [
 
 @pytest.mark.parametrize("grid_points, levels", [(2000, 4), (20000, 8)])
 @pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
-def test_compare_bisects_only_the_seed_grid(params, grid_points, levels, solves):
-    """One values-only bisection, of the grid 16 times coarser, and no
-    fallback: both variants' coarse and fine grids are polished."""
+def test_compare_bisects_no_grid(params, grid_points, levels, solves):
+    """No bisection and no fallback: both variants' coarse and fine grids
+    are polished, and that is all."""
     bisections, polishes = solves
     isospectral_compare(params, levels, grid_points=grid_points)
-    assert bisections == [(grid_points // 16, False)]
+    assert bisections == []
     assert [op.grid.n_points for op, _ in polishes] == [grid_points, 2 * grid_points + 1] * 2
 
 
 def _solve_counts(monkeypatch):
     """Grid sizes of the tridiagonal solves `refine_lowest` makes, in order."""
-    import xop.spectral
-
-    sizes, dgtsv = [], xop.spectral.scipy.linalg.lapack.dgtsv
+    sizes, dgtsv = [], scipy.linalg.lapack.dgtsv
 
     def counted(*args, **kwargs):
         sizes.append(args[1].size)
         return dgtsv(*args, **kwargs)
 
-    monkeypatch.setattr(xop.spectral.scipy.linalg.lapack, "dgtsv", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
     return sizes
 
 
 @pytest.mark.parametrize("grid_points, levels", [(2000, 4), (20000, 8)])
 @pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
-def test_each_fine_level_takes_one_solve(params, grid_points, levels, monkeypatch):
-    """Started from its coarse eigenfunction, every fine level settles in one
-    solve, hydrogen's in y included."""
+def test_each_level_takes_one_solve_on_every_grid(params, grid_points, levels, monkeypatch):
+    """Started from its sampled closed-form eigenfunction on the coarse grid
+    and from its prolonged coarse eigenfunction on the fine grid, every
+    level settles in one solve, hydrogen's in y included: 4 x levels solves
+    in all."""
     sizes = _solve_counts(monkeypatch)
     solve_variants(reduce_system(params), levels, grid_points)
     runs = [(size, len(list(run))) for size, run in itertools.groupby(sizes)]
-    assert [run for run in runs if run[0] != grid_points] == [(2 * grid_points + 1, levels)] * 2
-    assert len(runs) == 4
+    assert runs == [(grid_points, levels), (2 * grid_points + 1, levels)] * 2
 
 
 def _polished_coarse(params, variant, levels, coarse_points):
@@ -452,10 +455,19 @@ def test_residual_bound_is_the_dense_residual(make_op):
 
 
 def test_result_guesses_must_come_from_the_parent_grid():
+    """A result of op's own grid or of the grid it refines is a start; a
+    result of any other grid is refused."""
     op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 799))
     same_grid = eigen_lowest(op, 3)
-    with pytest.raises(UsageError, match="refines"):
-        refine_lowest(op, same_grid)
+    parent = eigen_lowest(discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 399)), 3)
+    plain = refine_lowest(op, same_grid.eigenvalues).eigenvalues
+    for start in (same_grid, parent):
+        assert np.max(np.abs(refine_lowest(op, start).eigenvalues - plain)) <= bisection_floor(op)
+    for grid in (Grid(0.0, np.pi, 400), Grid(0.0, np.pi, 800), Grid(0.0, np.pi, 1599),
+                 Grid(0.0, 3.0, 799), Grid(0.0, 3.0, 399)):
+        other = eigen_lowest(discretize(lambda x: np.zeros_like(x), grid), 3)
+        with pytest.raises(UsageError, match="refines"):
+            refine_lowest(op, other)
     with pytest.raises(UsageError, match="one column per eigenvalue"):
         dataclasses.replace(same_grid, eigenfunctions=same_grid.eigenfunctions[:, :2])
 
@@ -465,19 +477,55 @@ WRONG_SHIFTS = {"scaled": (1.01, 0.0), "raised": (1.0, 0.6), "lowered": (1.0, -2
 
 @pytest.mark.parametrize("kind", WRONG_SHIFTS)
 @pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
-def test_seeding_from_the_original_never_decides_the_levels(params, kind, solves):
-    """The extended coarse grid is polished from the original's levels, yet
-    with a wrong shift (scaled by 1.01, or with 0.6 or -2 level spacings
-    added) every polished grid still meets tight bisection.  Lowered by two
-    spacings, the oscillators' original levels are exactly the wrong
-    operator's levels 2..5: only the Sturm count tells them apart.  The
-    shift is changed in the record that the grid solves."""
+def test_wrong_shifts_never_decide_the_levels(params, kind, solves):
+    """The extended coarse grid is polished from the analytic levels and
+    closed forms of the right shift, yet with a wrong shift (scaled by
+    1.01, or with 0.6 or -2 level spacings added) every polished grid still
+    meets tight bisection.  Lowered by two spacings, the oscillators'
+    analytic levels are exactly the wrong operator's levels 2..5: only the
+    Sturm count tells them apart.  The shift is changed in the record that the grid
+    solves."""
     record = reduce_system(params).grid_form()[0]
     factor, spacings = WRONG_SHIFTS[kind]
     constant = spacings * (record.energy(1) - record.energy(0))
     wrong = dataclasses.replace(record, shift=lambda x: factor * record.shift(x) + constant)
     _, polishes = solves
     solve_variants(wrong, 4, 2000)
+    assert len(polishes) == 4
+    for op, result in polishes:
+        assert np.max(np.abs(result.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
+
+
+def _other_system_samples(record, variant, count, x):
+    """The closed forms of the next bench system, sampled on its own grid of
+    as many points."""
+    at = BENCH_SYSTEMS.index(record.params)
+    other = reduce_system(BENCH_SYSTEMS[(at + 1) % len(BENCH_SYSTEMS)])
+    return _level_samples(other.grid_form()[0], variant, count, grid_of(other, x.size).points)
+
+
+WRONG_SAMPLES = {
+    "zero": lambda record, variant, count, x: np.zeros((x.size, count)),
+    "nan": lambda record, variant, count, x: np.full((x.size, count), np.nan),
+    "reversed": lambda record, variant, count, x: _level_samples(record, variant, count, x)[:, ::-1],
+    "other_system": _other_system_samples,
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_SAMPLES)
+@pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_wrong_coarse_starts_never_decide_the_levels(params, kind, solves, monkeypatch):
+    """Coarse starts on the coarse grid that are zero, NaN, in reversed
+    order or another system's closed forms: every level without a usable
+    start takes the seeded one, quietly, and every polished grid of both
+    variants still meets tight bisection."""
+    import xop.verify
+
+    monkeypatch.setattr(xop.verify, "_level_samples", WRONG_SAMPLES[kind])
+    _, polishes = solves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_variants(reduce_system(params), 4, 2000)
     assert len(polishes) == 4
     for op, result in polishes:
         assert np.max(np.abs(result.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
