@@ -10,23 +10,22 @@ coupling form carries no weight (see `xop.systems`).
 Two eigensolvers share one result type.  `eigen_lowest` bisects from
 scratch (LAPACK stebz, with stein for eigenfunctions); `verify` runs it
 only for `spectrum --psi-out` and as the fallback of `refine_lowest`.
-`refine_lowest` warm-starts from approximate values (in `verify`, the
-analytic levels on the coarse grid and the coarse levels on the fine
-grid): Rayleigh-quotient iteration with one O(n) tridiagonal solve per
-step, and besides it a handful of vector passes (the shifted diagonal, the
+`refine_lowest` warm-starts from approximate eigenpairs: each level from
+its own vector, sampled on the grid itself (in `verify`, the closed-form
+eigenfunctions on the coarse grid) or the coarse grid's polished
+eigenfunction prolonged to the refined grid.  Either start's Rayleigh
+quotient is already within O(h^4) of the level, so it counts as the step
+before the first solve and a level settles in one solve.  The polish is
+Rayleigh-quotient iteration with one O(n) tridiagonal solve per step, and
+besides it a handful of vector passes (the shifted diagonal, the
 normalization, and the quotient's three dot products), with quotients
 taken from the samples v themselves, so they are not limited by the
-ulp * 2/h^2 rounding of the diagonal that bounds bisection.  Given start
-vectors, each level starts from its own: sampled on the grid itself (in
-`verify`, the closed-form eigenfunctions on the coarse grid) or the coarse
-grid's polished eigenfunction prolonged to the refined grid.  Either
-start's quotient is already within O(h^4) of the level, so it counts as
-the step before the first solve and a level settles in one solve.  Other
-levels start from one seeded vector and take at least two.  Its values are
-certified (disjoint residual intervals and a Sturm count of the levels
-below the top one); where the certificate fails it falls back to
-`eigen_lowest`, so it never returns less than bisection.  Both load
-scipy.linalg at their first solve, so importing xop does not.
+ulp * 2/h^2 rounding of the diagonal that bounds bisection.  Its values
+are certified (disjoint residual intervals and a Sturm count of the levels
+below the top one); where a start is unusable, a quotient strays or the
+certificate fails it falls back to `eigen_lowest`, so it never returns
+less than bisection.  Both load scipy.linalg at their first solve, so
+importing xop does not.
 """
 
 from __future__ import annotations
@@ -116,9 +115,10 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Ascending eigenvalues with L2-normalized grid eigenfunctions, or with
-    eigenfunctions None for a values-only solve (`eigen_lowest(...,
-    vectors=False)`, which is how `verify` and `spectrum` solve).
+    """Finite, strictly ascending eigenvalues with L2-normalized grid
+    eigenfunctions, or with eigenfunctions None for a values-only solve
+    (`eigen_lowest(..., vectors=False)`, as `verify` and `spectrum` solve
+    their fine grids).
 
     `extrapolation_error` is the Richardson error estimate of `extrapolate`,
     0 for a single-grid solve.
@@ -136,6 +136,8 @@ class SpectrumResult:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise UsageError("eigenvalues must be finite")
         if np.any(np.diff(self.eigenvalues) <= 0):
             raise NumericError("eigenvalues are not strictly ascending")
         if (self.eigenfunctions is not None
@@ -189,88 +191,78 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
 
 
 _POLISH_STEPS = 8      # solves per level before the polish gives up
-_POLISH_TOL = 1e-7     # stop once the quotient moves by at most this of its scale
-_START_SEED = 7        # seed of the start vector of a level without a coarse one
+_POLISH_TOL = 1e-7     # stop once the quotient moves by at most this of its kinetic part
+_START_FLOOR = 1e-200  # smallest start entry, relative to the peak: no subnormal solves
 
 
-def refine_lowest(op: TridiagonalOperator, guesses, *,
+def refine_lowest(op: TridiagonalOperator, start: SpectrumResult, *,
                   vectors: bool = False) -> SpectrumResult:
-    """The lowest `len(guesses)` eigenvalues of `op`, polished from
-    approximate values (levels of the same problem on another grid, or of an
-    isospectral one) by Rayleigh-quotient iteration; deterministic.
+    """The lowest `start.eigenvalues.size` eigenvalues of `op`, polished by
+    Rayleigh-quotient iteration from approximate eigenpairs (levels of the
+    same problem on another grid, or closed forms sampled on this one);
+    deterministic.
 
-    `guesses` is an array of values, or a `SpectrumResult` on `op.grid`
-    itself or on the grid whose `refined()` is `op.grid`: its eigenvalues
-    are the guesses, and its eigenfunctions, where it has them, give each
-    level its start (used as they are, or prolonged).  With
-    `vectors`, a certified polish also returns the eigenfunctions, in the
-    convention of `eigen_lowest` (unit discrete L2 norm, largest entry
-    positive); without it, only the values.
+    `start` is a `SpectrumResult` with eigenfunctions, on `op.grid` itself
+    or on the grid whose `refined()` is `op.grid`: each level starts from
+    its own column, used as it is or prolonged by cubic midpoint
+    interpolation (`_prolonged`), and its eigenvalue only says how far the
+    level may wander (below).  A value array, a values-only result or a
+    result of another grid raises UsageError.  With `vectors`, the result
+    also holds the eigenfunctions, in the convention of `eigen_lowest`
+    (unit discrete L2 norm, largest entry positive); without it, only the
+    values.
 
-    Each guess starts shifted inverse iteration on -d^2/dx^2 + v from the
-    samples of `op`, with one O(n) tridiagonal solve (LAPACK gtsv) per
-    step; later steps shift by the Rayleigh quotient, taken in the
-    cancellation-free form (sum (dy)^2 / h^2 + sum v y^2) / sum y^2 rather
-    than from `diag` and `off`, whose entries carry ulp * 2/h^2 of
-    rounding.  The iteration stops once the quotient moved by at most 1e-7
-    of its scale (kinetic part plus |quotient|) since the step before.  The
-    quotient converges cubically, so its own error is then far below that
-    move.
-
-    A level's start decides what "the step before" the first solve is.
-    From samples of the level's eigenfunction on `op.grid`, or from a
-    coarse eigenfunction prolonged by cubic midpoint interpolation
-    (`_prolonged`), the start is already the eigenvector to O(h^2), and its
-    quotient to O(h^4): the first solve shifts by that
-    quotient, and the quotient counts as the step before, so a level
-    usually settles in one solve.  Otherwise, and where that start is zero,
-    not finite or has a quotient out of the level's reach (below), the
-    level starts from one seeded vector shifted by its guess: the first
-    solve only turns that vector toward the level, and the test runs from
-    the second solve on.  A quotient farther from its guess than half the
-    way to the nearest other guess has strayed toward another level: the
-    next step shifts by the guess again (plain inverse iteration) and the
-    convergence test restarts.  A level not settled within 8 solves fails
-    the polish.
+    Each level's first solve shifts by its start's Rayleigh quotient, and
+    that quotient counts as the step before it: such a start is the
+    eigenvector to O(h^2) and its quotient the level to O(h^4), so a level
+    usually settles in one solve.  A step is one O(n) tridiagonal solve
+    (LAPACK gtsv) of -d^2/dx^2 + v from the samples of `op`, and the next
+    shift is the quotient of its solution, taken in the cancellation-free
+    form (sum (dy)^2 / h^2 + sum v y^2) / sum y^2 rather than from `diag`
+    and `off`, whose entries carry ulp * 2/h^2 of rounding.  The iteration
+    stops once the quotient moved by at most 1e-7 of its kinetic part since
+    the step before.  That scale, like the iteration, does not change when
+    a constant is added to v; the quotient converges cubically, so its own
+    error is then far below that move.  Start entries below 1e-200 of the
+    column's peak are raised to it, since subnormal tails slow each solve
+    several times over.
 
     The values are returned only with a certificate: they ascend strictly;
     each lies within its residual bound ||M y - rho y|| / ||y|| of an
     eigenvalue of the symmetric matrix M of `op` (plus 16 ulp of ||M||, for
     the rounding of the residual and of the stored operator), and these
     intervals are disjoint; and one Sturm count (stebz, counting only) finds
-    exactly `len(guesses)` eigenvalues of `op` up to a point above the top
+    exactly that many eigenvalues of `op` up to a point above the top
     interval.  So the i-th value is within its bound of the i-th eigenvalue,
-    whatever the starts were.  A singular solve, an unsettled level or a
-    failed certificate returns `eigen_lowest(op, count, vectors=False)`
-    instead: values only, since only a start would use its vectors.
+    whatever the starts were.  A start that is zero or not finite, a shift
+    farther from its level's eigenvalue than half the way to the nearest
+    other one (its quotient has strayed toward another level), a singular
+    solve, a level not settled within 8 solves or a failed certificate
+    returns `eigen_lowest(op, count, vectors=vectors)` instead.
     """
-    starts, lift = None, None
-    if isinstance(guesses, SpectrumResult):
-        if guesses.grid == op.grid:
-            lift = _scaled
-        elif guesses.grid.refined() == op.grid:
-            lift = _prolonged
-        else:
-            raise UsageError("a SpectrumResult guess must come from op's grid or from "
-                             "the grid that op's grid refines")
-        guesses, starts = guesses.eigenvalues, guesses.eigenfunctions
-    guesses = np.asarray(guesses, dtype=float).ravel()
-    _check_count(guesses.size, op.diag.size)
-    polished = None
-    if np.all(np.isfinite(guesses)):
-        polished = _polish(op, guesses, starts, lift, vectors)
+    if not isinstance(start, SpectrumResult) or start.eigenfunctions is None:
+        raise UsageError("refine_lowest starts from a SpectrumResult with eigenfunctions")
+    if start.grid == op.grid:
+        lift = _scaled
+    elif start.grid.refined() == op.grid:
+        lift = _prolonged
+    else:
+        raise UsageError("a start must come from op's grid or from the grid that "
+                         "op's grid refines")
+    count = start.eigenvalues.size
+    _check_count(count, op.diag.size)
+    polished = _polish(op, start, lift, vectors)
     if polished is None or not _certified(op, *polished[:2]):
-        return eigen_lowest(op, guesses.size, vectors=False)
+        return eigen_lowest(op, count, vectors=vectors)
     return SpectrumResult(polished[0], polished[2], op.grid, 0.0)
 
 
-def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | None,
-            lift, vectors: bool):
+def _polish(op: TridiagonalOperator, start: SpectrumResult, lift, vectors: bool):
     """(values, residual bounds, eigenfunctions or None) of Rayleigh-quotient
-    iteration from each guess, each level started from its column of
-    `starts`, taken onto op's grid by `lift` (`_scaled` or `_prolonged`),
-    where that start is usable; None where a solve is singular or a level
-    does not settle.  Only one level's start is lifted at a time.
+    iteration from each level's column of `start`, taken onto op's grid by
+    `lift` (`_scaled` or `_prolonged`); None where a start is unusable, a
+    shift strays, a solve is singular or a level does not settle.  Only
+    one level's start is lifted at a time.
 
     A step is one gtsv solve of (M - shift) y = rhs, the normalization of
     its solution to sum y^2 = 1, and one `_quotient` of it; y is the next
@@ -281,23 +273,21 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
     inv_h2 = 1.0 / op.grid.spacing**2
     a_diag = 2.0 * inv_h2 + v
     a_off = np.full(v.size - 1, -inv_h2)
-    # a quotient farther from its guess than half the way to the next guess
-    # has strayed toward another level
+    guesses = start.eigenvalues
+    # a shift farther from its guess than half the way to the next guess has
+    # strayed toward another level
     apart = np.abs(guesses[:, None] - guesses[None, :]) + np.diag(np.full(guesses.size, np.inf))
     reaches = 0.5 * np.min(apart, axis=1)
     values, bounds = [], []
     functions = np.empty((v.size, guesses.size)) if vectors else None
-    seeded = None  # made for the first level without a usable start
     for level, (guess, reach) in enumerate(zip(guesses, reaches)):
-        start = None if starts is None else lift(starts[:, level])
-        rho = np.nan if start is None else _quotient(start, v, inv_h2)[0]
-        if abs(rho - guess) <= reach:  # False for a NaN quotient
-            rhs, shift, previous = start, rho, rho
-        else:
-            if seeded is None:
-                seeded = np.cumsum(np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, v.size))
-            rhs, shift, previous = seeded.copy(), float(guess), None  # gtsv overwrites rhs
+        rhs = lift(start.eigenfunctions[:, level])
+        if rhs is None:
+            return None
+        shift = _quotient(rhs, v, inv_h2)[0]
         for _ in range(_POLISH_STEPS):
+            if not abs(shift - guess) <= reach:
+                return None
             # keep only the solution: the factors are as long as y
             y, info = scipy.linalg.lapack.dgtsv(
                 a_off, a_diag - shift, a_off, rhs, overwrite_d=1, overwrite_b=1)[3:]
@@ -306,13 +296,9 @@ def _polish(op: TridiagonalOperator, guesses: np.ndarray, starts: np.ndarray | N
                 return None
             y /= norm
             rho, kinetic = _quotient(y, v, inv_h2)
-            rhs = y
-            if abs(rho - guess) > reach:
-                shift, previous = float(guess), None  # inverse iteration at the guess
-                continue
-            if previous is not None and abs(rho - previous) <= _POLISH_TOL * (kinetic + abs(rho)):
+            if abs(rho - shift) <= _POLISH_TOL * kinetic:
                 break
-            shift = previous = rho
+            rhs, shift = y, rho
         else:
             return None
         values.append(rho)
@@ -332,13 +318,16 @@ def _quotient(y, v, inv_h2):
 
 
 def _scaled(u: np.ndarray) -> np.ndarray | None:
-    """A start on op's own grid: u over its largest magnitude, a new array
-    (gtsv overwrites its right-hand side); None for a start that is zero or
-    not finite."""
-    scale = np.max(np.abs(u))
+    """A start on op's own grid: u over its largest magnitude, entries below
+    `_START_FLOOR` in magnitude set to it, a new array (gtsv overwrites its
+    right-hand side); None for a start that is zero or not finite."""
+    magnitude = np.abs(u)
+    scale = np.max(magnitude)
     if not (np.isfinite(scale) and scale > 0):
         return None
-    return u / scale
+    start = u / scale
+    start[magnitude < _START_FLOOR * scale] = _START_FLOOR
+    return start
 
 
 def _prolonged(u: np.ndarray) -> np.ndarray | None:

@@ -412,7 +412,7 @@ class ReducedSystem:
     x1_family: FamilySpec
     level_energy: Callable[[int], float]
     coordinate_jet: Callable[[np.ndarray], Jet2]
-    prefactor_jet: Callable[[Jet2], Jet2]  # plain values of z give plain values
+    prefactor_jet: Callable[[Jet2], Jet2]  # plain values of z give values up to a constant
     pole_offset: tuple[float, float]  # (c0, c1): the pole factor is c0 + c1 z
     # the record the grid solves and the map of this coordinate onto its own
     solved_as: tuple[ReducedSystem, Callable[[float], float]] | None = None
@@ -535,8 +535,12 @@ def _jacobi_insertion(b: float, z):
 
 
 def _jacobi_prefactor(a_exp: float, b_exp: float) -> Callable[[Jet2], Jet2]:
-    """(1 - z)^a_exp (1 + z)^b_exp."""
+    """(1 - z)^a_exp (1 + z)^b_exp; for plain values z, exp of its log less
+    the log's maximum, so exponents in the thousands do not overflow."""
     def prefactor(z: Jet2) -> Jet2:
+        if not isinstance(z, Jet2):
+            log = a_exp * np.log1p(-z) + b_exp * np.log1p(z)
+            return np.exp(log - np.max(log))
         return jet_pow(1.0 - z, a_exp) * jet_pow(1.0 + z, b_exp)
     return prefactor
 
@@ -660,7 +664,7 @@ def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial
 def _level_samples(system: ReducedSystem, variant: str, count: int, x: np.ndarray) -> np.ndarray:
     """Column n (n = 0..count-1): the closed-form eigenfunction of level n of
     the `variant` operator ("original" or "extended") at the points x, values
-    only and unnormalized: the prefactor times the classical member of
+    only and up to a constant: the prefactor times the classical member of
     degree n, or times the X1 member of degree n + 1 over the pole factor.
     Values past the float range come out non-finite, without a warning."""
     family = system.classical_family if variant == "original" else system.x1_family

@@ -16,7 +16,8 @@ the hydrogen-like system, the oscillator in y = 2 sqrt(r).
 certified `refine_lowest` polish (or its bisection fallback).  Each coarse
 polish starts every level from its closed-form eigenfunction sampled on the
 coarse grid, at its analytic level; each fine polish starts every level
-from the coarse polish's eigenfunction, prolonged to the fine grid.  Either
+from the coarse result's eigenfunction, prolonged to the fine grid, and a
+coarse fallback to bisection keeps its eigenfunctions for that.  Either
 start's Rayleigh quotient is already within O(h^4) of the grid's level, so
 it counts as the step before the first solve, and a level settles in one
 solve on every grid."""
@@ -143,9 +144,10 @@ def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
     (`_level_samples`, one variant at a time); each fine grid from its own
     coarse result, each level started from its coarse eigenfunction
     prolonged to the fine grid.  So each level takes one solve per grid.
-    Only the coarse polishes keep eigenfunctions.  The polish certifies its
-    values or falls back to bisection, so a poor guess or start, wrong
-    physics included, costs time and never changes a result.
+    Only the coarse solves keep eigenfunctions, a bisection fallback's
+    included.  The polish certifies its values or falls back to bisection,
+    so a poor guess or start, wrong physics included, costs time and never
+    changes a result.
 
     `domain` overrides the grid domain, in the coordinate of `reduced`.
     """

@@ -18,11 +18,13 @@ from xop import (
     NumericError,
     SingularityError,
     SpectrumResult,
+    TridiagonalOperator,
     UsageError,
     analytic_energy,
     discretize,
     eigen_lowest,
     extrapolate,
+    family_members,
     hydrogen_standard_energy,
     isospectral_compare,
     reduce_system,
@@ -31,7 +33,7 @@ from xop import (
 )
 from xop.exceptional import x1_eigenpairs
 from xop.spectral import _prolonged, _residual_bound, residual_on_operator
-from xop.systems import _level_samples
+from xop.systems import _closed_form, _level_samples
 from xop.verify import _closed_form_residuals, variant_operator
 
 
@@ -175,18 +177,26 @@ def test_solve_variants_are_values_only_with_tight_bisection_values(params):
 # --- refine_lowest -----------------------------------------------------------------
 
 def _coarse_and_fine(params, variant, levels, coarse_points):
+    """Bisected eigenpairs of one variant on the coarse grid, and the
+    operator of the grid that refines it."""
     reduced = reduce_system(params)
     grid = grid_of(reduced, coarse_points)
-    coarse = eigen_lowest(variant_operator(reduced, variant, grid), levels, vectors=False)
-    return coarse.eigenvalues, variant_operator(reduced, variant, grid.refined())
+    coarse = eigen_lowest(variant_operator(reduced, variant, grid), levels)
+    return coarse, variant_operator(reduced, variant, grid.refined())
+
+
+def _levels(result, chosen):
+    """The levels `chosen` (a slice) of a result, eigenfunctions and all."""
+    return SpectrumResult(result.eigenvalues[chosen], result.eigenfunctions[:, chosen],
+                          result.grid, 0.0)
 
 
 @pytest.mark.parametrize("variant", ["original", "extended"])
 @pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda params: type(params).__name__)
 def test_refine_lowest_matches_tight_bisection(params, variant):
-    guesses, op = _coarse_and_fine(params, variant, 8, 1000)
+    coarse, op = _coarse_and_fine(params, variant, 8, 1000)
     assert op.diag.size == 2001
-    refined = refine_lowest(op, guesses)
+    refined = refine_lowest(op, coarse)
     assert refined.eigenfunctions is None and refined.extrapolation_error == 0.0
     tight = tight_bisection(op, 8)
     assert np.max(np.abs(refined.eigenvalues - tight)) <= bisection_floor(op)
@@ -195,16 +205,16 @@ def test_refine_lowest_matches_tight_bisection(params, variant):
 
 
 def test_refine_lowest_is_deterministic():
-    guesses, op = _coarse_and_fine(HydrogenLike(s=0.9, lambda_c=1.9), "extended", 6, 700)
-    first = refine_lowest(op, guesses).eigenvalues
+    coarse, op = _coarse_and_fine(HydrogenLike(s=0.9, lambda_c=1.9), "extended", 6, 700)
+    first = refine_lowest(op, coarse).eigenvalues
     _, rebuilt = _coarse_and_fine(HydrogenLike(s=0.9, lambda_c=1.9), "extended", 6, 700)
-    assert np.array_equal(refine_lowest(op, guesses).eigenvalues, first)
-    assert np.array_equal(refine_lowest(rebuilt, guesses).eigenvalues, first)
+    assert np.array_equal(refine_lowest(op, coarse).eigenvalues, first)
+    assert np.array_equal(refine_lowest(rebuilt, coarse).eigenvalues, first)
 
 
 def test_refine_lowest_single_level():
-    guesses, op = _coarse_and_fine(DiracOscillator(l=0), "extended", 1, 800)
-    refined = refine_lowest(op, guesses)
+    coarse, op = _coarse_and_fine(DiracOscillator(l=0), "extended", 1, 800)
+    refined = refine_lowest(op, coarse)
     assert refined.eigenvalues.shape == (1,)
     assert abs(refined.eigenvalues[0] - tight_bisection(op, 1)[0]) <= bisection_floor(op)
 
@@ -212,28 +222,55 @@ def test_refine_lowest_single_level():
 @pytest.mark.parametrize("params", [DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9)],
                          ids=lambda params: type(params).__name__)
 def test_refine_lowest_falls_back_when_the_certificate_fails(params):
-    """Guesses one level too high polish into levels 1..4: each is a true
+    """Starts one level too high polish into levels 1..4: each is a true
     eigenvalue, but the Sturm count finds five below the top one, so the
     result is plain bisection."""
-    guesses, op = _coarse_and_fine(params, "original", 5, 800)
-    refined = refine_lowest(op, guesses[1:])
+    coarse, op = _coarse_and_fine(params, "original", 5, 800)
+    refined = refine_lowest(op, _levels(coarse, slice(1, None)))
     assert np.array_equal(refined.eigenvalues, eigen_lowest(op, 4, vectors=False).eigenvalues)
 
 
-def test_refine_lowest_falls_back_on_bad_guesses():
+def test_refine_lowest_falls_back_on_starts_out_of_reach():
+    """Box eigenfunctions at values 1, 1.1 and 1.2: the start quotients 4
+    and 9 lie out of reach of levels 1 and 2, so the polish gives up and
+    the result is plain bisection, with eigenfunctions where asked."""
     op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 799))
-    plain = eigen_lowest(op, 3, vectors=False).eigenvalues
-    # repeated guesses leave no room between their levels: the polish gives up
-    assert np.array_equal(refine_lowest(op, [1.0, 1.0, 1.0]).eigenvalues, plain)
-    assert np.array_equal(refine_lowest(op, [np.nan, 4.0, 9.0]).eigenvalues, plain)
+    pairs = eigen_lowest(op, 3)
+    start = dataclasses.replace(pairs, eigenvalues=np.array([1.0, 1.1, 1.2]))
+    assert np.array_equal(refine_lowest(op, start).eigenvalues,
+                          eigen_lowest(op, 3, vectors=False).eigenvalues)
+    fallback = refine_lowest(op, start, vectors=True)
+    assert np.array_equal(fallback.eigenvalues, pairs.eigenvalues)
+    assert np.array_equal(fallback.eigenfunctions, pairs.eigenfunctions)
 
 
 def test_refine_lowest_usage_errors():
+    """A start is a result with eigenfunctions: value arrays and
+    values-only results are refused, and so are too few or too many
+    levels."""
     op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 200))
-    with pytest.raises(UsageError):
-        refine_lowest(op, [])
-    with pytest.raises(UsageError):
-        refine_lowest(op, np.arange(1.0, 31.0) ** 2)
+    pairs = eigen_lowest(op, 3)
+    for start in ([1.0, 4.0, 9.0], pairs.eigenvalues,
+                  dataclasses.replace(pairs, eigenfunctions=None)):
+        with pytest.raises(UsageError, match="with eigenfunctions"):
+            refine_lowest(op, start)
+    with pytest.raises(UsageError, match="count must be positive"):
+        refine_lowest(op, _levels(pairs, slice(0, 0)))
+    many = SpectrumResult(np.arange(1.0, 31.0) ** 2, np.ones((200, 30)), op.grid, 0.0)
+    with pytest.raises(UsageError, match="too large"):
+        refine_lowest(op, many)
+
+
+def test_spectrum_result_refuses_non_finite_eigenvalues():
+    """NaN slips past the ascending check (its comparisons are all False),
+    so non-finite eigenvalues are refused on their own, as a non-finite
+    extrapolation error is."""
+    grid = Grid(0.0, np.pi, 99)
+    for values in ([np.nan], [1.0, np.nan, 9.0], [1.0, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(UsageError, match="finite"):
+            SpectrumResult(values, None, grid, 0.0)
+    with pytest.raises(UsageError, match="finite"):
+        SpectrumResult([1.0, 4.0], None, grid, np.nan)
 
 
 # --- the verify solve path ----------------------------------------------------------
@@ -245,12 +282,12 @@ def solves(monkeypatch):
     polish as (operator, result).  It also checks the hand-off: every coarse
     polish is given the analytic levels with one sampled start per level on
     its own grid, and keeps its vectors; every fine polish is given the
-    coarse result of the grid it refines, with vectors unless that polish
-    fell back to bisection."""
+    coarse result of the grid it refines, which has eigenfunctions whether
+    its polish certified or fell back to bisection."""
     import xop.spectral
     import xop.verify
 
-    bisections, polishes, fallbacks = [], [], []
+    bisections, polishes = [], []
 
     def bisect(op, count, **kwargs):
         bisections.append((op.grid.n_points, kwargs.get("vectors", True)))
@@ -265,11 +302,10 @@ def solves(monkeypatch):
             coarse_op, coarse = polishes[-1]
             assert guesses is coarse and coarse_op.grid.refined() == op.grid
             assert kwargs == {}
-            assert (coarse.eigenfunctions is None) == fallbacks[-1]
-        before = len(bisections)
+            assert coarse.eigenfunctions.shape == (coarse_op.grid.n_points,
+                                                   coarse.eigenvalues.size)
         result = refine_lowest(op, guesses, **kwargs)
         polishes.append((op, result))
-        fallbacks.append(len(bisections) > before)
         return result
 
     monkeypatch.setattr(xop.spectral, "eigen_lowest", bisect)
@@ -321,15 +357,34 @@ def test_each_level_takes_one_solve_on_every_grid(params, grid_points, levels, m
     assert runs == [(grid_points, levels), (2 * grid_points + 1, levels)] * 2
 
 
+# the angular wells of the largest accepted prefactor exponents
+S_1E4_WELLS = [
+    HartmannAngularI(lambda_a=1.0, s=1e4), HartmannAngularI(lambda_a=9999.0, s=1e4),
+    HartmannAngularII(lambda_a=2.0, s=1e4), HartmannAngularII(lambda_a=1e4, s=2.0),
+]
+
+
+@pytest.mark.parametrize("params", S_1E4_WELLS, ids=repr)
+def test_limit_wells_take_one_solve_per_level(params, solves, monkeypatch):
+    """The s = 1e4 angular wells start from their closed forms like every
+    other system: at 8 levels and 20000 points, where the grid resolves
+    them, 4 x levels solves in all and no bisection."""
+    bisections, _ = solves
+    sizes = _solve_counts(monkeypatch)
+    solve_variants(reduce_system(params), 8, 20000)
+    assert bisections == []
+    runs = [(size, len(list(run))) for size, run in itertools.groupby(sizes)]
+    assert runs == [(20000, 8), (40001, 8)] * 2
+
+
 def _polished_coarse(params, variant, levels, coarse_points):
     """The coarse polish of one variant, with vectors, and the operator of
     the refined grid."""
     reduced = reduce_system(params)
     grid = grid_of(reduced, coarse_points)
     op = variant_operator(reduced, variant, grid)
-    coarse = refine_lowest(op, eigen_lowest(op, levels, vectors=False).eigenvalues,
-                           vectors=True)
-    assert coarse.eigenfunctions is not None
+    coarse = refine_lowest(op, eigen_lowest(op, levels), vectors=True)
+    assert not np.array_equal(coarse.eigenvalues, eigen_lowest(op, levels).eigenvalues)
     return coarse, variant_operator(reduced, variant, grid.refined())
 
 
@@ -354,18 +409,13 @@ BAD_STARTS = {
 @pytest.mark.parametrize("params", [DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9),
                                     HartmannAngularI(lambda_a=1.0, s=2.5)],
                          ids=lambda params: type(params).__name__)
-def test_bad_starts_fall_back_to_the_seeded_start(params, kind):
+def test_bad_starts_fall_back_to_bisection(params, kind):
     """Coarse vectors in reversed order, all zero, or partly NaN, inf and
-    1e308 (RuntimeWarnings fail the suite): each level whose start is unusable
-    starts from the seeded vector, quietly, and the values still meet tight
-    bisection.  Where no level has a usable start, the polish is exactly
-    the values-only one."""
+    1e308 (warnings fail the suite): the polish gives up, quietly, and the
+    values are exactly those of bisection."""
     coarse, op = _polished_coarse(params, "extended", 4, 1000)
     refined = refine_lowest(op, BAD_STARTS[kind](coarse))
-    assert np.max(np.abs(refined.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
-    if kind != "non_finite":
-        assert np.array_equal(refined.eigenvalues,
-                              refine_lowest(op, coarse.eigenvalues).eigenvalues)
+    assert np.array_equal(refined.eigenvalues, eigen_lowest(op, 4, vectors=False).eigenvalues)
 
 
 @pytest.mark.parametrize("params", FIVE_SYSTEMS, ids=lambda params: type(params).__name__)
@@ -380,37 +430,37 @@ def test_starts_from_the_other_variant_never_decide_the_levels(params):
 
 @pytest.mark.parametrize("params", [DiracOscillator(l=0), HydrogenLike(s=0.9, lambda_c=1.9)],
                          ids=lambda params: type(params).__name__)
-def test_fine_polish_after_a_coarse_fallback_uses_the_seeded_start(params, monkeypatch):
-    """A coarse polish that falls back to bisection has no vectors, so its
-    fine polish is the values-only one, seeded start and all (two solves or
-    more per level), and meets tight bisection."""
-    reduced = reduce_system(params)
-    grid = grid_of(reduced, 800)
-    guesses = eigen_lowest(variant_operator(reduced, "original", grid), 5,
-                           vectors=False).eigenvalues
-    coarse = refine_lowest(variant_operator(reduced, "original", grid), guesses[1:],
-                           vectors=True)
-    assert coarse.eigenfunctions is None
-    op = variant_operator(reduced, "original", grid.refined())
+def test_fine_polish_after_a_coarse_fallback_takes_one_solve_per_level(params, monkeypatch):
+    """A coarse polish that falls back to bisection keeps its eigenfunctions
+    where asked, so its fine polish still starts every level from a
+    prolonged vector, takes one solve per level and meets tight
+    bisection."""
+    coarse, _ = _coarse_and_fine(params, "original", 5, 800)
+    coarse_op = variant_operator(reduce_system(params), "original", coarse.grid)
+    fallback = refine_lowest(coarse_op, _levels(coarse, slice(1, None)), vectors=True)
+    bisected = eigen_lowest(coarse_op, 4)
+    assert np.array_equal(fallback.eigenvalues, bisected.eigenvalues)
+    assert np.array_equal(fallback.eigenfunctions, bisected.eigenfunctions)
+    op = variant_operator(reduce_system(params), "original", coarse.grid.refined())
     sizes = _solve_counts(monkeypatch)
-    refined = refine_lowest(op, coarse)
-    assert len(sizes) >= 8
-    assert np.array_equal(refined.eigenvalues, refine_lowest(op, coarse.eigenvalues).eigenvalues)
+    refined = refine_lowest(op, fallback)
+    assert sizes == [op.grid.n_points] * 4
     assert np.max(np.abs(refined.eigenvalues - tight_bisection(op, 4))) <= bisection_floor(op)
 
 
 @pytest.mark.parametrize("make_op", [
-    lambda: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, 1500)),
+    lambda points: discretize(lambda r: r**2 / 4, Grid(0.0, 20.0, points)),
     _hydrogen_operator,
 ], ids=["plain", "hydrogen_in_y"])
 def test_polished_vectors_follow_the_eigenpair_convention(make_op):
     """`vectors=True` changes no value and returns the eigenfunctions of
     `eigen_lowest`: unit discrete L2 norm, largest entry positive."""
-    op = make_op()
-    guesses = eigen_lowest(op, 4, vectors=False).eigenvalues
-    polished = refine_lowest(op, guesses, vectors=True)
+    op = make_op(1499)
+    start = eigen_lowest(make_op(749), 4)
+    polished = refine_lowest(op, start, vectors=True)
     pairs = eigen_lowest(op, 4, vectors=True)
-    assert np.array_equal(polished.eigenvalues, refine_lowest(op, guesses).eigenvalues)
+    assert np.array_equal(polished.eigenvalues, refine_lowest(op, start).eigenvalues)
+    assert not np.array_equal(polished.eigenvalues, pairs.eigenvalues)
     assert polished.eigenfunctions.shape == (op.diag.size, 4)
     assert np.max(np.abs(polished.eigenfunctions - pairs.eigenfunctions)) < 1e-6
 
@@ -460,9 +510,9 @@ def test_result_guesses_must_come_from_the_parent_grid():
     op = discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 799))
     same_grid = eigen_lowest(op, 3)
     parent = eigen_lowest(discretize(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 399)), 3)
-    plain = refine_lowest(op, same_grid.eigenvalues).eigenvalues
     for start in (same_grid, parent):
-        assert np.max(np.abs(refine_lowest(op, start).eigenvalues - plain)) <= bisection_floor(op)
+        refined = refine_lowest(op, start).eigenvalues
+        assert np.max(np.abs(refined - tight_bisection(op, 3))) <= bisection_floor(op)
     for grid in (Grid(0.0, np.pi, 400), Grid(0.0, np.pi, 800), Grid(0.0, np.pi, 1599),
                  Grid(0.0, 3.0, 799), Grid(0.0, 3.0, 399)):
         other = eigen_lowest(discretize(lambda x: np.zeros_like(x), grid), 3)
@@ -516,9 +566,10 @@ WRONG_SAMPLES = {
 @pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
 def test_wrong_coarse_starts_never_decide_the_levels(params, kind, solves, monkeypatch):
     """Coarse starts on the coarse grid that are zero, NaN, in reversed
-    order or another system's closed forms: every level without a usable
-    start takes the seeded one, quietly, and every polished grid of both
-    variants still meets tight bisection."""
+    order or another system's closed forms: a coarse polish without usable
+    starts falls back to bisection, quietly, its fine polish starts from the
+    bisected eigenfunctions, and every grid of both variants still meets
+    tight bisection."""
     import xop.verify
 
     monkeypatch.setattr(xop.verify, "_level_samples", WRONG_SAMPLES[kind])
@@ -563,6 +614,80 @@ def test_polished_levels_meet_bisection_at_the_parameter_limits(params, solves):
         for op, result in polishes:
             plain = eigen_lowest(op, levels, vectors=False)
             assert np.max(np.abs(result.eigenvalues - plain.eigenvalues)) <= bisection_floor(op)
+
+
+@pytest.mark.parametrize("params", LIMIT_SYSTEMS, ids=repr)
+def test_level_samples_are_finite_at_the_parameter_limits(params):
+    """Every start column of both variants is finite and nonzero on every
+    grid, the s = 1e4 angular wells included, whose prefactor exponents in
+    the thousands overflow (1 - z)^a (1 + z)^b."""
+    record = reduce_system(params).grid_form()[0]
+    for points in (64, 2000, 20000):
+        for variant in ("original", "extended"):
+            samples = _level_samples(record, variant, 8, grid_of(record, points).points)
+            assert np.all(np.isfinite(samples)), (points, variant)
+            assert np.all(np.max(np.abs(samples), axis=0) > 0), (points, variant)
+
+
+@pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_level_samples_are_the_closed_forms_up_to_a_constant(params):
+    """Each start column is the closed-form eigenfunction of its level (the
+    jets' values), times one constant per column, to 1e-12 of its peak: the
+    jets evaluate monic coefficients, the samples recurrences."""
+    record = reduce_system(params).grid_form()[0]
+    x = grid_of(record, 2000).points
+    for variant, form, family in (("original", "original", record.classical_family),
+                                  ("extended", "exceptional", record.x1_family)):
+        samples = _level_samples(record, variant, 8, x)
+        jets = _closed_form(record, form, family_members(family, 8))(x)
+        for column, jet in zip(samples.T, jets):
+            peak = np.argmax(np.abs(jet.val))
+            scaled = jet.val * (column[peak] / jet.val[peak])
+            assert np.max(np.abs(column - scaled)) <= 1e-12 * np.max(np.abs(column))
+
+
+def _per_level_solves(op, start, monkeypatch):
+    """Solves per level of `refine_lowest(op, start)`, and its values."""
+    import xop.spectral
+
+    counts, scaled = [], xop.spectral._scaled
+
+    def started(u):
+        counts.append(0)
+        return scaled(u)
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return dgtsv(*args, **kwargs)
+
+    dgtsv = scipy.linalg.lapack.dgtsv
+    monkeypatch.setattr(xop.spectral, "_scaled", started)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+    values = refine_lowest(op, start).eigenvalues
+    monkeypatch.undo()
+    return counts, values
+
+
+@pytest.mark.parametrize("variant", ["original", "extended"])
+@pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_polish_does_not_see_a_constant_added_to_the_potential(params, variant, monkeypatch):
+    """Rayleigh-quotient iteration is shift-invariant, and so is its stop
+    test: with 1e6 added to the potential and to the analytic levels, a
+    coarse polish of 500 points takes the same solves per level, and its
+    values move by the constant to within a few ulps of 1e6, the rounding
+    of the raised samples."""
+    record = reduce_system(params).grid_form()[0]
+    grid = grid_of(record, 500)
+    op = variant_operator(record, variant, grid)
+    levels = np.array([record.energy(n) for n in range(4)])
+    samples = _level_samples(record, variant, 4, grid.points)
+    counts, values = _per_level_solves(op, SpectrumResult(levels, samples, grid, 0.0),
+                                       monkeypatch)
+    raised = TridiagonalOperator(grid, op.v + 1e6)
+    raised_counts, raised_values = _per_level_solves(
+        raised, SpectrumResult(levels + 1e6, samples, grid, 0.0), monkeypatch)
+    assert len(counts) == 4 and raised_counts == counts
+    assert np.max(np.abs(raised_values - 1e6 - values)) <= 8 * np.spacing(1e6)
 
 
 @pytest.mark.parametrize("params", BENCH_SYSTEMS + LIMIT_SYSTEMS, ids=repr)
