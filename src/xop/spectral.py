@@ -271,8 +271,6 @@ def _polish(op: TridiagonalOperator, start: SpectrumResult, lift, vectors: bool)
 
     v = op.v
     inv_h2 = 1.0 / op.grid.spacing**2
-    a_diag = 2.0 * inv_h2 + v
-    a_off = np.full(v.size - 1, -inv_h2)
     guesses = start.eigenvalues
     # a shift farther from its guess than half the way to the next guess has
     # strayed toward another level
@@ -290,7 +288,7 @@ def _polish(op: TridiagonalOperator, start: SpectrumResult, lift, vectors: bool)
                 return None
             # keep only the solution: the factors are as long as y
             y, info = scipy.linalg.lapack.dgtsv(
-                a_off, a_diag - shift, a_off, rhs, overwrite_d=1, overwrite_b=1)[3:]
+                op.off, op.diag - shift, op.off, rhs, overwrite_d=1, overwrite_b=1)[3:]
             norm = np.sqrt(np.dot(y, y))
             if info != 0 or not (np.isfinite(norm) and norm > 0):
                 return None
@@ -302,7 +300,7 @@ def _polish(op: TridiagonalOperator, start: SpectrumResult, lift, vectors: bool)
         else:
             return None
         values.append(rho)
-        bounds.append(_residual_bound(y, rho, a_diag, inv_h2))
+        bounds.append(_residual_bound(y, rho, op.diag, inv_h2))
         if vectors:
             x = np.sqrt(1.0 / op.grid.spacing) * y  # sum y^2 = 1
             functions[:, level] = x if x[np.argmax(np.abs(x))] > 0 else -x

@@ -37,6 +37,15 @@ whose spectrum is exactly E_n = 2n + l + 3/2, so both share one builder; its
 printed form (in the unscaled coordinate, where xi = r^2) is kept as a
 labelled accessor.
 
+The two angular families are one Jacobi (Poschl-Teller) well
+kappa^2 [a(a-1)/sin^2(kappa theta) + b(b-1)/cos^2(kappa theta)] in
+z = cos(2 kappa theta), with levels kappa^2 (a + b + 2n)^2: the second at
+(a, b, kappa) = (lambda_a, s, 1), the first at (s - lambda_a, s + lambda_a,
+1/2), so both share one builder.  The first family's printed single
+fraction ((lambda^2 + s^2 - s) - lambda (2s - 1) cos theta) / sin^2 theta is
+the same function, but it cancels near theta = 0 when s - lambda_a is near
+1; the two terms subtract nothing.
+
 The hydrogen-like system is conditionally exactly solvable: with the radial
 variable fixed at chi = 1 scale the energy sits at -1/4 and the Coulomb
 coupling is quantized at lambda_n = n + s + 1, the eigenvalues of the
@@ -129,11 +138,6 @@ def _require_oscillator_level(l) -> int:
     return l
 
 
-def _require_magnitude(name: str, value: float, limit: float) -> None:
-    if not abs(value) <= limit:
-        raise ParameterError(f"|{name}| must be at most {limit:g}, got {value}")
-
-
 @dataclass(frozen=True)
 class HartmannRadial:
     """Radial channel of the ring-shaped oscillator: V = l(l+1)/r^2 + omega^2 r^2/4."""
@@ -158,17 +162,7 @@ class HartmannAngularI:
     def __post_init__(self):
         if not self.lambda_a > 0:
             raise ParameterError(f"lambda_a must be positive, got {self.lambda_a}")
-        _require_angular_range(self)
-        b = self.pole
-        if not abs(b) > 1:
-            raise ParameterError(
-                f"pole inside domain: (2s-1)/(2 lambda) = {b} must lie outside [-1, 1]"
-            )
-        al, be = self.jacobi_ab
-        if not (al > -1 and be > -1):
-            raise ParameterError(
-                f"Jacobi exponents ({al}, {be}) must exceed -1"
-            )
+        _require_jacobi_well(self)
 
     @property
     def pole(self) -> float:
@@ -189,15 +183,7 @@ class HartmannAngularII:
     def __post_init__(self):
         if self.s == self.lambda_a:
             raise ParameterError("s = lambda_a makes the pole parameter infinite")
-        _require_angular_range(self)
-        b = self.pole
-        if not abs(b) > 1:
-            raise ParameterError(
-                f"pole inside domain: (s+lambda-1)/(s-lambda) = {b} must lie outside [-1, 1]"
-            )
-        al, be = self.jacobi_ab
-        if not (al > -1 and be > -1):
-            raise ParameterError(f"Jacobi exponents ({al}, {be}) must exceed -1")
+        _require_jacobi_well(self)
 
     @property
     def pole(self) -> float:
@@ -208,10 +194,19 @@ class HartmannAngularII:
         return self.lambda_a - 0.5, self.s - 0.5
 
 
-def _require_angular_range(params) -> None:
-    _require_magnitude("lambda_a", params.lambda_a, _MAX_ANGULAR_PARAM)
-    _require_magnitude("s", params.s, _MAX_ANGULAR_PARAM)
-    _require_magnitude("pole", params.pole, _MAX_ANGULAR_POLE)
+def _require_jacobi_well(params) -> None:
+    """The parameter checks both angular families share."""
+    pole = params.pole
+    for name, value, limit in (("lambda_a", params.lambda_a, _MAX_ANGULAR_PARAM),
+                               ("s", params.s, _MAX_ANGULAR_PARAM),
+                               ("pole", pole, _MAX_ANGULAR_POLE)):
+        if not abs(value) <= limit:
+            raise ParameterError(f"|{name}| must be at most {limit:g}, got {value}")
+    if not abs(pole) > 1:
+        raise ParameterError(f"pole inside domain: the pole {pole} must lie outside [-1, 1]")
+    al, be = params.jacobi_ab
+    if not (al > -1 and be > -1):
+        raise ParameterError(f"Jacobi exponents ({al}, {be}) must exceed -1")
 
 
 @dataclass(frozen=True)
@@ -464,7 +459,7 @@ class ReducedSystem:
 
 
 # ---------------------------------------------------------------------------
-# one builder per system
+# the builders, one per well shape
 
 def _oscillator(params: SystemParams, l: float, w: float) -> ReducedSystem:
     """Radial oscillator in xi = omega r^2/2 at a real orbital index l; the
@@ -529,11 +524,6 @@ def _hydrogen(params: HydrogenLike) -> ReducedSystem:
     )
 
 
-def _jacobi_insertion(b: float, z):
-    # the rational term entering the polynomial equation next to the eigenvalue
-    return 2 * z / (b - z) - 2 * (1 - z**2) / (b - z) ** 2
-
-
 def _jacobi_prefactor(a_exp: float, b_exp: float) -> Callable[[Jet2], Jet2]:
     """(1 - z)^a_exp (1 + z)^b_exp; for plain values z, exp of its log less
     the log's maximum, so exponents in the thousands do not overflow."""
@@ -545,63 +535,45 @@ def _jacobi_prefactor(a_exp: float, b_exp: float) -> Callable[[Jet2], Jet2]:
     return prefactor
 
 
-def _angular_i(params: HartmannAngularI) -> ReducedSystem:
-    la, s, b = params.lambda_a, params.s, params.pole
+def _jacobi_well(params: SystemParams, a: float, b: float, kappa: float) -> ReducedSystem:
+    """The Jacobi well at (a, b) in kappa theta on (0, pi/(2 kappa)), scaled
+    by kappa^2 (module docstring); its grid domain, residual window and pole
+    (a + b - 1)/(b - a) come from (a, b, kappa) alone."""
+    k2, w = kappa**2, 2 * kappa
+    pole = (a + b - 1) / (b - a)
+    end, margin = math.pi / w, 0.15 / w
 
     def original(theta):
-        sin2 = np.sin(theta) ** 2
-        return ((la**2 + s**2 - s) - la * (2 * s - 1) * np.cos(theta)) / sin2
+        return k2 * (a * (a - 1) / np.sin(kappa * theta) ** 2
+                     + b * (b - 1) / np.cos(kappa * theta) ** 2)
 
     def shift(theta):
-        return -_jacobi_insertion(b, np.cos(theta))
+        # the rational term entering the polynomial equation next to the eigenvalue
+        z = np.cos(w * theta)
+        return -4.0 * k2 * (2 * z / (pole - z) - 2 * (1 - z**2) / (pole - z) ** 2)
 
     return ReducedSystem(
         params=params,
         coordinate="theta",
-        domain=Interval(0.0, math.pi),
-        grid_domain=(0.0, math.pi),
-        residual_window=(0.15, math.pi - 0.15),
+        domain=Interval(0.0, end),
+        grid_domain=(0.0, end),
+        residual_window=(margin, end - margin),
         original=original,
         shift=shift,
-        classical_family=ClassicalJacobi(*params.jacobi_ab),
-        x1_family=X1Jacobi(a=la, b=b),
-        level_energy=lambda n: (s + n) ** 2,
-        coordinate_jet=lambda x: Jet2(np.cos(x), -np.sin(x), -np.cos(x)),
-        prefactor_jet=_jacobi_prefactor((s - la) / 2, (s + la) / 2),
-        pole_offset=(b, -1.0),
-    )
-
-
-def _angular_ii(params: HartmannAngularII) -> ReducedSystem:
-    la, s, b = params.lambda_a, params.s, params.pole
-
-    def original(theta):
-        return la * (la - 1) / np.sin(theta) ** 2 + s * (s - 1) / np.cos(theta) ** 2
-
-    def shift(theta):
-        return -4.0 * _jacobi_insertion(b, np.cos(2 * theta))
-
-    return ReducedSystem(
-        params=params,
-        coordinate="theta",
-        domain=Interval(0.0, math.pi / 2),
-        grid_domain=(0.0, math.pi / 2),
-        residual_window=(0.08, math.pi / 2 - 0.08),
-        original=original,
-        shift=shift,
-        classical_family=ClassicalJacobi(*params.jacobi_ab),
-        x1_family=X1Jacobi(a=(s - la) / 2, b=b),
-        level_energy=lambda n: (la + s + 2 * n) ** 2,
-        coordinate_jet=lambda x: Jet2(np.cos(2 * x), -2 * np.sin(2 * x), -4 * np.cos(2 * x)),
-        prefactor_jet=_jacobi_prefactor(la / 2, s / 2),
-        pole_offset=(b, -1.0),
+        classical_family=ClassicalJacobi(a - 0.5, b - 0.5),
+        x1_family=X1Jacobi(a=(b - a) / 2, b=pole),
+        level_energy=lambda n: k2 * (a + b + 2 * n) ** 2,
+        coordinate_jet=lambda x: Jet2(np.cos(w * x), -w * np.sin(w * x), -w * w * np.cos(w * x)),
+        prefactor_jet=_jacobi_prefactor(a / 2, b / 2),
+        pole_offset=(pole, -1.0),
     )
 
 
 _BUILDERS: dict[type, Callable[..., ReducedSystem]] = {
     HartmannRadial: lambda params: _oscillator(params, params.l, params.omega),
-    HartmannAngularI: _angular_i,
-    HartmannAngularII: _angular_ii,
+    HartmannAngularI: lambda params: _jacobi_well(
+        params, params.s - params.lambda_a, params.s + params.lambda_a, 0.5),
+    HartmannAngularII: lambda params: _jacobi_well(params, params.lambda_a, params.s, 1.0),
     DiracOscillator: lambda params: _oscillator(params, params.l, params.omega),
     HydrogenLike: _hydrogen,
 }

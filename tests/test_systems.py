@@ -8,6 +8,7 @@ operators at the original eigenvalues.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from xop import (
     ClassicalLaguerre,
     DiracOscillator,
     DomainError,
+    Grid,
     HartmannAngularI,
     HartmannAngularII,
     HartmannRadial,
@@ -355,6 +357,57 @@ def test_angular_jacobi_parameter_map():
     assert x1_jacobi_alpha_beta(x1.a, x1.b) == pytest.approx((fam.alpha, fam.beta))
 
 
+@pytest.mark.parametrize("lambda_a, s", [(2.0, 4.0), (1.0, 3.0), (3.0, 1.0), (1e4, 2.0)])
+def test_second_angular_family_is_the_first_in_half_the_angle(lambda_a, s):
+    """HartmannAngularII(lambda_a, s) at theta is 4 x the first family's
+    well at ((s - lambda_a)/2, (lambda_a + s)/2) at 2 theta: both are the
+    Jacobi well at (a, b) = (lambda_a, s).  For s < lambda_a the first
+    family's class refuses its negative lambda_a, and the well is built at
+    the same (a, b) directly; it needs no reflection z -> -z."""
+    second = reduce_system(HartmannAngularII(lambda_a, s))
+    if s > lambda_a:
+        first = reduce_system(HartmannAngularI((s - lambda_a) / 2, (lambda_a + s) / 2))
+    else:
+        first = xop.systems._jacobi_well(second.params, lambda_a, s, 0.5)
+    assert first.domain.hi == first.grid_domain[1] == 2 * second.domain.hi
+    theta = np.linspace(1e-3, np.pi / 2 - 1e-3, 500)
+    scale = (abs(lambda_a * (lambda_a - 1)) / np.sin(theta) ** 2
+             + abs(s * (s - 1)) / np.cos(theta) ** 2)
+    assert np.all(np.abs(4 * first.original(2 * theta) - second.original(theta)) <= 1e-13 * scale)
+    shift = second.shift(theta)
+    assert np.max(np.abs(4 * first.shift(2 * theta) - shift)) <= 1e-13 * np.max(np.abs(shift))
+    z_first, z_second = first.coordinate_jet(2 * theta), second.coordinate_jet(theta)
+    assert np.array_equal(z_second.val, z_first.val)
+    assert np.array_equal(z_second.d1, 2 * z_first.d1)
+    assert np.array_equal(z_second.d2, 4 * z_first.d2)
+    z = np.linspace(-0.9, 0.9, 7)
+    assert np.array_equal(first.prefactor_jet(z), second.prefactor_jet(z))
+    assert [4 * first.energy(n) for n in range(8)] == [second.energy(n) for n in range(8)]
+    for one, two in ((first.classical_family, second.classical_family),
+                     (first.x1_family, second.x1_family)):
+        assert family_to_dict(one) == family_to_dict(two)
+    assert first.pole_offset == second.pole_offset
+
+
+def test_first_angular_potential_does_not_cancel_at_the_walls():
+    """At s - lambda_a = 1 the single fraction
+    ((lambda^2 + s^2 - s) - lambda (2s-1) cos theta) / sin^2 theta cancels
+    near theta = 0, to ~6e-9 relative on a 20000-point grid; the Jacobi
+    well's two terms meet its 40-digit value on the first and last 50 grid
+    points to 1e-14."""
+    params = HartmannAngularI(lambda_a=9999.0, s=1e4)
+    theta = Grid(0.0, np.pi, 20000).points
+    theta = np.concatenate((theta[:50], theta[-50:]))
+    got = reduce_system(params).original(theta)
+    with mpmath.workdps(40):
+        la, s = mpmath.mpf(params.lambda_a), mpmath.mpf(params.s)
+        worst = max(
+            abs(value / ((la**2 + s**2 - s) - la * (2 * s - 1) * mpmath.cos(t))
+                * mpmath.sin(t) ** 2 - 1)
+            for value, t in zip(map(mpmath.mpf, got), map(mpmath.mpf, theta)))
+    assert worst <= 1e-14
+
+
 def test_hydrogen_family_map():
     reduced = reduce_system(HydrogenLike(s=0.9, lambda_c=1.9))
     assert reduced.classical_family.k == pytest.approx(2.8)  # 2s + 1
@@ -458,7 +511,7 @@ RECORDS = [
      (2.8, 1.0), ("ClassicalLaguerre", {"k": 2.8}), ("X1Laguerre", {"k": 2.8}),
      [1.9, 2.9, 3.9, 4.9]),
     (HartmannAngularII(lambda_a=2.0, s=4.0), "theta", (0.0, 1.5707963267948966),
-     (0.0, 1.5707963267948966), (0.08, 1.4907963267948965), (2.5, -1.0),
+     (0.0, 1.5707963267948966), (0.075, 1.4957963267948966), (2.5, -1.0),
      ("ClassicalJacobi", {"alpha": 1.5, "beta": 3.5}),
      ("X1Jacobi", {"a": 1.0, "b": 2.5, "c": 3.5}), [36.0, 64.0, 100.0, 144.0]),
     (HartmannRadial(l=2, omega=2.5), "r", (0.0, math.inf), (0.0, 12.649110640673516),

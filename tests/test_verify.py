@@ -35,6 +35,7 @@ RADIAL = [
 ANGULAR = [
     HartmannAngularI(lambda_a=1.0, s=2.5),
     HartmannAngularII(lambda_a=2.0, s=4.0),
+    HartmannAngularII(lambda_a=3.0, s=1.0),  # s < lambda_a: a > b in the Jacobi well
 ]
 
 
@@ -173,6 +174,22 @@ def test_levels_off_the_analytic_ones_fail(params, domain):
     assert report.max_wavefunction_residual <= report.residual_tolerance
     assert report.gram_max_offdiag <= report.gram_tolerance
     assert not report.passed
+
+
+def test_jacobi_exponent_below_zero_solves_the_reflected_well():
+    """With a Jacobi exponent in (-1, 0) (here both: a, b = 0.2, 0.3 < 1/2)
+    the Dirichlet grid solves the Friedrichs extension, the well with each
+    such exponent reflected, a -> 1 - a: levels (1.5 + 2n)^2 and not the
+    analytic (0.5 + 2n)^2 of the closed forms.  The report fails, and every
+    level lies at least 10 x nearer the reflected well's level."""
+    params = HartmannAngularII(lambda_a=0.2, s=0.3)
+    report = isospectral_compare(params, levels=4, grid_points=2000)
+    assert not report.passed
+    analytic = np.array([analytic_energy(params, n) for n in range(4)])
+    reflected = np.array([(0.8 + 0.7 + 2 * n) ** 2 for n in range(4)])
+    for values in (report.eigenvalues_original, report.eigenvalues_extended):
+        assert np.all(10 * np.abs(np.subtract(values, reflected))
+                      <= np.abs(np.subtract(values, analytic)))
 
 
 def test_angular_domain_matches_clipped_window():
