@@ -20,7 +20,6 @@ from .exceptional import (
     X1Jacobi,
     X1Laguerre,
     degree0_eigenfunction_exists,
-    family_domain,
     family_eigenvalue,
     family_from_dict,
     family_members,
@@ -60,23 +59,13 @@ from .systems import (
     HartmannAngularII,
     HartmannRadial,
     HydrogenLike,
-    Interval,
     ReducedSystem,
     SystemParams,
     analytic_energy,
-    dirac_oscillator_potential_printed,
-    hydrogen_s_parameter,
-    hydrogen_standard_energy,
-    potential_hartmann_angular_i_printed,
     reduce_system,
     system_from_dict,
     system_from_json,
     system_to_dict,
-    ve_dirac_oscillator,
-    ve_hartmann_angular_i,
-    ve_hartmann_angular_ii,
-    ve_hartmann_radial,
-    ve_hydrogen,
     wavefunction,
 )
 from .verify import (

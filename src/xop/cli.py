@@ -157,11 +157,9 @@ def cmd_plot_data(args) -> int:
     reduced = reduce_system(params)
     lo, hi = args.range
     _require_finite_range(lo, hi)
-    if not (reduced.domain.contains(lo) and reduced.domain.contains(hi)):
-        raise UsageError(
-            f"range ({lo}, {hi}) outside system domain "
-            f"({reduced.domain.lo}, {reduced.domain.hi})"
-        )
+    d_lo, d_hi = reduced.domain
+    if not (d_lo < lo < d_hi and d_lo < hi < d_hi):
+        raise UsageError(f"range ({lo}, {hi}) outside system domain ({d_lo}, {d_hi})")
     x = np.linspace(lo, hi, args.count)
     if args.variant == "original":
         family, first = reduced.classical_family, 0

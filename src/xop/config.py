@@ -1,13 +1,14 @@
 """Run configuration for the verification pipeline.
 
-A config is a single JSON document; CLI flags override fields, and the
-environment variable XOP_TOL_SCALE multiplies every tolerance (default 1).
+A config is a single JSON document with the blocks ``systems``, ``levels``,
+``tolerances``, ``grid`` and ``output``; CLI flags override fields.  The
+``tolerances`` block is the only way to set tolerances, and
+``output.format`` accepts only ``"json"``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -16,9 +17,6 @@ from .systems import _SYSTEM_KINDS, SystemParams, _finite_number, reduce_system,
 from .verify import Tolerances
 
 __all__ = ["RunConfig", "GridConfig", "OutputConfig", "load_config", "default_config"]
-
-TOL_SCALE_ENV = "XOP_TOL_SCALE"
-
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -76,19 +74,6 @@ class RunConfig:
             reduce_system(params).grid_form(self.grid.domain_for(type(params).__name__))
 
 
-def _tolerance_scale() -> float:
-    raw = os.environ.get(TOL_SCALE_ENV)
-    if raw is None:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise UsageError(f"{TOL_SCALE_ENV} must be a number, got {raw!r}") from exc
-    if not scale > 0:
-        raise UsageError(f"{TOL_SCALE_ENV} must be positive, got {scale}")
-    return scale
-
-
 def _whole_number(name: str, value) -> int:
     """`value` as an int: an int, or a float with an integral value."""
     if isinstance(value, float) and value.is_integer():
@@ -109,7 +94,6 @@ def config_from_dict(data: dict) -> RunConfig:
         tolerances = Tolerances(**tol_data)
     except TypeError as exc:
         raise UsageError(f"bad tolerances block: {tol_data!r}") from exc
-    tolerances = tolerances.scaled(_tolerance_scale())
     grid_data = data.get("grid", {})
     if not isinstance(grid_data, dict):
         raise UsageError(f"bad grid block: {grid_data!r}")

@@ -58,7 +58,6 @@ __all__ = [
     "EigenPair",
     "family_from_dict",
     "family_to_dict",
-    "family_domain",
     "family_eigenvalue",
     "x1_jacobi_alpha_beta",
     "x1_jacobi_from_classical",
@@ -157,12 +156,6 @@ def family_from_dict(data: dict) -> FamilySpec:
         return cls(**params)
     except TypeError as exc:
         raise UsageError(f"invalid parameters for {kind}: {params!r}") from exc
-
-
-def family_domain(family: FamilySpec) -> tuple[float, float]:
-    if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
-        return (0.0, math.inf)
-    return (-1.0, 1.0)
 
 
 def x1_jacobi_alpha_beta(a: float, b: float) -> tuple[float, float]:
@@ -439,10 +432,11 @@ def weight(family: FamilySpec, x):
     the classical part x^k e^-x or (1-x)^alpha (1+x)^beta formed in log
     form (a product of powers overflows to inf * 0 at large exponents)."""
     x = np.asarray(x, dtype=float)
-    lo, hi = family_domain(family)
+    laguerre = isinstance(family, (ClassicalLaguerre, X1Laguerre))
+    lo, hi = (0.0, math.inf) if laguerre else (-1.0, 1.0)
     if np.any(x <= lo) or np.any(x >= hi):
         raise DomainError(f"weight argument outside open domain ({lo}, {hi})")
-    if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
+    if laguerre:
         log_classical = family.k * np.log(x) - x
     else:
         al, be = _jacobi_exponents(family)

@@ -117,7 +117,7 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
 class SpectrumResult:
     """Finite, strictly ascending eigenvalues with L2-normalized grid
     eigenfunctions, or with eigenfunctions None for a values-only solve
-    (`eigen_lowest(..., vectors=False)`, as `verify` and `spectrum` solve
+    (`refine_lowest` without `vectors`, as `verify` and `spectrum` solve
     their fine grids).
 
     `extrapolation_error` is the Richardson error estimate of `extrapolate`,
@@ -384,23 +384,22 @@ def _certified(op: TridiagonalOperator, values: np.ndarray, bounds: np.ndarray) 
 
 def extrapolate(coarse: SpectrumResult, fine: SpectrumResult) -> SpectrumResult:
     """Richardson extrapolation of two solves of the same problem assuming
-    O(h^2) eigenvalue error; the fine grid must halve the coarse spacing
-    (n -> 2n or 2n+1).  The result carries the fine solve's eigenfunctions,
-    None for values-only solves.  Levels the step reorders (wells narrower
-    than the coarse spacing) raise NumericError naming the coarse grid."""
-    if (coarse.grid.lo, coarse.grid.hi) != (fine.grid.lo, fine.grid.hi):
-        raise UsageError("grids cover different intervals")
-    nc, nf = coarse.grid.n_points, fine.grid.n_points
-    if nf not in (2 * nc, 2 * nc + 1):
-        raise UsageError(f"grids are not in a 2x relation: {nc} vs {nf}")
+    O(h^2) eigenvalue error; the fine grid must be `coarse.grid.refined()`,
+    the one that halves the spacing (n -> 2n + 1; n -> 2n does not).  The
+    result carries the fine solve's eigenfunctions, None for values-only
+    solves.  Levels the step reorders (wells narrower than the coarse
+    spacing) raise NumericError naming the coarse grid."""
+    refined = coarse.grid.refined()
+    if fine.grid != refined:
+        raise UsageError(f"the fine grid {fine.grid} is not the refined coarse grid {refined}")
     if coarse.eigenvalues.size != fine.eigenvalues.size:
         raise UsageError("results hold different numbers of eigenvalues")
     rho2 = (coarse.grid.spacing / fine.grid.spacing) ** 2
     values = (rho2 * fine.eigenvalues - coarse.eigenvalues) / (rho2 - 1.0)
     if np.any(np.diff(values) <= 0):
         raise NumericError(
-            f"the grid of {nc} points is too coarse for {values.size} levels: "
-            "the h^2 Richardson step reorders them"
+            f"the grid of {coarse.grid.n_points} points is too coarse for {values.size} "
+            "levels: the h^2 Richardson step reorders them"
         )
     err = float(np.max(np.abs(fine.eigenvalues - coarse.eigenvalues)) / (rho2 - 1.0))
     return SpectrumResult(values, fine.eigenfunctions, fine.grid, err)

@@ -22,20 +22,16 @@ builder supplies:
   record in that coordinate and the map onto it (its own grid domain and
   residual window are then None).
 
-The ``ve_*`` functions reproduce the source expressions for the rational
-terms verbatim (in the polynomial-equation normalization they were derived
-in).  The ``shift`` used by the eigenvalue pipeline is the same rational
-profile transported to the Schrodinger operator, which fixes overall scale
-and sign; the transport factors were pinned by requiring the closed-form
-extended wavefunctions to satisfy the extended operators exactly (see
-tests/test_systems.py) rather than by transcription.
+Each ``shift`` is the source's printed rational term transported to the
+Schrodinger operator, which fixes its overall scale and sign.  The printed
+terms are written out in tests/test_systems.py, whose transport test pins
+every builder's shift to its term; the closed-form extended wavefunctions
+satisfy the extended operators exactly.
 
 Radial oscillators use xi = omega r^2 / 2 and energies (2n + l + 3/2) omega.
 The Dirac oscillator reduces, after rescaling the radial coordinate by
 sqrt(2), to the omega = 1 oscillator operator -u'' + [l(l+1)/r^2 + r^2/4] u,
-whose spectrum is exactly E_n = 2n + l + 3/2, so both share one builder; its
-printed form (in the unscaled coordinate, where xi = r^2) is kept as a
-labelled accessor.
+whose spectrum is exactly E_n = 2n + l + 3/2, so both share one builder.
 
 The two angular families are one Jacobi (Poschl-Teller) well
 kappa^2 [a(a-1)/sin^2(kappa theta) + b(b-1)/cos^2(kappa theta)] in
@@ -50,10 +46,11 @@ The hydrogen-like system is conditionally exactly solvable: with the radial
 variable fixed at chi = 1 scale the energy sits at -1/4 and the Coulomb
 coupling is quantized at lambda_n = n + s + 1, the eigenvalues of the
 coupling form  A u = lambda (1/r) u  with A = -d^2/dr^2 + s(s+1)/r^2 + 1/4
-(+ shift ve_hydrogen(r)/r); "isospectral" means equal coupling spectra.
+(+ shift ve(r)/r, ve(r) = 1/(r + 2s + 1) - 2(2s + 1)/(r + 2s + 1)^2);
+"isospectral" means equal coupling spectra.
 With r = y^2/4 and u = (y/2)^(1/2) w (the Coulomb-oscillator duality) the
 coupling form is exactly the oscillator in y at l = 2s + 1/2, omega = 1/2,
--w'' + [l(l+1)/y^2 + y^2/16 + ve_hydrogen(y^2/4)] w = lambda w, with the
+-w'' + [l(l+1)/y^2 + y^2/16 + ve(y^2/4)] w = lambda w, with the
 couplings as levels and the same families and pole: the grid solves that
 (``solved_as``).  The r record keeps the fixed-coupling potential
 ``lambda_c`` as ``original``, for plots and the Coulomb-level cross-check.
@@ -89,23 +86,13 @@ __all__ = [
     "DiracOscillator",
     "HydrogenLike",
     "SystemParams",
-    "Interval",
     "ReducedSystem",
     "system_from_dict",
     "system_to_dict",
     "system_from_json",
     "reduce_system",
-    "ve_hartmann_radial",
-    "ve_hartmann_angular_i",
-    "ve_hartmann_angular_ii",
-    "ve_dirac_oscillator",
-    "ve_hydrogen",
-    "potential_hartmann_angular_i_printed",
-    "dirac_oscillator_potential_printed",
-    "hydrogen_standard_energy",
     "analytic_energy",
     "wavefunction",
-    "hydrogen_s_parameter",
 ]
 
 
@@ -125,14 +112,10 @@ _MAX_ANGULAR_PARAM = 1e4
 _MAX_ANGULAR_POLE = 1e8
 
 
-def _require_level(l) -> int:
+def _require_oscillator_level(l) -> int:
     if l != int(l) or l < 0:
         raise ParameterError(f"orbital index must be a nonnegative integer, got {l}")
-    return int(l)
-
-
-def _require_oscillator_level(l) -> int:
-    l = _require_level(l)
+    l = int(l)
     if l > _MAX_OSCILLATOR_L:
         raise ParameterError(f"orbital index must be at most {_MAX_OSCILLATOR_L}, got {l}")
     return l
@@ -169,8 +152,9 @@ class HartmannAngularI:
         return (2 * self.s - 1) / (2 * self.lambda_a)
 
     @property
-    def jacobi_ab(self) -> tuple[float, float]:
-        return self.s - self.lambda_a - 0.5, self.s + self.lambda_a - 0.5
+    def well(self) -> tuple[float, float]:
+        """The Jacobi well parameters (a, b) (module docstring)."""
+        return self.s - self.lambda_a, self.s + self.lambda_a
 
 
 @dataclass(frozen=True)
@@ -190,8 +174,9 @@ class HartmannAngularII:
         return (self.s + self.lambda_a - 1) / (self.s - self.lambda_a)
 
     @property
-    def jacobi_ab(self) -> tuple[float, float]:
-        return self.lambda_a - 0.5, self.s - 0.5
+    def well(self) -> tuple[float, float]:
+        """The Jacobi well parameters (a, b) (module docstring)."""
+        return self.lambda_a, self.s
 
 
 def _require_jacobi_well(params) -> None:
@@ -204,9 +189,14 @@ def _require_jacobi_well(params) -> None:
             raise ParameterError(f"|{name}| must be at most {limit:g}, got {value}")
     if not abs(pole) > 1:
         raise ParameterError(f"pole inside domain: the pole {pole} must lie outside [-1, 1]")
-    al, be = params.jacobi_ab
-    if not (al > -1 and be > -1):
-        raise ParameterError(f"Jacobi exponents ({al}, {be}) must exceed -1")
+    # below 1/2 (a Jacobi exponent a - 1/2 below 0) the Dirichlet grid solves
+    # the Friedrichs extension, the well reflected to 1 - a, and not the well
+    # of the closed forms
+    for name, value in zip("ab", params.well):
+        if not value >= 0.5:
+            raise ParameterError(
+                f"well parameter {name} = {value} must be at least 1/2: the grid would "
+                f"solve the reflected well at 1 - {name} = {1 - value}")
 
 
 @dataclass(frozen=True)
@@ -291,104 +281,8 @@ def system_from_json(text: str) -> SystemParams:
     return system_from_dict(data)
 
 
-def hydrogen_s_parameter(l: int, coupling_sq: float) -> float:
-    """Positive root of s(s+1) = l(l+1) - coupling_sq."""
-    rhs = _require_level(l) * (int(l) + 1) - coupling_sq
-    disc = 1.0 + 4.0 * rhs
-    if disc <= 1.0:
-        raise ParameterError(
-            f"no positive root: l(l+1) - coupling_sq = {rhs} must be positive"
-        )
-    return 0.5 * (-1.0 + math.sqrt(disc))
-
-
-# ---------------------------------------------------------------------------
-# printed rational terms, exactly as derived in the polynomial equations
-
-def ve_hartmann_radial(params: HartmannRadial, r):
-    """1/(xi+m) - (2l+1)/(xi+m)^2 with xi = omega r^2/2, m = l + 1/2."""
-    xi = params.omega * np.asarray(r, dtype=float) ** 2 / 2
-    u = xi + params.l + 0.5
-    return 1.0 / u - (2 * params.l + 1) / u**2
-
-
-def ve_hartmann_angular_i(params: HartmannAngularI, z):
-    """2b/(b-z) - (2-2b^2)/(b-z)^2 with b = (2s-1)/(2 lambda), z = cos(theta)."""
-    b = params.pole
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= -1) or np.any(z >= 1):
-        raise DomainError("z = cos(theta) must lie in (-1, 1)")
-    return 2 * b / (b - z) - (2 - 2 * b**2) / (b - z) ** 2
-
-
-def ve_hartmann_angular_ii(params: HartmannAngularII, z):
-    """2b/(z-b) - (2-2b^2)/(z-b)^2 with b = (s+lambda-1)/(s-lambda)."""
-    b = params.pole
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= -1) or np.any(z >= 1):
-        raise DomainError("z = cos(2 theta) must lie in (-1, 1)")
-    return 2 * b / (z - b) - (2 - 2 * b**2) / (z - b) ** 2
-
-
-def ve_dirac_oscillator(params: DiracOscillator, r):
-    """1/(r^2+m) - 2m/(r^2+m)^2 with m = (2l+1)/2, in the unscaled coordinate."""
-    u = np.asarray(r, dtype=float) ** 2 + params.l + 0.5
-    return 1.0 / u - (2 * params.l + 1) / u**2
-
-
-def ve_hydrogen(params: HydrogenLike, r):
-    """1/(r+2s+1) - 2(2s+1)/(r+2s+1)^2."""
-    kk = 2 * params.s + 1
-    u = np.asarray(r, dtype=float) + kk
-    return 1.0 / u - 2 * kk / u**2
-
-
-def potential_hartmann_angular_i_printed(params: HartmannAngularI, theta):
-    """First angular potential in its textbook-printed form, with csc^2
-    coefficient (lambda^2 + s^2 + s).
-
-    Kept for documentation: the eigenproblem -H'' + V H = (s+n)^2 H with the
-    Jacobi-form closed solutions requires the coefficient (lambda^2+s^2-s)
-    used by ``reduce_system`` instead (the two differ by 2s csc^2 theta).
-    """
-    la, s = params.lambda_a, params.s
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0) or np.any(theta >= np.pi):
-        raise DomainError("theta must lie in (0, pi)")
-    sin2 = np.sin(theta) ** 2
-    return ((la**2 + s**2 + s) - la * (2 * s - 1) * np.cos(theta)) / sin2
-
-
-def dirac_oscillator_potential_printed(params: DiracOscillator, r, energy: float):
-    """As-printed modified Dirac oscillator potential
-    r^2/2 + l(l+1)/r^2 - E + ve; documentation only (the spectral pipeline
-    uses the rescaled operator form, see module docstring)."""
-    r = np.asarray(r, dtype=float)
-    return (r**2 / 2 + params.l * (params.l + 1) / r**2 - energy
-            + ve_dirac_oscillator(params, r))
-
-
-def hydrogen_standard_energy(params: HydrogenLike, n: int) -> float:
-    """Bound-state energy -lambda_c^2 / (4 (n+s+1)^2) of the fixed-coupling form."""
-    if n < 0 or n != int(n):
-        raise UsageError(f"level must be a nonnegative integer, got {n}")
-    return -params.lambda_c**2 / (4.0 * (n + params.s + 1) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # the reduced record
-
-@dataclass(frozen=True)
-class Interval:
-    """The open interval (lo, hi)."""
-
-    lo: float
-    hi: float
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all((x > self.lo) & (x < self.hi)))
-
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -398,7 +292,7 @@ class ReducedSystem:
 
     params: SystemParams
     coordinate: str  # "r" | "theta" | "y"
-    domain: Interval
+    domain: tuple[float, float]  # open
     grid_domain: tuple[float, float] | None  # None with `solved_as`
     residual_window: tuple[float, float] | None  # None with `solved_as`
     original: Callable[[np.ndarray], np.ndarray]
@@ -430,9 +324,10 @@ class ReducedSystem:
         if domain is None:
             return record, record.grid_domain
         lo, hi = domain
-        if not self.domain.lo <= lo < hi <= self.domain.hi:
+        d_lo, d_hi = self.domain
+        if not d_lo <= lo < hi <= d_hi:
             raise UsageError(f"grid domain ({lo}, {hi}) of {type(self.params).__name__} "
-                             f"lies outside its domain ({self.domain.lo}, {self.domain.hi})")
+                             f"lies outside its domain ({d_lo}, {d_hi})")
         return record, (to_grid(lo), to_grid(hi))
 
     def wavefunction(self, variant: str, n: int) -> Callable[[np.ndarray], Jet2]:
@@ -477,7 +372,7 @@ def _oscillator(params: SystemParams, l: float, w: float) -> ReducedSystem:
     return ReducedSystem(
         params=params,
         coordinate="r",
-        domain=Interval(0.0, math.inf),
+        domain=(0.0, math.inf),
         grid_domain=(0.0, 20.0 / math.sqrt(w)),
         residual_window=(0.05, 12.0 / math.sqrt(w)),
         original=original,
@@ -501,7 +396,9 @@ def _hydrogen(params: HydrogenLike) -> ReducedSystem:
         return s * (s + 1) / r**2 - params.lambda_c / r
 
     def shift(r):
-        return ve_hydrogen(params, r) / r
+        kk = 2 * s + 1
+        u = r + kk
+        return (1.0 / u - 2 * kk / u**2) / r
 
     # l = (2s + 1) - 1/2 is exact, so the oscillator's families and pole
     # offset take the parameter 2s + 1 to the bit
@@ -509,7 +406,7 @@ def _hydrogen(params: HydrogenLike) -> ReducedSystem:
     return ReducedSystem(
         params=params,
         coordinate="r",
-        domain=Interval(0.0, math.inf),
+        domain=(0.0, math.inf),
         grid_domain=None,
         residual_window=None,
         original=original,
@@ -555,7 +452,7 @@ def _jacobi_well(params: SystemParams, a: float, b: float, kappa: float) -> Redu
     return ReducedSystem(
         params=params,
         coordinate="theta",
-        domain=Interval(0.0, end),
+        domain=(0.0, end),
         grid_domain=(0.0, end),
         residual_window=(margin, end - margin),
         original=original,
@@ -571,9 +468,8 @@ def _jacobi_well(params: SystemParams, a: float, b: float, kappa: float) -> Redu
 
 _BUILDERS: dict[type, Callable[..., ReducedSystem]] = {
     HartmannRadial: lambda params: _oscillator(params, params.l, params.omega),
-    HartmannAngularI: lambda params: _jacobi_well(
-        params, params.s - params.lambda_a, params.s + params.lambda_a, 0.5),
-    HartmannAngularII: lambda params: _jacobi_well(params, params.lambda_a, params.s, 1.0),
+    HartmannAngularI: lambda params: _jacobi_well(params, *params.well, 0.5),
+    HartmannAngularII: lambda params: _jacobi_well(params, *params.well, 1.0),
     DiracOscillator: lambda params: _oscillator(params, params.l, params.omega),
     HydrogenLike: _hydrogen,
 }
@@ -614,14 +510,12 @@ def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial
     coordinate, prefactor and pole-factor jets are evaluated once for all
     of them."""
     c0, c1 = system.pole_offset
-    domain = system.domain
+    lo, hi = system.domain
 
     def psis(x) -> list[Jet2]:
         x = np.asarray(x, dtype=float)
-        if not domain.contains(x):
-            raise DomainError(
-                f"coordinate outside open domain ({domain.lo}, {domain.hi})"
-            )
+        if not np.all((x > lo) & (x < hi)):
+            raise DomainError(f"coordinate outside open domain ({lo}, {hi})")
         z = system.coordinate_jet(x)
         prefactor = system.prefactor_jet(z)
         values = [prefactor * jet_poly(poly, z) for poly in polys]

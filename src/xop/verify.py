@@ -75,11 +75,6 @@ class Tolerances:
                 raise UsageError(f"tolerance {name} must be a finite positive number, "
                                  f"got {value!r}")
 
-    def scaled(self, factor: float) -> "Tolerances":
-        if not factor > 0:
-            raise UsageError(f"tolerance scale must be positive, got {factor}")
-        return Tolerances(*(factor * v for v in vars(self).values()))
-
 
 DEFAULT_TOLERANCES = Tolerances()
 

@@ -162,16 +162,11 @@ def test_criterion_7_shift_anchor_identities():
         checks.append(abs(reduce_system(params).shift(r_star)))
         dirac = DiracOscillator(l=l)
         checks.append(abs(reduce_system(dirac).shift(np.sqrt(2 * (l + 0.5)))))
-        from xop import ve_dirac_oscillator, ve_hartmann_radial
-
-        checks.append(abs(ve_hartmann_radial(params, r_star)))
-        checks.append(abs(ve_dirac_oscillator(dirac, np.sqrt(l + 0.5))))
     for s in (0.9, 1.5):
-        params = HydrogenLike(s=s, lambda_c=s + 1)
-        checks.append(abs(reduce_system(params).shift(2 * s + 1)))
-        from xop import ve_hydrogen
-
-        checks.append(abs(ve_hydrogen(params, 2 * s + 1)))
+        reduced = reduce_system(HydrogenLike(s=s, lambda_c=s + 1))
+        checks.append(abs(reduced.shift(2 * s + 1)))
+        # the y record the grid solves, at y = 2 sqrt(r)
+        checks.append(abs(reduced.grid_form()[0].shift(2 * np.sqrt(2 * s + 1))))
     assert max(checks) <= 1e-14
     report(7, f"all shift anchors zero to {max(checks):.1e} (<= 1e-14)")
 

@@ -1,5 +1,6 @@
-"""The public API: every exported name resolves, and every name of the
-package namespace is exported by the module that defines it."""
+"""The public API: every exported name resolves, every name of the
+package namespace is exported by the module that defines it, and the
+package's public names are the pinned list."""
 
 import importlib
 import pkgutil
@@ -37,3 +38,30 @@ def test_package_names_are_exported_by_their_modules():
         and not any(attr in exported(m) and getattr(m, attr) is value for m in modules)
     ]
     assert not unexported, f"package names no module exports: {unexported}"
+
+
+# xop's public names, sorted; the surface grows or shrinks only by an edit here
+PUBLIC_NAMES = [
+    "AccuracyError", "ClassicalJacobi", "ClassicalLaguerre", "ConsistencyError",
+    "DEFAULT_TOLERANCES", "DiracOscillator", "DomainError", "EigenPair", "FamilySpec",
+    "Grid", "HartmannAngularI", "HartmannAngularII", "HartmannRadial", "HydrogenLike",
+    "Jet2", "NumericError", "ParameterError", "Polynomial", "QuadratureRule",
+    "ReducedSystem", "SingularityError", "SpectrumResult", "SystemParams", "Tolerances",
+    "TridiagonalOperator", "UsageError", "VerificationReport", "X1Jacobi", "X1Laguerre",
+    "XopError", "analytic_energy", "degree0_eigenfunction_exists", "discretize",
+    "eigen_lowest", "eval_jacobi", "eval_laguerre", "extrapolate", "family_eigenvalue",
+    "family_from_dict", "family_members", "family_to_dict", "gauss_jacobi_rule",
+    "gram_matrix", "isospectral_compare", "jacobi_polynomial", "laguerre_polynomial",
+    "max_offdiag_ratio", "ode_residual", "polynomial_from_json", "reduce_system",
+    "refine_lowest", "residual_on_operator", "solve_variants", "system_from_dict",
+    "system_from_json", "system_to_dict", "wavefunction", "weight", "x1_eigenpairs",
+    "x1_jacobi_alpha_beta", "x1_jacobi_from_classical", "x1_members_and_gram",
+    "x1_polynomial",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(attr for attr, value in vars(xop).items()
+                    if not attr.startswith("_") and not isinstance(value, types.ModuleType))
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert public == PUBLIC_NAMES

@@ -291,16 +291,6 @@ def test_verify_missing_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_tol_scale_env_tightens(tmp_path, capsys, monkeypatch):
-    path = write_config(tmp_path)
-    monkeypatch.setenv("XOP_TOL_SCALE", "1e-9")
-    code, _, _ = run(["verify", "--config", str(path)], capsys)
-    assert code == 1
-    monkeypatch.setenv("XOP_TOL_SCALE", "bogus")
-    code, _, _ = run(["verify", "--config", str(path)], capsys)
-    assert code == 2
-
-
 def test_verify_report_files_are_byte_stable(tmp_path, capsys):
     path = write_config(tmp_path)
     run(["verify", "--config", str(path)], capsys)

@@ -52,8 +52,7 @@ def assert_report_matches(ours, golden, name):
         assert_matches(ours[key], golden[key], f"{name}.{key}", abs_tol)
 
 
-def test_bundled_reports_match_the_golden_reports(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("XOP_TOL_SCALE", raising=False)
+def test_bundled_reports_match_the_golden_reports(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path)]) == 0
     names = sorted(os.listdir(GOLDEN))
     assert sorted(os.listdir(tmp_path)) == names and len(names) == 4

@@ -25,7 +25,6 @@ from xop import (
     eigen_lowest,
     extrapolate,
     family_members,
-    hydrogen_standard_energy,
     isospectral_compare,
     reduce_system,
     refine_lowest,
@@ -749,14 +748,15 @@ def test_extrapolate_dirac_oscillator_target():
 
 
 def test_extrapolate_usage_errors():
+    """The fine grid is exactly the refined coarse grid: n -> 2n does not
+    halve the interior-point spacing (hi - lo)/(n + 1), and neither does
+    another point count or another interval."""
     v = lambda x: np.zeros_like(x)
     a = solve(0.0, np.pi, 500, v, 2)
-    b = solve(0.0, np.pi, 700, v, 2)
-    with pytest.raises(UsageError):
-        extrapolate(a, b)
-    c = solve(0.0, 3.0, 1001, v, 2)
-    with pytest.raises(UsageError):
-        extrapolate(a, c)
+    for fine in (solve(0.0, np.pi, 700, v, 2), solve(0.0, np.pi, 1000, v, 2),
+                 solve(0.0, 3.0, 1001, v, 2)):
+        with pytest.raises(UsageError, match="not the refined coarse grid"):
+            extrapolate(a, fine)
 
 
 def test_grid_doubling_reduces_error():
@@ -806,7 +806,7 @@ def test_hydrogen_standard_form_coulomb_levels():
     params = HydrogenLike(s=0.9, lambda_c=1.9)
     reduced = reduce_system(params)
     result = solve_extrapolated(0.0, 80.0, 3000, reduced.original, 4)
-    want = [hydrogen_standard_energy(params, n) for n in range(4)]
+    want = [-params.lambda_c**2 / (4 * (n + params.s + 1) ** 2) for n in range(4)]
     assert np.max(np.abs(result.eigenvalues - want)) < 1e-4
 
 

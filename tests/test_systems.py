@@ -23,27 +23,17 @@ from xop import (
     HartmannAngularII,
     HartmannRadial,
     HydrogenLike,
-    Interval,
     ParameterError,
     UsageError,
     X1Jacobi,
     X1Laguerre,
     analytic_energy,
-    dirac_oscillator_potential_printed,
     family_to_dict,
-    hydrogen_s_parameter,
-    hydrogen_standard_energy,
-    potential_hartmann_angular_i_printed,
     reduce_system,
     residual_on_operator,
     system_from_dict,
     system_from_json,
     system_to_dict,
-    ve_dirac_oscillator,
-    ve_hartmann_angular_i,
-    ve_hartmann_angular_ii,
-    ve_hartmann_radial,
-    ve_hydrogen,
     wavefunction,
 )
 
@@ -87,71 +77,76 @@ def eigen_residual(reduced, variant, n):
                                 residual_samples(reduced))
 
 
-# --- printed rational terms ---------------------------------------------------
+# --- the printed rational terms, transported --------------------------------
 
-def test_ve_hartmann_radial_values():
-    params = HartmannRadial(l=0, omega=1.0)
-    # xi + m = 0.5 + 0.5 = 1 at r=1: 1/1 - 1/1 = 0
-    assert ve_hartmann_radial(params, 1.0) == pytest.approx(0.0, abs=1e-14)
-    # vanishes at xi = m, i.e. r = sqrt(2m/omega)
-    r_star = math.sqrt((2 * params.l + 1) / params.omega)
-    assert abs(ve_hartmann_radial(params, r_star)) < 1e-14
+def ve_radial(params, r):
+    """The ring-shaped oscillator's printed term 1/u - (2l+1)/u^2,
+    u = xi + l + 1/2 with xi = omega r^2/2."""
+    u = params.omega * r**2 / 2 + params.l + 0.5
+    return 1.0 / u - (2 * params.l + 1) / u**2
 
 
-def test_ve_hartmann_radial_asymptotic_bound():
-    params = HartmannRadial(l=1, omega=1.0)
+def ve_dirac(params, rho):
+    """The Dirac oscillator's printed term 1/(rho^2+m) - 2m/(rho^2+m)^2,
+    m = l + 1/2, in its unscaled radial coordinate rho."""
     m = params.l + 0.5
-    r = np.linspace(math.sqrt(4 * (2 * m) / params.omega), 40.0, 200)
-    xi = params.omega * r**2 / 2  # all > 2m here
-    assert np.all(xi > 2 * m)
-    assert np.all(np.abs(ve_hartmann_radial(params, r)) <= 4 / (params.omega * r**2))
+    return 1.0 / (rho**2 + m) - 2 * m / (rho**2 + m) ** 2
 
 
-def test_ve_angular_i_arithmetic():
-    params = HartmannAngularI(lambda_a=1.0, s=2.5)  # b = 2
-    assert params.pole == pytest.approx(2.0)
-    # 2*2/2 - (2-8)/4 = 2 + 1.5
-    assert ve_hartmann_angular_i(params, 0.0) == pytest.approx(3.5, abs=1e-14)
-    theta = np.linspace(1e-3, np.pi - 1e-3, 500)
-    assert np.all(np.isfinite(ve_hartmann_angular_i(params, np.cos(theta))))
+def ve_hydrogen(params, r):
+    """The hydrogen-like printed term 1/(r+2s+1) - 2(2s+1)/(r+2s+1)^2."""
+    k = 2 * params.s + 1
+    return 1.0 / (r + k) - 2 * k / (r + k) ** 2
 
 
-def test_ve_angular_i_negative_pole():
-    # b = -2 reached with valid exponents (alpha, beta) = (-0.75, -0.25)
-    params = HartmannAngularI(lambda_a=0.25, s=0.0)
-    b = params.pole
-    assert b == pytest.approx(-2.0)
-    want = 2 * b / (b - 0.0) - (2 - 2 * b**2) / (b - 0.0) ** 2
-    assert ve_hartmann_angular_i(params, 0.0) == pytest.approx(want, abs=1e-14)
-    assert want == pytest.approx(3.5)
+def printed_angular(z, b):
+    """P(z, b) = 2b/(z-b) - (2-2b^2)/(z-b)^2, the angular printed term at
+    the pole b."""
+    return 2 * b / (z - b) - (2 - 2 * b**2) / (z - b) ** 2
 
 
-def test_ve_angular_ii_arithmetic():
-    params = HartmannAngularII(lambda_a=1.0, s=3.0)  # b = 1.5
-    assert params.pole == pytest.approx(1.5)
-    assert ve_hartmann_angular_ii(params, 0.0) == pytest.approx(-2 + 10 / 9, abs=1e-14)
-    assert ve_hartmann_angular_ii(params, 1.0 - 1e-15) == pytest.approx(4.0, abs=1e-9)
-    with pytest.raises(ParameterError):
-        HartmannAngularII(lambda_a=1.0, s=1.0)  # s = lambda
+# (params, coordinate of the record, its shift from the printed term)
+TRANSPORTS = [
+    (HartmannRadial(l=0, omega=1.0), "r", lambda p, r: 2 * p.omega * ve_radial(p, r)),
+    (HartmannRadial(l=2, omega=2.5), "r", lambda p, r: 2 * p.omega * ve_radial(p, r)),
+    (HartmannRadial(l=64, omega=1e-8), "r", lambda p, r: 2 * p.omega * ve_radial(p, r)),
+    (DiracOscillator(l=0), "r", lambda p, r: 2 * ve_dirac(p, r / math.sqrt(2))),
+    (DiracOscillator(l=5), "r", lambda p, r: 2 * ve_dirac(p, r / math.sqrt(2))),
+    (HydrogenLike(s=0.9, lambda_c=1.9), "r", lambda p, r: ve_hydrogen(p, r) / r),
+    (HydrogenLike(s=0.9, lambda_c=1.9), "y", lambda p, y: ve_hydrogen(p, y**2 / 4)),
+    (HydrogenLike(s=5.0, lambda_c=1.0), "y", lambda p, y: ve_hydrogen(p, y**2 / 4)),
+    (HartmannAngularII(lambda_a=2.0, s=4.0), "theta",
+     lambda p, t: -4 * printed_angular(np.cos(2 * t), p.pole)),
+    (HartmannAngularII(lambda_a=3.0, s=1.0), "theta",
+     lambda p, t: -4 * printed_angular(np.cos(2 * t), p.pole)),
+    (HartmannAngularII(lambda_a=1e4, s=2.0), "theta",
+     lambda p, t: -4 * printed_angular(np.cos(2 * t), p.pole)),
+    (HartmannAngularI(lambda_a=1.0, s=2.5), "theta",
+     lambda p, t: -printed_angular(np.cos(t), p.pole)),
+    (HartmannAngularI(lambda_a=2.0, s=1e3), "theta",
+     lambda p, t: -printed_angular(np.cos(t), p.pole)),
+    (HartmannAngularI(lambda_a=0.3, s=2.0), "theta",
+     lambda p, t: -printed_angular(np.cos(t), p.pole)),
+]
 
 
-def test_ve_dirac_values():
-    params = DiracOscillator(l=0)
-    assert ve_dirac_oscillator(params, 1.0) == pytest.approx(2.0 / 9.0, abs=1e-15)
-    # zero at r^2 = (2l+1)/2
-    assert abs(ve_dirac_oscillator(params, math.sqrt(0.5))) < 1e-14
-    r = np.linspace(3.0, 50.0, 100)
-    assert np.all(np.abs(ve_dirac_oscillator(params, r)) <= 2 / r**2)
-
-
-def test_ve_hydrogen_values():
-    params = HydrogenLike(s=0.5, lambda_c=1.5)
-    assert ve_hydrogen(params, 1.0) == pytest.approx(-1.0 / 9.0, abs=1e-15)
-    # zero at r = 2s+1
-    assert abs(ve_hydrogen(params, 2 * params.s + 1)) < 1e-14
-    r = np.linspace(50.0, 500.0, 50)
-    vals = ve_hydrogen(params, r)
-    assert np.all(vals > 0) and np.all(vals < 1.0 / r)
+@pytest.mark.parametrize("params, coordinate, transported", TRANSPORTS,
+                         ids=[f"{params!r}-{coordinate}" for params, coordinate, _ in TRANSPORTS])
+def test_shift_is_the_printed_term_transported(params, coordinate, transported):
+    """Each builder's shift is the source's printed rational term carried to
+    the Schrodinger operator by the variable and prefactor maps: the
+    oscillators' 2 omega ve(xi), the Dirac oscillator's printed term in
+    rho = r/sqrt(2), the hydrogen-like term over r (and at r = y^2/4 in the
+    y record the grid solves), and -kappa^2 x 4 P(z, pole) in
+    z = cos(2 kappa theta) for the Jacobi wells.  The first angular family's
+    term as transcribed, 2b/(b-z) - (2-2b^2)/(b-z)^2, has the sign of its
+    second term flipped against P and is no affine image of the shift."""
+    reduced = reduce_system(params)
+    record = reduced if reduced.coordinate == coordinate else reduced.grid_form()[0]
+    assert record.coordinate == coordinate
+    x = np.linspace(*(record.residual_window or HYDROGEN_R_WINDOW), 1000)
+    want = transported(params, x)
+    assert np.max(np.abs(record.shift(x) - want)) <= 3e-13 * np.max(np.abs(want))
 
 
 # --- operator-level shifts -----------------------------------------------------
@@ -280,19 +275,22 @@ def test_reduced_wavefunction_is_built_on_its_own_record(variant, n, monkeypatch
         assert np.array_equal(getattr(twice, part), 2.0 * getattr(jets, part))
 
 
-def test_interval_is_open():
-    """`contains` holds only when every point lies strictly inside, ends
-    excluded, for scalars and arrays alike; an infinite end is never
-    reached, and NaN is inside nothing."""
-    unit = Interval(0.0, 1.0)
-    assert unit.contains(0.5)
-    assert not unit.contains(0.0) and not unit.contains(1.0)
-    assert unit.contains(np.array([1e-300, 0.5, 1.0 - 1e-16]))
-    assert not unit.contains([0.25, 1.5]) and not unit.contains([-0.25, 0.5])
-    half_line = Interval(0.0, np.inf)
-    assert half_line.contains([1e-300, 1e300])
-    assert not half_line.contains(np.inf) and not half_line.contains([1.0, np.nan])
-    assert reduce_system(HydrogenLike(s=0.9, lambda_c=1.9)).domain == half_line
+@pytest.mark.parametrize("params, inside, outside", [
+    (HartmannAngularI(lambda_a=1.0, s=2.5), [1e-3, 0.5, np.pi - 1e-3], [0.0, np.pi]),
+    (HartmannAngularI(lambda_a=1.0, s=2.5), [0.5], [np.nan]),
+    (HydrogenLike(s=0.9, lambda_c=1.9), [1e-6, 1.0, 1e3], [np.inf]),
+], ids=["ends excluded", "nan", "infinite end"])
+def test_wavefunction_domain_is_open(params, inside, outside):
+    """A closed-form wavefunction takes points strictly inside its open
+    domain, scalars and arrays alike; an end, NaN or an infinite end in
+    the argument raises DomainError."""
+    psi = reduce_system(params).wavefunction("exceptional", 2)
+    assert np.all(np.isfinite(psi(np.array(inside)).val))
+    for point in outside:
+        with pytest.raises(DomainError, match="outside open domain"):
+            psi(point)
+        with pytest.raises(DomainError, match="outside open domain"):
+            psi(np.array(inside + [point]))
 
 
 # --- energies -------------------------------------------------------------------
@@ -316,17 +314,6 @@ def test_angular_eigenvalue_identity():
 def test_hydrogen_energies():
     params = HydrogenLike(s=0.9, lambda_c=1.9)
     assert analytic_energy(params, 0) == pytest.approx(1.9)  # coupling form
-    assert hydrogen_standard_energy(params, 0) == pytest.approx(-0.25)
-    assert hydrogen_standard_energy(params, 1) == pytest.approx(
-        -(1.9**2) / (4 * 2.9**2))
-
-
-def test_hydrogen_s_parameter_positive_root():
-    s = hydrogen_s_parameter(1, 0.5)  # s(s+1) = 2 - 0.5
-    assert s > 0
-    assert s * (s + 1) == pytest.approx(1.5, rel=1e-14)
-    with pytest.raises(ParameterError):
-        hydrogen_s_parameter(0, 0.5)
 
 
 # --- parameter maps --------------------------------------------------------------
@@ -369,7 +356,7 @@ def test_second_angular_family_is_the_first_in_half_the_angle(lambda_a, s):
         first = reduce_system(HartmannAngularI((s - lambda_a) / 2, (lambda_a + s) / 2))
     else:
         first = xop.systems._jacobi_well(second.params, lambda_a, s, 0.5)
-    assert first.domain.hi == first.grid_domain[1] == 2 * second.domain.hi
+    assert first.domain[1] == first.grid_domain[1] == 2 * second.domain[1]
     theta = np.linspace(1e-3, np.pi / 2 - 1e-3, 500)
     scale = (abs(lambda_a * (lambda_a - 1)) / np.sin(theta) ** 2
              + abs(s * (s - 1)) / np.cos(theta) ** 2)
@@ -413,42 +400,6 @@ def test_hydrogen_family_map():
     assert reduced.classical_family.k == pytest.approx(2.8)  # 2s + 1
 
 
-# --- printed accessors ------------------------------------------------------------
-
-def test_angular_printed_potential_at_half_pi():
-    params = HartmannAngularI(lambda_a=1.0, s=2.5)
-    # csc = 1, cot = 0 there
-    want = params.lambda_a**2 + params.s**2 + params.s
-    assert potential_hartmann_angular_i_printed(params, np.pi / 2) == pytest.approx(want)
-
-
-def test_angular_printed_parity():
-    params = HartmannAngularI(lambda_a=1.0, s=2.5)
-    theta = 0.7
-    plus = potential_hartmann_angular_i_printed(params, theta)
-    minus = potential_hartmann_angular_i_printed(params, np.pi - theta)
-    csc2 = 1 / np.sin(theta) ** 2
-    # the pair differs only through the odd csc*cot term
-    assert plus + minus == pytest.approx(2 * (params.lambda_a**2 + params.s**2 + params.s) * csc2)
-    with pytest.raises(DomainError):
-        potential_hartmann_angular_i_printed(params, 0.0)
-
-
-def test_angular_printed_vs_operator_form_differ_by_2s_csc2():
-    params = HartmannAngularI(lambda_a=1.0, s=2.5)
-    reduced = reduce_system(params)
-    theta = np.linspace(0.2, np.pi - 0.2, 50)
-    printed = potential_hartmann_angular_i_printed(params, theta)
-    used = reduced.original(theta)
-    assert np.allclose(printed - used, 2 * params.s / np.sin(theta) ** 2, rtol=1e-12)
-
-
-def test_dirac_printed_potential():
-    params = DiracOscillator(l=0)
-    val = dirac_oscillator_potential_printed(params, 1.0, energy=1.5)
-    assert val == pytest.approx(0.5 - 1.5 + 2.0 / 9.0, abs=1e-14)
-
-
 # --- parameter records and serialization -------------------------------------------
 
 def test_system_validation():
@@ -458,6 +409,8 @@ def test_system_validation():
         HartmannRadial(l=0, omega=0.0)
     with pytest.raises(ParameterError):
         HartmannAngularI(lambda_a=1.0, s=0.9)  # |b| = 0.4 < 1
+    with pytest.raises(ParameterError):
+        HartmannAngularII(lambda_a=1.0, s=1.0)  # s = lambda_a: infinite pole
     with pytest.raises(ParameterError):
         HydrogenLike(s=0.0, lambda_c=1.0)
     with pytest.raises(ParameterError):
@@ -482,14 +435,7 @@ def test_system_json_roundtrip():
 def test_named_reduce_helpers():
     assert reduce_system(HartmannRadial(0, 1.0)).energy(0) == 1.5
     assert reduce_system(DiracOscillator(1)).energy(2) == 6.5
-    reduced = reduce_system(HydrogenLike(0.9, 1.9))  # lambda_c = s + 1
-    assert hydrogen_standard_energy(reduced.params, 0) == pytest.approx(-0.25)
-
-
-def test_hydrogen_s_parameter_continuity():
-    # small coupling leaves the centrifugal term nearly classical
-    s = hydrogen_s_parameter(1, 1e-4)
-    assert s == pytest.approx(1.0, abs=1e-4)
+    assert reduce_system(HydrogenLike(0.9, 1.9)).energy(1) == 2.9
 
 
 # --- the per-system records --------------------------------------------------------
@@ -525,7 +471,7 @@ def test_reduced_record_values(record):
     params, coordinate, domain, grid, window, pole, classical, x1, levels = record
     reduced = reduce_system(params)
     assert reduced.coordinate == coordinate
-    assert (reduced.domain.lo, reduced.domain.hi) == domain
+    assert reduced.domain == domain
     assert reduced.grid_domain == grid
     assert reduced.residual_window == window
     assert reduced.pole_offset == pole
@@ -540,7 +486,7 @@ def test_reduced_record_values(record):
 def test_hydrogen_is_the_half_omega_oscillator_in_y(s):
     """With r = y^2/4 and u = (y/2)^(1/2) w, the coupling form is the radial
     oscillator at l = 2s + 1/2 and omega = 1/2: its grid record has the
-    oscillator potential, the shift ve_hydrogen(y^2/4), the couplings
+    oscillator potential, the shift ve(y^2/4) (see the transport test), the couplings
     n + s + 1 as levels, the r record's families and pole offset, and the
     closed forms (y/2)^(-1/2) u(y^2/4)."""
     params = HydrogenLike(s=s, lambda_c=1.9)
@@ -550,8 +496,6 @@ def test_hydrogen_is_the_half_omega_oscillator_in_y(s):
     y = np.linspace(0.05, 25.0, 500)
     nu = 2 * s + 0.5
     assert np.allclose(in_y.original(y), nu * (nu + 1) / y**2 + y**2 / 16, rtol=1e-14, atol=0)
-    ve = ve_hydrogen(params, y**2 / 4)
-    assert np.max(np.abs(in_y.shift(y) - ve)) <= 1e-12 * np.max(np.abs(ve))
     assert [in_y.energy(n) for n in range(4)] == pytest.approx(
         [n + s + 1 for n in range(4)], rel=1e-15, abs=0)
     assert (in_y.classical_family, in_y.x1_family, in_y.pole_offset) == (

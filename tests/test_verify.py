@@ -1,11 +1,13 @@
 """End-to-end isospectrality verification for all five systems."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import xop
 import xop.exceptional
 import xop.systems
 import xop.verify
@@ -16,6 +18,7 @@ from xop import (
     HartmannRadial,
     HydrogenLike,
     NumericError,
+    ParameterError,
     Tolerances,
     UsageError,
     analytic_energy,
@@ -24,6 +27,7 @@ from xop import (
     max_offdiag_ratio,
     reduce_system,
 )
+from xop.cli import main
 
 RADIAL = [
     DiracOscillator(l=0),
@@ -176,20 +180,28 @@ def test_levels_off_the_analytic_ones_fail(params, domain):
     assert not report.passed
 
 
-def test_jacobi_exponent_below_zero_solves_the_reflected_well():
-    """With a Jacobi exponent in (-1, 0) (here both: a, b = 0.2, 0.3 < 1/2)
-    the Dirichlet grid solves the Friedrichs extension, the well with each
-    such exponent reflected, a -> 1 - a: levels (1.5 + 2n)^2 and not the
-    analytic (0.5 + 2n)^2 of the closed forms.  The report fails, and every
-    level lies at least 10 x nearer the reflected well's level."""
-    params = HartmannAngularII(lambda_a=0.2, s=0.3)
-    report = isospectral_compare(params, levels=4, grid_points=2000)
-    assert not report.passed
-    analytic = np.array([analytic_energy(params, n) for n in range(4)])
-    reflected = np.array([(0.8 + 0.7 + 2 * n) ** 2 for n in range(4)])
-    for values in (report.eigenvalues_original, report.eigenvalues_extended):
-        assert np.all(10 * np.abs(np.subtract(values, reflected))
-                      <= np.abs(np.subtract(values, analytic)))
+@pytest.mark.parametrize("kind, params", [
+    ("HartmannAngularII", {"lambda_a": 0.2, "s": 0.3}),
+    ("HartmannAngularI", {"lambda_a": 0.25, "s": 0.0}),
+])
+def test_well_parameter_below_one_half_is_refused(kind, params, tmp_path, capsys):
+    """A well parameter a below 1/2, a Jacobi exponent a - 1/2 below 0, is
+    refused, naming the reflected parameter 1 - a: there the Dirichlet grid
+    solves the Friedrichs extension, the well with a reflected to 1 - a,
+    and not the well of the closed forms (HartmannAngularII(0.2, 0.3) came
+    out near (1.5 + 2n)^2 instead of the analytic (0.5 + 2n)^2).  The
+    library raises ParameterError, and `spectrum` and `verify` exit 2.
+    Exponents from 0 up stay accepted."""
+    with pytest.raises(ParameterError, match="1 - a"):
+        getattr(xop, kind)(**params)
+    spec = json.dumps({"kind": kind, "params": params})
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"systems": [{spec}]}}')
+    assert main(["spectrum", "--system", spec]) == 2
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("1 - a") == 2
+    assert not any(tmp_path.glob("report_*"))
+    assert HartmannAngularII(lambda_a=0.5, s=0.6).well == (0.5, 0.6)
 
 
 def test_angular_domain_matches_clipped_window():
@@ -229,12 +241,6 @@ def test_report_dict_shape():
     assert isinstance(data["passed"], bool)
 
 
-def test_tolerance_scaling():
-    base = Tolerances()
-    scaled = base.scaled(10.0)
-    assert scaled.spectral_radial == pytest.approx(1e-3)
-    assert scaled.residual == pytest.approx(1e-7)
-    with pytest.raises(UsageError):
-        base.scaled(-1.0)
+def test_tolerances_must_be_positive():
     with pytest.raises(UsageError):
         Tolerances(spectral_radial=0.0)
