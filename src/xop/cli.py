@@ -35,9 +35,8 @@ from .exceptional import (
 )
 from .io_utils import csv_lines, format_json, write_atomic
 from .polynomials import eval_jacobi, eval_laguerre
-from .spectral import Grid, eigen_lowest
 from .systems import _closed_form, reduce_system, system_from_json, system_to_dict
-from .verify import isospectral_compare, solve_variants, variant_operator
+from .verify import _solve_with_eigenfunctions, isospectral_compare
 
 _USAGE_ERRORS = (UsageError, ParameterError, DomainError)
 _NUMERIC_ERRORS = (ConsistencyError, AccuracyError, NumericError, SingularityError)
@@ -126,7 +125,8 @@ def cmd_gram(args) -> int:
 def cmd_spectrum(args) -> int:
     params = system_from_json(args.system)
     reduced = reduce_system(params)
-    original, extended = solve_variants(reduced, args.levels, args.grid_points)
+    original, extended, coarse = _solve_with_eigenfunctions(reduced, args.levels,
+                                                            args.grid_points)
     columns = [np.arange(args.levels), original.eigenvalues, extended.eigenvalues,
                np.abs(extended.eigenvalues - original.eigenvalues)]
     if args.format == "json":
@@ -138,13 +138,12 @@ def cmd_spectrum(args) -> int:
     else:
         _emit(csv_lines(["level", "E_original", "E_extended", "abs_diff"], columns), args.out)
     if args.psi_out:
-        # the eigenfunctions come from their own eigenpair solve (stein) on the
-        # coarse original operator, so the table does not depend on --psi-out;
-        # they and their uniform grid are those of the record the grid solves
-        grid = Grid(*reduced.grid_form()[1], args.grid_points)
-        psi = eigen_lowest(variant_operator(reduced, "original", grid), args.levels)
+        # the coarse original polish (or its bisection fallback) that the
+        # table's values came from; its uniform grid and eigenfunctions are
+        # those of the record the grid solves
         header = ["x"] + [f"psi_{n}" for n in range(args.levels)]
-        write_atomic(args.psi_out, csv_lines(header, [grid.points, *psi.eigenfunctions.T]))
+        write_atomic(args.psi_out,
+                     csv_lines(header, [coarse.grid.points, *coarse.eigenfunctions.T]))
     return 0
 
 

@@ -14,6 +14,8 @@ import tempfile
 
 import numpy as np
 
+from .errors import UsageError
+
 __all__ = ["format_json", "csv_lines", "write_atomic"]
 
 _JSON_DIGITS = 17
@@ -96,7 +98,15 @@ def _umask() -> int:
 
 def write_atomic(path: str, text: str) -> None:
     """Replace `path` with `text` in one step; the file gets the mode a plain
-    open() would give it (0o666 less the umask), not mkstemp's 0o600."""
+    open() would give it (0o666 less the umask), not mkstemp's 0o600.  A
+    path that cannot be written raises UsageError naming it and the reason."""
+    try:
+        _replace(path, text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _replace(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

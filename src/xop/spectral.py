@@ -8,8 +8,8 @@ this form; the hydrogen-like one in the coordinate y = 2 sqrt(r), where its
 coupling form carries no weight (see `xop.systems`).
 
 Two eigensolvers share one result type.  `eigen_lowest` bisects from
-scratch (LAPACK stebz, with stein for eigenfunctions); `verify` runs it
-only for `spectrum --psi-out` and as the fallback of `refine_lowest`.
+scratch (LAPACK stebz, with stein for eigenfunctions); `verify` and
+`spectrum` run it only as the fallback of `refine_lowest`.
 `refine_lowest` warm-starts from approximate eigenpairs: each level from
 its own vector, sampled on the grid itself (in `verify`, the closed-form
 eigenfunctions on the coarse grid) or the coarse grid's polished
@@ -162,8 +162,8 @@ def eigen_lowest(op: TridiagonalOperator, count: int, *,
     deterministic for identical inputs.
 
     The eigenvalues do not depend on `vectors`: both solves run stebz with
-    the same tolerance on one unsplit block.  `spectrum --psi-out` solves
-    its coarse original grid this way, with eigenfunctions.
+    the same tolerance on one unsplit block.  It is the fallback of
+    `refine_lowest`, with eigenfunctions where that was asked for them.
     """
     # scipy.linalg is loaded at the first solve, not when xop is imported
     import scipy.linalg

@@ -20,7 +20,9 @@ from the coarse result's eigenfunction, prolonged to the fine grid, and a
 coarse fallback to bisection keeps its eigenfunctions for that.  Either
 start's Rayleigh quotient is already within O(h^4) of the grid's level, so
 it counts as the step before the first solve, and a level settles in one
-solve on every grid."""
+solve on every grid.  `spectrum --psi-out` writes the original variant's
+coarse eigenfunctions, certified or bisected, from the same solve
+(`_solve_with_eigenfunctions`), so no grid is solved a second time."""
 
 from __future__ import annotations
 
@@ -146,18 +148,36 @@ def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
 
     `domain` overrides the grid domain, in the coordinate of `reduced`.
     """
+    coarse_grid = _coarse_grid(reduced, levels, grid_points, domain)
+    return (_solve_variant(reduced, "original", levels, coarse_grid)[0],
+            _solve_variant(reduced, "extended", levels, coarse_grid)[0])
+
+
+def _solve_with_eigenfunctions(reduced: ReducedSystem, levels: int, grid_points: int
+                               ) -> tuple[SpectrumResult, SpectrumResult, SpectrumResult]:
+    """`solve_variants` on the default grid domain, and beside its two
+    results the coarse original one: the certified polish (or its bisection
+    fallback) with its eigenfunctions on the coarse grid, which `spectrum
+    --psi-out` writes.  The extended variant is solved first, so the kept
+    eigenfunctions are never held beside another variant's."""
+    coarse_grid = _coarse_grid(reduced, levels, grid_points, None)
+    extended = _solve_variant(reduced, "extended", levels, coarse_grid)[0]
+    original, coarse = _solve_variant(reduced, "original", levels, coarse_grid)
+    return original, extended, coarse
+
+
+def _coarse_grid(reduced: ReducedSystem, levels: int, grid_points: int,
+                 domain: tuple[float, float] | None) -> Grid:
     if not 1 <= levels <= 8:
         raise UsageError(f"levels must lie in 1..8, got {levels}")
-    coarse_grid = Grid(*reduced.grid_form(domain)[1], grid_points)
-    return (_solve_variant(reduced, "original", levels, coarse_grid),
-            _solve_variant(reduced, "extended", levels, coarse_grid))
+    return Grid(*reduced.grid_form(domain)[1], grid_points)
 
 
 def _solve_variant(reduced: ReducedSystem, variant: str, levels: int,
-                   coarse_grid: Grid) -> SpectrumResult:
-    """`solve_variants` for one variant.  Its start vectors and coarse
-    eigenfunctions are freed on return, so only one variant's are held at a
-    time."""
+                   coarse_grid: Grid) -> tuple[SpectrumResult, SpectrumResult]:
+    """(extrapolated result, coarse result) of `solve_variants` for one
+    variant.  The coarse result holds its eigenfunctions; its start vectors
+    are freed before the fine polish."""
     record = reduced.grid_form()[0]
     start = SpectrumResult([record.energy(n) for n in range(levels)],
                            _level_samples(record, variant, levels, coarse_grid.points),
@@ -165,7 +185,7 @@ def _solve_variant(reduced: ReducedSystem, variant: str, levels: int,
     coarse = refine_lowest(variant_operator(reduced, variant, coarse_grid), start, vectors=True)
     del start  # not held through the fine polish
     fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()), coarse)
-    return extrapolate(coarse, fine)
+    return extrapolate(coarse, fine), coarse
 
 
 def _closed_form_residuals(reduced: ReducedSystem, members: list[EigenPair]) -> list[float]:

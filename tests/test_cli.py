@@ -325,39 +325,101 @@ def test_psi_out(tmp_path, capsys):
     assert len(lines) == 1001
 
 
-def test_psi_out_solves_the_coarse_operator_once(tmp_path, capsys, monkeypatch):
-    """spectrum --psi-out adds one eigenpair solve (stein) of the coarse
-    original operator and changes nothing else: the values still come from
-    the polishes alone, so the table bytes are those without --psi-out (a
-    polish started elsewhere can differ in the last bits), and the
-    eigenfunctions are those of a separate solve."""
-    import xop.cli
-    import xop.spectral
-    import xop.verify
+# the five systems of the benchmark's workloads
+BENCH_SYSTEMS = [
+    '{"kind": "HartmannRadial", "params": {"l": 0, "omega": 1.0}}',
+    '{"kind": "HartmannAngularI", "params": {"lambda_a": 1.0, "s": 2.5}}',
+    DIRAC,
+    '{"kind": "HydrogenLike", "params": {"s": 0.9, "lambda_c": 1.9}}',
+    '{"kind": "HartmannAngularII", "params": {"lambda_a": 2.0, "s": 4.0}}',
+]
+
+
+def _count_bisections(monkeypatch) -> list:
+    """(grid points, with eigenfunctions) of each bisection, the stebz solve
+    of `eigen_lowest`, wherever it is called from."""
+    import scipy.linalg
+
+    calls, solve = [], scipy.linalg.eigh_tridiagonal
+
+    def counted(diag, off, **kwargs):
+        calls.append((diag.size, not kwargs["eigvals_only"]))
+        return solve(diag, off, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return calls
+
+
+def _bisected_psi(system, levels, grid_points):
+    """The grid and `eigen_lowest`'s eigenfunctions of the coarse original
+    operator that `spectrum` solves."""
     from xop import Grid, eigen_lowest, reduce_system, system_from_json
-    from xop.io_utils import csv_lines
+    from xop.verify import variant_operator
 
-    argv = ["spectrum", "--system", DIRAC, "--levels", "3", "--grid-points", "900"]
+    reduced = reduce_system(system_from_json(system))
+    grid = Grid(*reduced.grid_form()[1], grid_points)
+    return grid, eigen_lowest(variant_operator(reduced, "original", grid), levels).eigenfunctions
+
+
+@pytest.mark.parametrize("grid_points, levels", [(2000, 4), (900, 3)])
+@pytest.mark.parametrize("system", BENCH_SYSTEMS, ids=lambda s: json.loads(s)["kind"])
+def test_psi_out_writes_the_coarse_polish(system, grid_points, levels, tmp_path, capsys,
+                                          monkeypatch):
+    """spectrum --psi-out writes the eigenfunctions of the certified coarse
+    original polish that the table's values came from: nothing is bisected,
+    the table bytes are those without --psi-out, and the columns are
+    orthonormal and agree with bisection's (stein) eigenfunctions to 1e-9
+    of their peak."""
+    import numpy as np
+
+    argv = ["spectrum", "--system", system, "--levels", str(levels),
+            "--grid-points", str(grid_points)]
     tables = {fmt: run(argv + ["--format", fmt], capsys)[1] for fmt in ("csv", "json")}
-    calls = []
-
-    def counted(op, count, **kwargs):
-        calls.append((op.grid.n_points, kwargs.get("vectors", True)))
-        return eigen_lowest(op, count, **kwargs)
-
-    for module in (xop.cli, xop.spectral):
-        monkeypatch.setattr(module, "eigen_lowest", counted)
+    calls = _count_bisections(monkeypatch)
     path = tmp_path / "psi.csv"
     for fmt, table in tables.items():
-        calls.clear()
         code, out, _ = run(argv + ["--format", fmt, "--psi-out", str(path)], capsys)
         assert code == 0 and out == table
-        # only the eigenpairs: no seed grid and no fallback
-        assert calls == [(900, True)]
-    reduced = reduce_system(system_from_json(DIRAC))
-    grid = Grid(*reduced.grid_domain, 900)
-    psi = eigen_lowest(xop.verify.variant_operator(reduced, "original", grid), 3).eigenfunctions
-    assert path.read_text() == csv_lines(["x", "psi_0", "psi_1", "psi_2"], [grid.points, *psi.T])
+    assert calls == []
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(["x"] + [f"psi_{n}" for n in range(levels)])
+    written = np.loadtxt(lines[1:], delimiter=",")
+    x, psi = written[:, 0], written[:, 1:]
+    grid, bisected = _bisected_psi(system, levels, grid_points)
+    assert np.max(np.abs(x - grid.points)) <= 1e-11 * np.max(np.abs(grid.points))
+    assert np.all(np.max(np.abs(psi - bisected), axis=0)
+                  <= 1e-9 * np.max(np.abs(bisected), axis=0))
+    assert np.max(np.abs(psi.T @ psi * grid.spacing - np.eye(levels))) <= 1e-9
+
+
+def test_psi_out_of_a_coarse_fallback_is_bisected(tmp_path, capsys, monkeypatch):
+    """Where the coarse original polish fails its certificate, refine_lowest
+    falls back to bisection with eigenfunctions, and --psi-out writes
+    those: one eigenpair solve, no other."""
+    import numpy as np
+    import xop.spectral
+    from xop import reduce_system, system_from_json
+    from xop.io_utils import csv_lines
+    from xop.verify import variant_operator
+
+    grid, bisected = _bisected_psi(DIRAC, 3, 900)
+    refused = variant_operator(reduce_system(system_from_json(DIRAC)), "original", grid)
+    certified = xop.spectral._certified
+
+    def refuse_coarse_original(op, values, bounds):
+        if op.grid == grid and np.array_equal(op.v, refused.v):
+            return False
+        return certified(op, values, bounds)
+
+    monkeypatch.setattr(xop.spectral, "_certified", refuse_coarse_original)
+    calls = _count_bisections(monkeypatch)
+    path = tmp_path / "psi.csv"
+    code, _, _ = run(["spectrum", "--system", DIRAC, "--levels", "3", "--grid-points", "900",
+                      "--psi-out", str(path)], capsys)
+    assert code == 0
+    assert calls == [(900, True)]
+    assert path.read_text() == csv_lines(["x", "psi_0", "psi_1", "psi_2"],
+                                         [grid.points, *bisected.T])
 
 
 def test_psi_out_of_hydrogen_is_on_its_uniform_grid_in_y(tmp_path, capsys):
@@ -441,6 +503,32 @@ SWEEP = (
     arg for arg in argv if not arg.startswith("{")))
 def test_integer_flags_never_raise(argv, capsys):
     assert main(argv) in (0, 1, 2)
+
+
+SPECTRUM = ["spectrum", "--system", DIRAC, "--levels", "2", "--grid-points", "200"]
+EVAL_POLY = ["eval-poly", "--family", LAG_X1, "--n", "2", "--points", "1"]
+OUTPUT_FLAGS = [
+    (["verify", "--levels", "2", "--grid-points", "200"], "--out"),
+    (SPECTRUM, "--out"),
+    (SPECTRUM, "--psi-out"),
+    (EVAL_POLY, "--out"),
+    (EVAL_POLY, "--coeffs-out"),
+    (["gram", "--family", LAG_X1, "--n-max", "2"], "--out"),
+    (PLOT, "--out"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", OUTPUT_FLAGS,
+                         ids=[f"{argv[0]} {flag}" for argv, flag in OUTPUT_FLAGS])
+def test_unwritable_output_exits_2(argv, flag, tmp_path, capsys):
+    """An output path under a regular file (NotADirectoryError) exits 2 with
+    one line naming the path, and no traceback."""
+    (tmp_path / "file").write_text("")
+    blocked = str(tmp_path / "file" / "sub" / "out")
+    code, _, err = run(argv + [flag, blocked], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {blocked}") and "Not a directory" in err
+    assert err.count("\n") == 1
 
 
 # non-integer inputs: every bad system value or config entry exits 2 ------------------
