@@ -148,29 +148,23 @@ def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
 
     `domain` overrides the grid domain, in the coordinate of `reduced`.
     """
-    coarse_grid = _coarse_grid(reduced, levels, grid_points, domain)
-    return (_solve_variant(reduced, "original", levels, coarse_grid)[0],
-            _solve_variant(reduced, "extended", levels, coarse_grid)[0])
+    return _solve_with_eigenfunctions(reduced, levels, grid_points, domain)[:2]
 
 
-def _solve_with_eigenfunctions(reduced: ReducedSystem, levels: int, grid_points: int
+def _solve_with_eigenfunctions(reduced: ReducedSystem, levels: int, grid_points: int,
+                               domain: tuple[float, float] | None = None
                                ) -> tuple[SpectrumResult, SpectrumResult, SpectrumResult]:
-    """`solve_variants` on the default grid domain, and beside its two
-    results the coarse original one: the certified polish (or its bisection
-    fallback) with its eigenfunctions on the coarse grid, which `spectrum
-    --psi-out` writes.  The extended variant is solved first, so the kept
-    eigenfunctions are never held beside another variant's."""
-    coarse_grid = _coarse_grid(reduced, levels, grid_points, None)
+    """The two results of `solve_variants` and beside them the coarse
+    original one: the certified polish (or its bisection fallback) with its
+    eigenfunctions on the coarse grid, which `spectrum --psi-out` writes.
+    The extended variant is solved first, so the kept eigenfunctions are
+    never held beside another variant's."""
+    if not 1 <= levels <= 8:
+        raise UsageError(f"levels must lie in 1..8, got {levels}")
+    coarse_grid = Grid(*reduced.grid_form(domain)[1], grid_points)
     extended = _solve_variant(reduced, "extended", levels, coarse_grid)[0]
     original, coarse = _solve_variant(reduced, "original", levels, coarse_grid)
     return original, extended, coarse
-
-
-def _coarse_grid(reduced: ReducedSystem, levels: int, grid_points: int,
-                 domain: tuple[float, float] | None) -> Grid:
-    if not 1 <= levels <= 8:
-        raise UsageError(f"levels must lie in 1..8, got {levels}")
-    return Grid(*reduced.grid_form(domain)[1], grid_points)
 
 
 def _solve_variant(reduced: ReducedSystem, variant: str, levels: int,

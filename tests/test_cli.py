@@ -361,7 +361,7 @@ def _bisected_psi(system, levels, grid_points):
     return grid, eigen_lowest(variant_operator(reduced, "original", grid), levels).eigenfunctions
 
 
-@pytest.mark.parametrize("grid_points, levels", [(2000, 4), (900, 3)])
+@pytest.mark.parametrize("grid_points, levels", [(2000, 4), (900, 3), (20000, 8)])
 @pytest.mark.parametrize("system", BENCH_SYSTEMS, ids=lambda s: json.loads(s)["kind"])
 def test_psi_out_writes_the_coarse_polish(system, grid_points, levels, tmp_path, capsys,
                                           monkeypatch):
@@ -369,7 +369,7 @@ def test_psi_out_writes_the_coarse_polish(system, grid_points, levels, tmp_path,
     original polish that the table's values came from: nothing is bisected,
     the table bytes are those without --psi-out, and the columns are
     orthonormal and agree with bisection's (stein) eigenfunctions to 1e-9
-    of their peak."""
+    of their peak (measured at (20000, 8): 4.3e-10 and 3.3e-10 at worst)."""
     import numpy as np
 
     argv = ["spectrum", "--system", system, "--levels", str(levels),
