@@ -30,18 +30,10 @@ from .exceptional import (
     weight,
     x1_eigenpairs,
     x1_jacobi_alpha_beta,
-    x1_jacobi_from_classical,
     x1_members_and_gram,
     x1_polynomial,
 )
-from .polynomials import (
-    Polynomial,
-    eval_jacobi,
-    eval_laguerre,
-    jacobi_polynomial,
-    laguerre_polynomial,
-    polynomial_from_json,
-)
+from .polynomials import Polynomial
 from .quadrature import QuadratureRule, gauss_jacobi_rule
 from .spectral import (
     Grid,

@@ -28,17 +28,18 @@ from .errors import (
 from .exceptional import (
     ClassicalJacobi,
     ClassicalLaguerre,
+    _member_values,
     family_from_dict,
     family_members,
     gram_matrix,
     x1_polynomial,
 )
 from .io_utils import csv_lines, format_json, write_atomic
-from .polynomials import eval_jacobi, eval_laguerre
 from .systems import _closed_form, reduce_system, system_from_json, system_to_dict
 from .verify import _solve_with_eigenfunctions, isospectral_compare
 
-_USAGE_ERRORS = (UsageError, ParameterError, DomainError)
+# MemoryError: a size flag numpy cannot allocate, such as --grid-points 10**15
+_USAGE_ERRORS = (UsageError, ParameterError, DomainError, MemoryError)
 _NUMERIC_ERRORS = (ConsistencyError, AccuracyError, NumericError, SingularityError)
 
 
@@ -97,12 +98,12 @@ def _finite_table(header: list, columns: list) -> str:
 def cmd_eval_poly(args) -> int:
     family = _parse_family(args.family)
     x = _parse_points(args)
+    if args.n < 0:
+        raise UsageError(f"--n must be non-negative, got {args.n}")
     poly = None
     with np.errstate(all="ignore"):  # overflow shows as a non-finite row
-        if isinstance(family, ClassicalLaguerre):
-            values = eval_laguerre(args.n, family.k, x)
-        elif isinstance(family, ClassicalJacobi):
-            values = eval_jacobi(args.n, family.alpha, family.beta, x)
+        if isinstance(family, (ClassicalLaguerre, ClassicalJacobi)):
+            values = _member_values(family, args.n + 1, x)[args.n]
         else:
             poly = x1_polynomial(family, args.n).polynomial
             values = poly(x)
@@ -139,11 +140,14 @@ def cmd_spectrum(args) -> int:
         _emit(csv_lines(["level", "E_original", "E_extended", "abs_diff"], columns), args.out)
     if args.psi_out:
         # the coarse original polish (or its bisection fallback) that the
-        # table's values came from; its uniform grid and eigenfunctions are
-        # those of the record the grid solves
+        # table's values came from, on the uniform grid of the record the
+        # grid solves; the polish certifies values only, so one QR under
+        # sum f g h (R's diagonal positive) makes the columns orthonormal
+        root_h = np.sqrt(coarse.grid.spacing)
+        q, r = np.linalg.qr(coarse.eigenfunctions * root_h)
+        psi = q * np.sign(np.diag(r)) / root_h
         header = ["x"] + [f"psi_{n}" for n in range(args.levels)]
-        write_atomic(args.psi_out,
-                     csv_lines(header, [coarse.grid.points, *coarse.eigenfunctions.T]))
+        write_atomic(args.psi_out, csv_lines(header, [coarse.grid.points, *psi.T]))
     return 0
 
 

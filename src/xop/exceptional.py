@@ -5,7 +5,7 @@ one.  The degree-n member is the monic polynomial eigenfunction, with
 eigenvalue family_eigenvalue(family, n), of the rational operator
 
     X1-Laguerre:  -x y'' + (x-k)/(x+k) [ (x+k+1) y' - y ]          = lam y
-    X1-Jacobi:    (x^2-1) y'' + 2a (1-bx)/(b-x) [ (x-c) y' - y ]   = lam y
+    X1-Jacobi:    (x^2-1) y'' + 2a (1-bx)/(b-x) [ (x-c) y' - y ]   = lam y,  c = b + 1/a
 
 Members are built directly from their classical two-term forms (Gomez-Ullate,
 Kamran and Milson 2009; Quesne 2008),
@@ -41,10 +41,8 @@ from .polynomials import (
     Polynomial,
     _classical_leads,
     _classical_monic,
-    _jacobi_coefficients,
     _jacobi_lead_ratios,
     _jacobi_rows,
-    _laguerre_coefficients,
     _laguerre_rows,
 )
 from .quadrature import QuadratureRule, _half_line_rule, gauss_jacobi_rule
@@ -60,7 +58,6 @@ __all__ = [
     "family_to_dict",
     "family_eigenvalue",
     "x1_jacobi_alpha_beta",
-    "x1_jacobi_from_classical",
     "x1_eigenpairs",
     "x1_polynomial",
     "degree0_eigenfunction_exists",
@@ -112,7 +109,6 @@ class X1Laguerre:
 class X1Jacobi:
     a: float
     b: float
-    c: float | None = None
 
     def __post_init__(self):
         if self.a == 0:
@@ -120,13 +116,6 @@ class X1Jacobi:
         if not abs(self.b) > 1:
             raise ParameterError(
                 f"pole inside domain: X1-Jacobi needs |b| > 1, got b={self.b}"
-            )
-        c = self.b + 1.0 / self.a
-        if self.c is None:
-            object.__setattr__(self, "c", c)
-        elif abs(self.c - c) > 1e-12 * (1 + abs(c)):
-            raise ParameterError(
-                f"X1-Jacobi requires c = b + 1/a = {c}, got c={self.c}"
             )
 
 
@@ -141,7 +130,7 @@ _FAMILY_KINDS = {
 
 
 def family_to_dict(family: FamilySpec) -> dict:
-    params = {k: float(v) for k, v in vars(family).items() if v is not None}
+    params = {k: float(v) for k, v in vars(family).items()}
     return {"kind": type(family).__name__, "params": params}
 
 
@@ -164,14 +153,6 @@ def x1_jacobi_alpha_beta(a: float, b: float) -> tuple[float, float]:
     if not abs(b) > 1:
         raise ParameterError(f"|b| must exceed 1, got b={b}")
     return a * b - a, a * b + a
-
-
-def x1_jacobi_from_classical(alpha: float, beta: float) -> X1Jacobi:
-    if alpha == beta:
-        raise ParameterError("X1-Jacobi needs alpha != beta (a would vanish)")
-    a = 0.5 * (beta - alpha)
-    b = (beta + alpha) / (beta - alpha)
-    return X1Jacobi(a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -376,7 +357,8 @@ def _ode_terms(family, lam, y, y1, y2, x):
         ratio = (x - k) / (x + k)
         f2, f1, f0 = -x, ratio * (x + k + 1), -ratio
     else:
-        a, b, c = family.a, family.b, family.c
+        a, b = family.a, family.b
+        c = b + 1.0 / a
         ratio = 2 * a * (1 - b * x) / (b - x)
         f2, f1, f0 = x**2 - 1, ratio * (x - c), -ratio
     return [f2 * y2, f1 * y1, f0 * y, -lam * y]
@@ -445,15 +427,20 @@ def weight(family: FamilySpec, x):
 
 
 def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
-    """First n_max members: degrees 0..n_max-1 for classical families,
-    degrees 1..n_max for X1 families."""
+    """First n_max members: degrees 0..n_max-1 for classical families, their
+    monic coefficients (`_classical_monic`) times their leads in
+    np.longdouble, rounded once; degrees 1..n_max for X1 families."""
     if n_max < 1:
         raise UsageError("n_max must be positive")
+    if isinstance(family, (X1Laguerre, X1Jacobi)):
+        return [pair.polynomial for pair in x1_eigenpairs(family, n_max)]
     if isinstance(family, ClassicalLaguerre):
-        return [Polynomial(c) for c in _laguerre_coefficients(n_max, family.k)]
-    if isinstance(family, ClassicalJacobi):
-        return [Polynomial(c) for c in _jacobi_coefficients(n_max, family.alpha, family.beta)]
-    return [pair.polynomial for pair in x1_eigenpairs(family, n_max)]
+        classical = {"k": np.longdouble(family.k)}
+    else:
+        alpha, beta = np.longdouble(family.alpha), np.longdouble(family.beta)
+        classical = {"ab": (alpha + beta, beta - alpha)}
+    rows = _classical_monic(n_max, **classical) * _classical_leads(n_max, **classical)[:, None]
+    return [Polynomial(c) for c in rows.astype(float)]
 
 
 # Gram convergence: two successive rule levels agree to _GRAM_TOL relative to

@@ -1,11 +1,13 @@
-"""Classical Laguerre/Jacobi polynomials and a dense coefficient-vector type.
+"""A dense coefficient-vector type and the classical Laguerre/Jacobi pieces.
 
-Each job has one route, and both return all degrees at once.  Values come
-from the normalized three-term recurrences (`_laguerre_rows`,
-`_jacobi_rows`).  Coefficient vectors come from the classical ODE: the monic
-coefficients solved top-down (`_classical_monic`) times the leading
-coefficients (`_classical_leads`), both in np.longdouble and rounded once to
-double.  The X1 two-term forms in `exceptional` are built from these pieces.
+The family objects of `exceptional` (`ClassicalLaguerre`, `ClassicalJacobi`
+and the X1 families) are the one public route to name, tabulate and expand a
+polynomial; they are built from the pieces here, each returning all degrees
+at once.  Values come from the normalized three-term recurrences
+(`_laguerre_rows`, `_jacobi_rows`).  Coefficient vectors come from the
+classical ODE: the monic coefficients solved top-down (`_classical_monic`)
+times the leading coefficients (`_classical_leads`), both in np.longdouble
+and rounded once to double.
 """
 
 from __future__ import annotations
@@ -15,18 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 _P = np.polynomial.polynomial
 
-__all__ = [
-    "Polynomial",
-    "eval_laguerre",
-    "eval_jacobi",
-    "laguerre_polynomial",
-    "jacobi_polynomial",
-    "polynomial_from_json",
-]
+__all__ = ["Polynomial"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +61,6 @@ class Polynomial:
         return json.dumps([float(c) for c in self.coeffs])
 
 
-def polynomial_from_json(text: str) -> Polynomial:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ParameterError("polynomial JSON must be an array of coefficients")
-    return Polynomial(np.asarray(data, dtype=float))
-
-
-def _check_points(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("evaluation points must be finite")
-    return x
-
-
 def _laguerre_rows(count: int, k, x: np.ndarray) -> np.ndarray:
     """Row m (m = 0..count-1): L_m^(k) at the points x."""
     p = np.empty((count,) + x.shape)
@@ -105,33 +86,6 @@ def _jacobi_rows(count: int, alpha, beta, x: np.ndarray) -> np.ndarray:
         c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
         p[i] = ((c2 + c3 * x) * p[i - 1] - c4 * p[i - 2]) / c1
     return p
-
-
-def eval_laguerre(n: int, k: float, x):
-    """Generalized Laguerre polynomial L_n^(k)(x) by three-term recurrence.
-
-    Requires k > -1. Accepts scalar or array x; non-finite x raises
-    DomainError.
-    """
-    if n < 0 or n != int(n):
-        raise ParameterError("degree n must be a nonnegative integer")
-    if not k > -1:
-        raise ParameterError(f"Laguerre parameter must exceed -1, got k={k}")
-    return _laguerre_rows(int(n) + 1, k, _check_points(x))[int(n)]
-
-
-def eval_jacobi(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^(alpha,beta)(x) by three-term recurrence.
-
-    Requires alpha > -1 and beta > -1.
-    """
-    if n < 0 or n != int(n):
-        raise ParameterError("degree n must be a nonnegative integer")
-    if not (alpha > -1 and beta > -1):
-        raise ParameterError(
-            f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
-        )
-    return _jacobi_rows(int(n) + 1, alpha, beta, _check_points(x))[int(n)]
 
 
 def _classical_monic(count: int, *, k=None, ab=None) -> np.ndarray:
@@ -178,36 +132,3 @@ def _classical_leads(count: int, *, k=None, ab=None) -> np.ndarray:
     ratio = -np.arange(count, dtype=type(k)) if ab is None else _jacobi_lead_ratios(count, ab[0])
     ratio[0] = 1
     return 1 / np.cumprod(ratio)
-
-
-def _laguerre_coefficients(count: int, k: float) -> np.ndarray:
-    """Row m (m = 0..count-1): ascending coefficients of L_m^(k)."""
-    k = np.longdouble(k)
-    return (_classical_monic(count, k=k) * _classical_leads(count, k=k)[:, None]).astype(float)
-
-
-def _jacobi_coefficients(count: int, alpha: float, beta: float) -> np.ndarray:
-    """Row m (m = 0..count-1): ascending coefficients of P_m^(alpha,beta)."""
-    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
-    ab = (alpha + beta, beta - alpha)
-    return (_classical_monic(count, ab=ab) * _classical_leads(count, ab=ab)[:, None]).astype(float)
-
-
-def laguerre_polynomial(n: int, k: float) -> Polynomial:
-    """Coefficient vector of L_n^(k) from the classical ODE."""
-    if n < 0 or n != int(n):
-        raise ParameterError("degree n must be a nonnegative integer")
-    if not k > -1:
-        raise ParameterError(f"Laguerre parameter must exceed -1, got k={k}")
-    return Polynomial(_laguerre_coefficients(int(n) + 1, k)[int(n)])
-
-
-def jacobi_polynomial(n: int, alpha: float, beta: float) -> Polynomial:
-    """Coefficient vector of P_n^(alpha,beta) from the classical ODE."""
-    if n < 0 or n != int(n):
-        raise ParameterError("degree n must be a nonnegative integer")
-    if not (alpha > -1 and beta > -1):
-        raise ParameterError(
-            f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
-        )
-    return Polynomial(_jacobi_coefficients(int(n) + 1, alpha, beta)[int(n)])

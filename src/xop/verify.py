@@ -156,7 +156,8 @@ def _solve_with_eigenfunctions(reduced: ReducedSystem, levels: int, grid_points:
                                ) -> tuple[SpectrumResult, SpectrumResult, SpectrumResult]:
     """The two results of `solve_variants` and beside them the coarse
     original one: the certified polish (or its bisection fallback) with its
-    eigenfunctions on the coarse grid, which `spectrum --psi-out` writes.
+    eigenfunctions on the coarse grid, which `spectrum --psi-out`
+    orthonormalizes and writes.
     The extended variant is solved first, so the kept eigenfunctions are
     never held beside another variant's."""
     if not 1 <= levels <= 8:

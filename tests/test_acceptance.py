@@ -21,9 +21,9 @@ from xop import (
     X1Laguerre,
     analytic_energy,
     degree0_eigenfunction_exists,
+    family_members,
     gram_matrix,
     isospectral_compare,
-    laguerre_polynomial,
     max_offdiag_ratio,
     ode_residual,
     reduce_system,
@@ -173,10 +173,11 @@ def test_criterion_7_shift_anchor_identities():
 
 def test_criterion_8_negative_controls(tmp_path, capsys):
     # perturbed polynomial fails the ODE residual
-    base = laguerre_polynomial(2, 0.5)
+    from xop import ClassicalLaguerre
+
+    base = family_members(ClassicalLaguerre(0.5), 3)[2]
     coeffs = base.coeffs.copy()
     coeffs[-1] += 1e-3
-    from xop import ClassicalLaguerre
 
     resid_poly = ode_residual(
         ClassicalLaguerre(0.5), EigenPair(2.0, Polynomial(coeffs)),

@@ -49,14 +49,12 @@ PUBLIC_NAMES = [
     "ReducedSystem", "SingularityError", "SpectrumResult", "SystemParams", "Tolerances",
     "TridiagonalOperator", "UsageError", "VerificationReport", "X1Jacobi", "X1Laguerre",
     "XopError", "analytic_energy", "degree0_eigenfunction_exists", "discretize",
-    "eigen_lowest", "eval_jacobi", "eval_laguerre", "extrapolate", "family_eigenvalue",
-    "family_from_dict", "family_members", "family_to_dict", "gauss_jacobi_rule",
-    "gram_matrix", "isospectral_compare", "jacobi_polynomial", "laguerre_polynomial",
-    "max_offdiag_ratio", "ode_residual", "polynomial_from_json", "reduce_system",
+    "eigen_lowest", "extrapolate", "family_eigenvalue", "family_from_dict",
+    "family_members", "family_to_dict", "gauss_jacobi_rule", "gram_matrix",
+    "isospectral_compare", "max_offdiag_ratio", "ode_residual", "reduce_system",
     "refine_lowest", "residual_on_operator", "solve_variants", "system_from_dict",
     "system_from_json", "system_to_dict", "wavefunction", "weight", "x1_eigenpairs",
-    "x1_jacobi_alpha_beta", "x1_jacobi_from_classical", "x1_members_and_gram",
-    "x1_polynomial",
+    "x1_jacobi_alpha_beta", "x1_members_and_gram", "x1_polynomial",
 ]
 
 

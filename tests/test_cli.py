@@ -11,6 +11,7 @@ from xop.cli import main
 
 DIRAC = '{"kind": "DiracOscillator", "params": {"l": 0}}'
 LAG_CLASSICAL = '{"kind": "ClassicalLaguerre", "params": {"k": 0.5}}'
+JAC_CLASSICAL = '{"kind": "ClassicalJacobi", "params": {"alpha": 0.5, "beta": 1.5}}'
 LAG_X1 = '{"kind": "X1Laguerre", "params": {"k": 0.5}}'
 
 
@@ -59,6 +60,24 @@ def test_eval_poly_bad_points_exit_2(extra, message, capsys):
     code, _, err = run(["eval-poly", "--family", LAG_CLASSICAL, "--n", "1"] + extra, capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("family", [LAG_CLASSICAL, JAC_CLASSICAL, LAG_X1])
+def test_eval_poly_negative_degree_exits_2(family, capsys):
+    code, out, err = run(["eval-poly", "--family", family, "--n", "-1", "--points", "0.5"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --n must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [["gram"], ["eval-poly", "--n", "2", "--points", "0.5"]])
+def test_x1_jacobi_c_is_not_a_parameter(argv, capsys):
+    """c = b + 1/a is derived; a family JSON that gives it is refused like
+    any unknown parameter."""
+    family = '{"kind": "X1Jacobi", "params": {"a": 2.0, "b": 1.25, "c": 1.75}}'
+    code, out, err = run(argv + ["--family", family], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid parameters for X1Jacobi") and err.count("\n") == 1
 
 
 def test_eval_poly_coeffs_out(tmp_path, capsys):
@@ -367,9 +386,10 @@ def test_psi_out_writes_the_coarse_polish(system, grid_points, levels, tmp_path,
                                           monkeypatch):
     """spectrum --psi-out writes the eigenfunctions of the certified coarse
     original polish that the table's values came from: nothing is bisected,
-    the table bytes are those without --psi-out, and the columns are
-    orthonormal and agree with bisection's (stein) eigenfunctions to 1e-9
-    of their peak (measured at (20000, 8): 4.3e-10 and 3.3e-10 at worst)."""
+    the table bytes are those without --psi-out, and the columns agree with
+    bisection's (stein) eigenfunctions to 1e-9 of their peak (4.3e-10 at
+    worst, at (20000, 8)) and are orthonormal to the 12 digits the CSV
+    keeps (3e-12 at worst)."""
     import numpy as np
 
     argv = ["spectrum", "--system", system, "--levels", str(levels),
@@ -389,17 +409,37 @@ def test_psi_out_writes_the_coarse_polish(system, grid_points, levels, tmp_path,
     assert np.max(np.abs(x - grid.points)) <= 1e-11 * np.max(np.abs(grid.points))
     assert np.all(np.max(np.abs(psi - bisected), axis=0)
                   <= 1e-9 * np.max(np.abs(bisected), axis=0))
-    assert np.max(np.abs(psi.T @ psi * grid.spacing - np.eye(levels))) <= 1e-9
+    assert np.max(np.abs(psi.T @ psi * grid.spacing - np.eye(levels))) <= 1e-11
+
+
+@pytest.mark.parametrize("system", [BENCH_SYSTEMS[1], BENCH_SYSTEMS[4]],
+                         ids=lambda s: json.loads(s)["kind"])
+def test_psi_out_columns_are_orthonormal_on_large_grids(system, tmp_path, capsys, monkeypatch):
+    """The polish certifies values only, and its vectors drift apart as the
+    grid grows (1.35e-9 under sum f g h in the angular wells at (40000, 8));
+    --psi-out orthonormalizes the columns it formats."""
+    import numpy as np
+    import xop.cli
+
+    formatted, csv_lines = [], xop.cli.csv_lines
+    monkeypatch.setattr(xop.cli, "csv_lines",
+                        lambda header, columns: formatted.append(columns) or csv_lines(header, columns))
+    code, _, _ = run(["spectrum", "--system", system, "--levels", "8", "--grid-points", "40000",
+                      "--psi-out", str(tmp_path / "psi.csv")], capsys)
+    assert code == 0
+    x, *columns = formatted[-1]
+    psi = np.array(columns).T
+    assert np.max(np.abs(psi.T @ psi * (x[1] - x[0]) - np.eye(8))) <= 1e-12
 
 
 def test_psi_out_of_a_coarse_fallback_is_bisected(tmp_path, capsys, monkeypatch):
     """Where the coarse original polish fails its certificate, refine_lowest
     falls back to bisection with eigenfunctions, and --psi-out writes
-    those: one eigenpair solve, no other."""
+    those, orthonormal already up to rounding: one eigenpair solve, no
+    other."""
     import numpy as np
     import xop.spectral
     from xop import reduce_system, system_from_json
-    from xop.io_utils import csv_lines
     from xop.verify import variant_operator
 
     grid, bisected = _bisected_psi(DIRAC, 3, 900)
@@ -418,8 +458,11 @@ def test_psi_out_of_a_coarse_fallback_is_bisected(tmp_path, capsys, monkeypatch)
                       "--psi-out", str(path)], capsys)
     assert code == 0
     assert calls == [(900, True)]
-    assert path.read_text() == csv_lines(["x", "psi_0", "psi_1", "psi_2"],
-                                         [grid.points, *bisected.T])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,psi_0,psi_1,psi_2"
+    psi = np.loadtxt(lines[1:], delimiter=",")[:, 1:]
+    assert np.all(np.max(np.abs(psi - bisected), axis=0)
+                  <= 1e-11 * np.max(np.abs(bisected), axis=0))
 
 
 def test_psi_out_of_hydrogen_is_on_its_uniform_grid_in_y(tmp_path, capsys):
@@ -481,6 +524,8 @@ def test_plot_data_exceptional_variant(capsys):
 LAG_X1_RANGE = ["--family", LAG_X1, "--range", "0.1", "5"]
 JAC_X1_RANGE = ["--family", '{"kind": "X1Jacobi", "params": {"a": 1.5, "b": 2.5}}',
                 "--range", "-0.5", "0.5"]
+CLASSICAL_RANGES = (["--family", LAG_CLASSICAL, "--range", "0.1", "5"],
+                    ["--family", JAC_CLASSICAL, "--range", "-0.5", "0.5"])
 PLOT = ["plot-data", "--system", DIRAC, "--range", "0.1", "5"]
 # boundary values of the integer flags, kept small: --levels <= 30, --grid-points <= 300
 SWEEP_VALUES = ("-3", "-1", "0", "1", "2", "7", "30")
@@ -490,19 +535,41 @@ SWEEP = (
     + [PLOT + ["--variant", variant, "--count", "5", "--levels", v]
        for variant in ("original", "exceptional") for v in SWEEP_VALUES]
     + [["eval-poly", "--n", v, "--count", "5"] + family
-       for family in (LAG_X1_RANGE, JAC_X1_RANGE) for v in SWEEP_VALUES]
+       for family in (LAG_X1_RANGE, JAC_X1_RANGE, *CLASSICAL_RANGES) for v in SWEEP_VALUES]
     + [["eval-poly", "--n", "2", "--count", v] + family
        for family in (LAG_X1_RANGE, JAC_X1_RANGE) for v in SWEEP_VALUES]
     + [["gram", "--family", LAG_X1, "--n-max", v] for v in SWEEP_VALUES]
     + [["spectrum", "--system", DIRAC, "--levels", levels, "--grid-points", points]
        for levels in SWEEP_VALUES for points in ("-3", "0", "63", "64", "300")]
 )
+# sizes whose arrays numpy refuses outright (petabytes); a size a machine
+# could partly allocate is never tried (20000 classical levels take 6.4 GB)
+HUGE = str(10**15)
+ABSURD = (
+    [["eval-poly", "--n", HUGE, "--count", "1"] + family for family in CLASSICAL_RANGES]
+    + [["eval-poly", "--n", "2", "--count", HUGE] + family
+       for family in (LAG_X1_RANGE, CLASSICAL_RANGES[0])]
+    + [PLOT + ["--count", HUGE], PLOT + ["--levels", "100000000"],
+       ["spectrum", "--system", DIRAC, "--grid-points", HUGE]]
+)
 
 
-@pytest.mark.parametrize("argv", SWEEP, ids=lambda argv: " ".join(
-    arg for arg in argv if not arg.startswith("{")))
+def _flags(argv):
+    return " ".join(arg for arg in argv if not arg.startswith("{"))
+
+
+@pytest.mark.parametrize("argv", SWEEP + ABSURD, ids=_flags)
 def test_integer_flags_never_raise(argv, capsys):
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", ABSURD + [["verify", "--grid-points", HUGE]], ids=_flags)
+def test_absurd_sizes_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "verify":
+        argv = argv + ["--out", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 SPECTRUM = ["spectrum", "--system", DIRAC, "--levels", "2", "--grid-points", "200"]

@@ -31,6 +31,7 @@ from xop import (
     degree0_eigenfunction_exists,
     family_eigenvalue,
     family_from_dict,
+    family_members,
     family_to_dict,
     gram_matrix,
     max_offdiag_ratio,
@@ -38,10 +39,15 @@ from xop import (
     weight,
     x1_eigenpairs,
     x1_jacobi_alpha_beta,
-    x1_jacobi_from_classical,
     x1_polynomial,
 )
 from xop.exceptional import _sample_points
+
+
+def x1_jacobi(alpha, beta):
+    """The X1-Jacobi family whose weight has the classical exponents
+    (alpha, beta), alpha != beta (inverse of `x1_jacobi_alpha_beta`)."""
+    return X1Jacobi(a=0.5 * (beta - alpha), b=(beta + alpha) / (beta - alpha))
 
 
 # --- monomial pencil oracle ----------------------------------------------------
@@ -238,9 +244,7 @@ def chebyshev_points(lo, hi, n=50):
 
 
 def test_classical_laguerre_residual_exact():
-    from xop import laguerre_polynomial
-
-    pair = EigenPair(2.0, laguerre_polynomial(2, 0.5))
+    pair = EigenPair(2.0, family_members(ClassicalLaguerre(0.5), 3)[2])
     pts = chebyshev_points(0.0, 40.0)
     assert ode_residual(ClassicalLaguerre(0.5), pair, pts) < 1e-10
 
@@ -272,9 +276,7 @@ def test_scaled_residual_invariant_all_spec_families():
 
 
 def test_perturbed_polynomial_fails_residual():
-    from xop import laguerre_polynomial
-
-    base = laguerre_polynomial(2, 0.5)
+    base = family_members(ClassicalLaguerre(0.5), 3)[2]
     coeffs = base.coeffs.copy()
     coeffs[-1] += 1e-3
     pair = EigenPair(2.0, Polynomial(coeffs))
@@ -319,12 +321,10 @@ def test_weight_domain_errors():
 def test_alpha_beta_inversion_roundtrip():
     alpha, beta = x1_jacobi_alpha_beta(2.0, 1.25)
     assert (alpha, beta) == (0.5, 4.5)
-    fam = x1_jacobi_from_classical(alpha, beta)
+    fam = x1_jacobi(alpha, beta)
     assert fam.a == pytest.approx(2.0) and fam.b == pytest.approx(1.25)
     with pytest.raises(ParameterError):
         x1_jacobi_alpha_beta(2.0, 0.5)
-    with pytest.raises(ParameterError):
-        x1_jacobi_from_classical(1.0, 1.0)
 
 
 def test_family_invariants():
@@ -335,10 +335,6 @@ def test_family_invariants():
     with pytest.raises(ParameterError):
         X1Jacobi(a=0.0, b=2.0)
     with pytest.raises(ParameterError):
-        X1Jacobi(a=2.0, b=1.25, c=2.0)  # c != b + 1/a
-    fam = X1Jacobi(a=2.0, b=1.25)
-    assert fam.c == pytest.approx(1.75)
-    with pytest.raises(ParameterError):
         ClassicalJacobi(-1.0, 0.0)
 
 
@@ -347,8 +343,12 @@ def test_family_serialization_roundtrip():
                 X1Laguerre(1.5), X1Jacobi(a=2.0, b=1.25)):
         data = family_to_dict(fam)
         assert family_from_dict(data) == fam
+    assert family_to_dict(X1Jacobi(a=2.0, b=1.25)) == {"kind": "X1Jacobi",
+                                                      "params": {"a": 2.0, "b": 1.25}}
     with pytest.raises(UsageError):
         family_from_dict({"kind": "NoSuchFamily", "params": {}})
+    with pytest.raises(UsageError):  # c = b + 1/a is derived, not a parameter
+        family_from_dict({"kind": "X1Jacobi", "params": {"a": 2.0, "b": 1.25, "c": 1.75}})
 
 
 def test_x1_jacobi_eigenvalue_matches_angular_level_formula():
@@ -430,7 +430,7 @@ def test_eigenvalue_collisions_raise_or_match_mpmath(ab):
 
 
 @pytest.mark.parametrize("fam", MPMATH_FAMILIES[:3] + (
-    x1_jacobi_from_classical(5.437940902568693, 0.6311977349156458),))
+    x1_jacobi(5.437940902568693, 0.6311977349156458),))
 def test_recurrence_values_match_the_members(fam):
     """gram_matrix evaluates members by the classical recurrences; on
     families with an integrable weight the values agree with the

@@ -1,4 +1,5 @@
-"""Classical polynomial evaluation against independent series oracles."""
+"""Classical polynomials, tabulated and expanded through their family
+objects, against independent series oracles."""
 
 import json
 
@@ -9,16 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from xop import (
-    DomainError,
-    ParameterError,
-    Polynomial,
-    eval_jacobi,
-    eval_laguerre,
-    jacobi_polynomial,
-    laguerre_polynomial,
-    polynomial_from_json,
-)
+from xop import ClassicalJacobi, ClassicalLaguerre, ParameterError, Polynomial, family_members
+from xop.exceptional import _member_values
+
+
+# --- the routes under test ---------------------------------------------------
+
+def laguerre_values(n, k, x):
+    """L_n^(k) at x: the last recurrence row of the family's members."""
+    return _member_values(ClassicalLaguerre(k), n + 1, np.asarray(x, dtype=float))[n]
+
+
+def jacobi_values(n, alpha, beta, x):
+    return _member_values(ClassicalJacobi(alpha, beta), n + 1, np.asarray(x, dtype=float))[n]
+
+
+def laguerre_coefficients(n, k):
+    """Coefficient vector of L_n^(k): the family's last member."""
+    return family_members(ClassicalLaguerre(k), n + 1)[n]
+
+
+def jacobi_coefficients(n, alpha, beta):
+    return family_members(ClassicalJacobi(alpha, beta), n + 1)[n]
 
 
 # --- independent oracles ----------------------------------------------------
@@ -72,31 +85,31 @@ def jacobi_series_coefficients(n, alpha, beta):
 # --- spec examples ----------------------------------------------------------
 
 def test_laguerre_degree_zero_is_one():
-    assert eval_laguerre(0, 0.5, 7.3) == 1.0
+    assert laguerre_values(0, 0.5, 7.3) == 1.0
 
 
 def test_laguerre_degree_one_at_origin():
-    assert eval_laguerre(1, 0.5, 0.0) == 1.5  # k + 1
+    assert laguerre_values(1, 0.5, 0.0) == 1.5  # k + 1
 
 
 def test_laguerre_degree_two_closed_form():
     # x^2/2 - (k+2)x + (k+1)(k+2)/2 at k=0.5, x=2
-    assert eval_laguerre(2, 0.5, 2.0) == pytest.approx(-1.125, abs=1e-14)
+    assert laguerre_values(2, 0.5, 2.0) == pytest.approx(-1.125, abs=1e-14)
 
 
 def test_jacobi_degree_zero_is_one():
-    assert eval_jacobi(0, 0.3, 1.2, -0.4) == 1.0
+    assert jacobi_values(0, 0.3, 1.2, -0.4) == 1.0
 
 
 def test_jacobi_legendre_case():
-    assert eval_jacobi(1, 0.0, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert jacobi_values(1, 0.0, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_jacobi_against_series_oracle():
     # value frozen from the series oracle (and re-derived here)
     oracle, _ = jacobi_series(3, 0.5, -0.5, 0.2)
     assert oracle == pytest.approx(-0.4925, abs=1e-13)
-    assert eval_jacobi(3, 0.5, -0.5, 0.2) == pytest.approx(oracle, rel=1e-13)
+    assert jacobi_values(3, 0.5, -0.5, 0.2) == pytest.approx(oracle, rel=1e-13)
 
 
 # --- recurrence vs series over the domain ------------------------------------
@@ -106,7 +119,7 @@ def test_laguerre_recurrence_matches_series():
     for n in range(11):
         for k in (-0.5, 0.0, 0.5, 1.5, 3.25):
             x = rng.uniform(0.0, 30.0, 20)
-            got = eval_laguerre(n, k, x)
+            got = laguerre_values(n, k, x)
             pairs = [laguerre_series(n, k, xi) for xi in x]
             want = np.array([v for v, _ in pairs])
             scale = np.array([s for _, s in pairs])
@@ -118,7 +131,7 @@ def test_jacobi_recurrence_matches_series():
     for n in range(11):
         for alpha, beta in ((-0.5, 0.5), (0.0, 0.0), (1.0, 3.0), (2.5, -0.25)):
             x = rng.uniform(-1.0, 1.0, 20)
-            got = eval_jacobi(n, alpha, beta, x)
+            got = jacobi_values(n, alpha, beta, x)
             pairs = [jacobi_series(n, alpha, beta, xi) for xi in x]
             want = np.array([v for v, _ in pairs])
             scale = np.array([s for _, s in pairs])
@@ -127,9 +140,9 @@ def test_jacobi_recurrence_matches_series():
 
 def test_against_scipy_evaluators():
     x = np.linspace(0.1, 25.0, 31)
-    assert np.allclose(eval_laguerre(7, 1.5, x), special.eval_genlaguerre(7, 1.5, x), rtol=1e-12)
+    assert np.allclose(laguerre_values(7, 1.5, x), special.eval_genlaguerre(7, 1.5, x), rtol=1e-12)
     z = np.linspace(-0.95, 0.95, 31)
-    assert np.allclose(eval_jacobi(6, 0.5, 2.0, z), special.eval_jacobi(6, 0.5, 2.0, z), rtol=1e-12)
+    assert np.allclose(jacobi_values(6, 0.5, 2.0, z), special.eval_jacobi(6, 0.5, 2.0, z), rtol=1e-12)
 
 
 # --- symmetry property -------------------------------------------------------
@@ -142,8 +155,8 @@ def test_against_scipy_evaluators():
     x=st.floats(min_value=-0.999, max_value=0.999),
 )
 def test_jacobi_reflection_symmetry(n, alpha, beta, x):
-    left = eval_jacobi(n, alpha, beta, -x)
-    right = (-1) ** n * eval_jacobi(n, beta, alpha, x)
+    left = jacobi_values(n, alpha, beta, -x)
+    right = (-1) ** n * jacobi_values(n, beta, alpha, x)
     assert abs(left - right) <= 1e-12 * (1 + abs(left) + abs(right))
 
 
@@ -154,7 +167,7 @@ def test_jacobi_reflection_symmetry(n, alpha, beta, x):
     x=st.floats(min_value=0.0, max_value=30.0),
 )
 def test_laguerre_recurrence_vs_series_property(n, k, x):
-    got = eval_laguerre(n, k, x)
+    got = laguerre_values(n, k, x)
     want, scale = laguerre_series(n, k, x)
     assert abs(got - want) <= 1e-12 * (1 + scale)
 
@@ -172,13 +185,13 @@ def test_coefficient_builders_match_recurrence(n, k, alpha, beta):
     """The two routes, the ODE coefficients and the recurrence values, agree
     to roundoff of the sum of term magnitudes."""
     x = np.linspace(0.0, 20.0, 17)
-    p = laguerre_polynomial(n, k)
+    p = laguerre_coefficients(n, k)
     scale = Polynomial(np.abs(p.coeffs))(x)
-    assert np.all(np.abs(p(x) - eval_laguerre(n, k, x)) <= 1e-13 * (1 + scale))
+    assert np.all(np.abs(p(x) - laguerre_values(n, k, x)) <= 1e-13 * (1 + scale))
     z = np.linspace(-1.0, 1.0, 17)
-    q = jacobi_polynomial(n, alpha, beta)
+    q = jacobi_coefficients(n, alpha, beta)
     scale = Polynomial(np.abs(q.coeffs))(np.abs(z))
-    assert np.all(np.abs(q(z) - eval_jacobi(n, alpha, beta, z)) <= 1e-13 * (1 + scale))
+    assert np.all(np.abs(q(z) - jacobi_values(n, alpha, beta, z)) <= 1e-13 * (1 + scale))
 
 
 def _max_relative_gap(got, want):
@@ -192,7 +205,7 @@ def test_laguerre_coefficients_match_mpmath(k):
     with mpmath.workdps(50):
         for n in range(25):
             want = laguerre_series_coefficients(n, k)
-            assert _max_relative_gap(laguerre_polynomial(n, k).coeffs, want) <= 5e-16
+            assert _max_relative_gap(laguerre_coefficients(n, k).coeffs, want) <= 5e-16
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.5), (2.0, 0.25), (-0.95, 7.9), (7.5, -0.9)])
@@ -200,12 +213,12 @@ def test_jacobi_coefficients_match_mpmath(alpha, beta):
     with mpmath.workdps(50):
         for n in range(25):
             want = jacobi_series_coefficients(n, alpha, beta)
-            assert _max_relative_gap(jacobi_polynomial(n, alpha, beta).coeffs, want) <= 5e-16
+            assert _max_relative_gap(jacobi_coefficients(n, alpha, beta).coeffs, want) <= 5e-16
 
 
 def test_jacobi_constant_term_is_exact():
     # P_7^(0.5,1.5)(x) has the dyadic constant term 0.34912109375
-    assert jacobi_polynomial(7, 0.5, 1.5).coeffs[0] == 0.34912109375
+    assert jacobi_coefficients(7, 0.5, 1.5).coeffs[0] == 0.34912109375
 
 
 # --- the Polynomial type -------------------------------------------------------
@@ -235,25 +248,12 @@ def test_polynomial_derivative():
     assert np.allclose(d.coeffs, [2.0, 6.0])
 
 
-def test_polynomial_json_roundtrip():
-    p = Polynomial([0.5, -1.25, 3.0])
-    text = p.to_json()
-    assert json.loads(text) == [0.5, -1.25, 3.0]
-    q = polynomial_from_json(text)
-    assert np.array_equal(p.coeffs, q.coeffs)
-
-
-def test_eval_rejects_nonfinite_points():
-    with pytest.raises(DomainError):
-        eval_laguerre(2, 0.5, np.nan)
-    with pytest.raises(DomainError):
-        eval_jacobi(2, 0.5, 0.5, np.inf)
+def test_polynomial_to_json():
+    assert json.loads(Polynomial([0.5, -1.25, 3.0]).to_json()) == [0.5, -1.25, 3.0]
 
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        eval_laguerre(2, -1.0, 1.0)
+        ClassicalLaguerre(-1.0)
     with pytest.raises(ParameterError):
-        eval_jacobi(2, -1.5, 0.0, 0.0)
-    with pytest.raises(ParameterError):
-        eval_laguerre(-1, 0.5, 1.0)
+        ClassicalJacobi(-1.5, 0.0)

@@ -449,7 +449,7 @@ RECORDS = [
     (HartmannAngularI(lambda_a=1.0, s=2.5), "theta", (0.0, math.pi),
      (0.0, 3.141592653589793), (0.15, 2.991592653589793), (2.0, -1.0),
      ("ClassicalJacobi", {"alpha": 1.0, "beta": 3.0}),
-     ("X1Jacobi", {"a": 1.0, "b": 2.0, "c": 3.0}), [6.25, 12.25, 20.25, 30.25]),
+     ("X1Jacobi", {"a": 1.0, "b": 2.0}), [6.25, 12.25, 20.25, 30.25]),
     (DiracOscillator(l=0), "r", (0.0, math.inf), (0.0, 20.0), (0.05, 12.0),
      (0.5, 1.0), ("ClassicalLaguerre", {"k": 0.5}), ("X1Laguerre", {"k": 0.5}),
      [1.5, 3.5, 5.5, 7.5]),
@@ -459,7 +459,7 @@ RECORDS = [
     (HartmannAngularII(lambda_a=2.0, s=4.0), "theta", (0.0, 1.5707963267948966),
      (0.0, 1.5707963267948966), (0.075, 1.4957963267948966), (2.5, -1.0),
      ("ClassicalJacobi", {"alpha": 1.5, "beta": 3.5}),
-     ("X1Jacobi", {"a": 1.0, "b": 2.5, "c": 3.5}), [36.0, 64.0, 100.0, 144.0]),
+     ("X1Jacobi", {"a": 1.0, "b": 2.5}), [36.0, 64.0, 100.0, 144.0]),
     (HartmannRadial(l=2, omega=2.5), "r", (0.0, math.inf), (0.0, 12.649110640673516),
      (0.05, 7.58946638440411), (2.5, 1.0), ("ClassicalLaguerre", {"k": 2.5}),
      ("X1Laguerre", {"k": 2.5}), [8.75, 13.75, 18.75, 23.75]),
