@@ -3,11 +3,17 @@
 Subcommands: eval-poly, gram, spectrum, plot-data, verify.
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage or config
 error.
+
+`main(argv)` returns the exit code instead of exiting, so it may be called
+any number of times in one process.  The argument parser is built at the
+first call (importing this module builds none) and reused by every later
+one, which then pays only for parsing argv and running its command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -101,17 +107,25 @@ def cmd_eval_poly(args) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be non-negative, got {args.n}")
     poly = None
-    with np.errstate(all="ignore"):  # overflow shows as a non-finite row
+    # every requested output is built before any is written; overflow shows
+    # as a non-finite row or coefficient, never as a numpy warning
+    with np.errstate(all="ignore"):
         if isinstance(family, (ClassicalLaguerre, ClassicalJacobi)):
             values = _member_values(family, args.n + 1, x)[args.n]
         else:
             poly = x1_polynomial(family, args.n).polynomial
             values = poly(x)
-    _emit(_finite_table(["x", "value"], [x, values]), args.out)
-    if args.coeffs_out:
-        if poly is None:
-            poly = family_members(family, args.n + 1)[args.n]
-        write_atomic(args.coeffs_out, poly.to_json() + "\n")
+        table = _finite_table(["x", "value"], [x, values])
+        if args.coeffs_out and poly is None:
+            try:
+                poly = family_members(family, args.n + 1)[args.n]
+            except ParameterError as exc:
+                raise UsageError(f"--coeffs-out: the degree-{args.n} coefficients overflow "
+                                 "while they are built; choose a lower --n") from exc
+    coeffs = poly.to_json() + "\n" if args.coeffs_out else None
+    _emit(table, args.out)
+    if coeffs is not None:
+        write_atomic(args.coeffs_out, coeffs)
     return 0
 
 
@@ -196,10 +210,11 @@ def cmd_verify(args) -> int:
         path = os.path.join(out_dir, f"report_{index}_{kind}.json")
         write_atomic(path, format_json(report.to_dict()) + "\n")
         status = "PASS" if report.passed else "FAIL"
+        analytic = max(report.analytic_errors_original + report.analytic_errors_extended)
         print(
             f"{status} {kind} max|dE|={max(report.spectral_diffs):.3e} "
             f"residual={report.max_wavefunction_residual:.3e} "
-            f"gram={report.gram_max_offdiag:.3e} -> {path}"
+            f"gram={report.gram_max_offdiag:.3e} analytic={analytic:.3e} -> {path}"
         )
     return 0 if all_passed else 1
 
@@ -218,7 +233,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built at the first call and shared by
+    every later `main()` in the process."""
     parser = _Parser(
         prog="xop",
         description="Exceptional-polynomial isospectral potential toolkit",

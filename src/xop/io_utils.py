@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import tempfile
 
 import numpy as np
 
@@ -88,18 +87,11 @@ def format_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _umask() -> int:
-    # the umask can only be read by setting it; the placeholder 0o077 keeps
-    # any file created meanwhile private rather than world-writable
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
 def write_atomic(path: str, text: str) -> None:
     """Replace `path` with `text` in one step; the file gets the mode a plain
-    open() would give it (0o666 less the umask), not mkstemp's 0o600.  A
-    path that cannot be written raises UsageError naming it and the reason."""
+    open() would give it (0o666 less the umask, which the kernel applies and
+    the process never changes).  A path that cannot be written raises
+    UsageError naming it and the reason."""
     try:
         _replace(path, text)
     except OSError as exc:
@@ -109,11 +101,13 @@ def write_atomic(path: str, text: str) -> None:
 def _replace(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a fresh name, and O_EXCL never opens an existing file; the kernel
+    # applies the umask to the 0o666 mode
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -92,6 +92,23 @@ def test_eval_poly_coeffs_out(tmp_path, capsys):
     assert coeffs == pytest.approx([1.5, 1.0])  # monic x + k + 1
 
 
+@pytest.mark.parametrize("out", [True, False])
+def test_eval_poly_coefficient_overflow_writes_nothing(out, tmp_path, capsys):
+    """Legendre P_900 is finite at 0.5, but its largest coefficient, about
+    (1 + sqrt 2)^900, overflows: one error line naming the degree and the
+    flag, exit 2, and no table, neither --out nor stdout."""
+    legendre = '{"kind": "ClassicalJacobi", "params": {"alpha": 0, "beta": 0}}'
+    argv = ["eval-poly", "--family", legendre, "--n", "900", "--points", "0.5",
+            "--coeffs-out", str(tmp_path / "c.json")]
+    if out:
+        argv += ["--out", str(tmp_path / "v.csv")]
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --coeffs-out: the degree-900 coefficients")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 # --- gram -------------------------------------------------------------------------
 
 def test_gram_csv_shape(capsys):
@@ -261,6 +278,15 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert data["passed"] is True
 
 
+def test_verify_summary_shows_the_worst_analytic_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    code, out, _ = run(["verify", "--config", str(path)], capsys)
+    data = json.loads((tmp_path / "reports" / "report_0_DiracOscillator.json").read_text())
+    worst = max(data["analytic_errors_original"] + data["analytic_errors_extended"])
+    assert code == 0
+    assert f" analytic={worst:.3e} -> " in out.splitlines()[0]
+
+
 def test_verify_tightened_tolerance_exits_1(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -320,7 +346,7 @@ def test_verify_report_files_are_byte_stable(tmp_path, capsys):
 
 
 def test_written_files_get_umask_mode(tmp_path, capsys):
-    # mkstemp creates its files at 0o600; reports are shared like any output
+    # a private temp file would come out 0o600; reports are shared like any output
     previous = os.umask(0o022)
     try:
         code, _, _ = run(["verify", "--config", str(write_config(tmp_path))], capsys)
@@ -801,6 +827,88 @@ def test_loading_and_evaluating_never_import_scipy_linalg():
                           env=env, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+# --- one parser per process ---------------------------------------------------------
+
+def test_importing_builds_no_parser():
+    import subprocess
+    import sys
+
+    import xop
+
+    code = ("import xop, xop.cli; "
+            "assert xop.cli.build_parser.cache_info().currsize == 0; "
+            "xop.cli.main(['gram', '--family', '{\"kind\": \"ClassicalLaguerre\", "
+            "\"params\": {\"k\": 0.5}}', '--n-max', '2']); "
+            "print(xop.cli.build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xop.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "1"
+
+
+def test_later_calls_build_no_parser(monkeypatch, capsys):
+    import argparse
+
+    main(["eval-poly", "--family", LAG_CLASSICAL, "--n", "1", "--points", "0"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["gram", "--family", LAG_CLASSICAL, "--n-max", "2"]) == 0
+    assert main(["eval-poly", "--family", LAG_X1, "--n", "2", "--points", "1"]) == 0
+    assert main(["plot-data", "--system", DIRAC, "--range", "0.1", "3", "--count", "3",
+                 "--levels", "1"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_matches_a_fresh_one(tmp_path):
+    """The same calls give the same exit codes, stdout, stderr and files
+    whether they share one parser or each builds its own; an argument of one
+    call (--levels 3) never leaks into the next (verify falls back to the
+    config's levels)."""
+    import contextlib
+    import io
+
+    from xop.cli import build_parser
+
+    calls = [
+        ["spectrum", "--system", DIRAC, "--levels", "3", "--grid-points", "600"],
+        ["verify", "--config", str(write_config(tmp_path, grid={"points": 600}))],
+        ["spectrum", "--system", DIRAC, "--no-such-flag"],
+        ["spectrum", "--system", DIRAC],
+    ]
+
+    def run_all(fresh: bool) -> list:
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            report = tmp_path / "reports" / "report_0_DiracOscillator.json"
+            files = report.read_bytes() if argv[0] == "verify" else b""
+            results.append((code, out.getvalue(), err.getvalue(), files))
+        return results
+
+    shared = run_all(fresh=False)
+    parser = build_parser()
+    assert run_all(fresh=True) == shared
+    assert build_parser() is not parser
+    codes = [code for code, *_ in shared]
+    assert codes == [0, 0, 2, 0]
+    assert shared[0][1].count("\n") == 4 and shared[3][1].count("\n") == 5
+    assert json.loads(shared[1][3])["level_count"] == 2
+    assert shared[2][2].startswith("usage: xop ")
+    assert "unrecognized arguments: --no-such-flag" in shared[2][2]
 
 
 BAD_CONFIGS = [

@@ -1,13 +1,16 @@
-"""CSV tables: the columnar csv_lines against a per-value reference formatter."""
+"""CSV tables: the columnar csv_lines against a per-value reference formatter;
+atomic file replacement."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xop.io_utils import csv_lines
+from xop.errors import UsageError
+from xop.io_utils import csv_lines, write_atomic
 
 
 # --- reference: one value at a time -----------------------------------------------
@@ -93,3 +96,26 @@ def test_no_rows_writes_the_header_only():
 def test_malformed_columns_raise(header, columns, error):
     with pytest.raises(error):
         csv_lines(header, columns)
+
+
+# --- atomic writes ------------------------------------------------------------------
+
+def test_write_atomic_never_touches_the_umask(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("write_atomic changed the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    path = tmp_path / "sub" / "out.txt"
+    write_atomic(str(path), "first\n")
+    write_atomic(str(path), "second\n")
+    assert path.read_text() == "second\n"
+    assert os.listdir(tmp_path / "sub") == ["out.txt"]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # a directory cannot be replaced by a file
+    with pytest.raises(UsageError, match="cannot write"):
+        write_atomic(str(target), "text\n")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
