@@ -200,12 +200,17 @@ def cmd_verify(args) -> int:
     all_passed = True
     for index, params in enumerate(config.systems):
         kind = type(params).__name__
-        report = isospectral_compare(
-            params, levels,
-            grid_points=grid_points,
-            tolerances=config.tolerances,
-            domain=config.grid.domain_for(kind),
-        )
+        try:
+            report = isospectral_compare(
+                params, levels,
+                grid_points=grid_points,
+                tolerances=config.tolerances,
+                domain=config.grid.domain_for(kind),
+            )
+        except _NUMERIC_ERRORS as exc:  # the other systems still get their reports
+            print(f"error: system {index} ({kind}): {exc}", file=sys.stderr)
+            all_passed = False
+            continue
         all_passed &= report.passed
         path = os.path.join(out_dir, f"report_{index}_{kind}.json")
         write_atomic(path, format_json(report.to_dict()) + "\n")

@@ -24,8 +24,11 @@ ulp * 2/h^2 rounding of the diagonal that bounds bisection.  Its values
 are certified (disjoint residual intervals and a Sturm count of the levels
 below the top one); where a start is unusable, a quotient strays or the
 certificate fails it falls back to `eigen_lowest`, so it never returns
-less than bisection.  Both load scipy.linalg at their first solve, so
-importing xop does not.
+less than bisection.  One kernel serves its solves and its count: the
+LDL^T factorization without pivoting (`_ldl`, LAPACK pttrf), whose
+negative pivots are the Sturm count and whose factors pttrs solves with.
+Both solvers load scipy.linalg at their first solve, so importing xop
+does not.
 """
 
 from __future__ import annotations
@@ -216,7 +219,8 @@ def refine_lowest(op: TridiagonalOperator, start: SpectrumResult, *,
     that quotient counts as the step before it: such a start is the
     eigenvector to O(h^2) and its quotient the level to O(h^4), so a level
     usually settles in one solve.  A step is one O(n) tridiagonal solve
-    (LAPACK gtsv) of -d^2/dx^2 + v from the samples of `op`, and the next
+    (the LDL^T factors of `_ldl`, solved by LAPACK pttrs) of
+    -d^2/dx^2 + v from the samples of `op`, and the next
     shift is the quotient of its solution, taken in the cancellation-free
     form (sum (dy)^2 / h^2 + sum v y^2) / sum y^2 rather than from `diag`
     and `off`, whose entries carry ulp * 2/h^2 of rounding.  The iteration
@@ -231,14 +235,15 @@ def refine_lowest(op: TridiagonalOperator, start: SpectrumResult, *,
     each lies within its residual bound ||M y - rho y|| / ||y|| of an
     eigenvalue of the symmetric matrix M of `op` (plus 16 ulp of ||M||, for
     the rounding of the residual and of the stored operator), and these
-    intervals are disjoint; and one Sturm count (stebz, counting only) finds
-    exactly that many eigenvalues of `op` up to a point above the top
-    interval.  So the i-th value is within its bound of the i-th eigenvalue,
-    whatever the starts were.  A start that is zero or not finite, a shift
+    intervals are disjoint; and one Sturm count (the negative pivots of
+    `_ldl` at a point above the top interval) finds exactly that many
+    eigenvalues of `op` below that point.  So the i-th value is within its
+    bound of the i-th eigenvalue, whatever the starts were.  A start that is zero or not finite, a shift
     farther from its level's eigenvalue than half the way to the nearest
     other one (its quotient has strayed toward another level), a singular
-    solve, a level not settled within 8 solves or a failed certificate
-    returns `eigen_lowest(op, count, vectors=vectors)` instead.
+    solve, a factorization that is not finite, a level not settled within
+    8 solves or a failed certificate returns
+    `eigen_lowest(op, count, vectors=vectors)` instead.
     """
     if not isinstance(start, SpectrumResult) or start.eigenfunctions is None:
         raise UsageError("refine_lowest starts from a SpectrumResult with eigenfunctions")
@@ -261,12 +266,13 @@ def _polish(op: TridiagonalOperator, start: SpectrumResult, lift, vectors: bool)
     """(values, residual bounds, eigenfunctions or None) of Rayleigh-quotient
     iteration from each level's column of `start`, taken onto op's grid by
     `lift` (`_scaled` or `_prolonged`); None where a start is unusable, a
-    shift strays, a solve is singular or a level does not settle.  Only
-    one level's start is lifted at a time.
+    shift strays, a factorization is not finite, a solve is singular or a
+    level does not settle.  Only one level's start is lifted at a time.
 
-    A step is one gtsv solve of (M - shift) y = rhs, the normalization of
-    its solution to sum y^2 = 1, and one `_quotient` of it; y is the next
-    right-hand side."""
+    A step is one `_ldl` factorization of M - shift and one pttrs solve of
+    (M - shift) y = rhs with it, the normalization of its solution to
+    sum y^2 = 1, and one `_quotient` of it; y is the next right-hand
+    side."""
     import scipy.linalg
 
     v = op.v
@@ -277,7 +283,8 @@ def _polish(op: TridiagonalOperator, start: SpectrumResult, lift, vectors: bool)
     apart = np.abs(guesses[:, None] - guesses[None, :]) + np.diag(np.full(guesses.size, np.inf))
     reaches = 0.5 * np.min(apart, axis=1)
     values, bounds = [], []
-    functions = np.empty((v.size, guesses.size)) if vectors else None
+    # column-contiguous, so each level's column is written and read in one run
+    functions = np.empty((guesses.size, v.size)).T if vectors else None
     for level, (guess, reach) in enumerate(zip(guesses, reaches)):
         rhs = lift(start.eigenfunctions[:, level])
         if rhs is None:
@@ -286,9 +293,10 @@ def _polish(op: TridiagonalOperator, start: SpectrumResult, lift, vectors: bool)
         for _ in range(_POLISH_STEPS):
             if not abs(shift - guess) <= reach:
                 return None
-            # keep only the solution: the factors are as long as y
-            y, info = scipy.linalg.lapack.dgtsv(
-                op.off, op.diag - shift, op.off, rhs, overwrite_d=1, overwrite_b=1)[3:]
+            factors = _ldl(op, shift)
+            if factors is None:
+                return None
+            y, info = scipy.linalg.lapack.dpttrs(*factors[:2], rhs, overwrite_b=1)
             norm = np.sqrt(np.dot(y, y))
             if info != 0 or not (np.isfinite(norm) and norm > 0):
                 return None
@@ -317,7 +325,7 @@ def _quotient(y, v, inv_h2):
 
 def _scaled(u: np.ndarray) -> np.ndarray | None:
     """A start on op's own grid: u over its largest magnitude, entries below
-    `_START_FLOOR` in magnitude set to it, a new array (gtsv overwrites its
+    `_START_FLOOR` in magnitude set to it, a new array (pttrs overwrites its
     right-hand side); None for a start that is zero or not finite."""
     magnitude = np.abs(u)
     scale = np.max(magnitude)
@@ -362,24 +370,56 @@ def _residual_bound(y, rho, a_diag, inv_h2) -> float:
 
 def _certified(op: TridiagonalOperator, values: np.ndarray, bounds: np.ndarray) -> bool:
     """The certificate of `refine_lowest`."""
-    import scipy.linalg
-
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(bounds))):
         return False
     spread = 2.0 * np.max(np.abs(op.off))
-    lo = float(np.min(op.diag)) - spread  # Gershgorin interval of op
-    norm = max(abs(lo), abs(float(np.max(op.diag)) + spread))
+    norm = max(abs(float(np.min(op.diag)) - spread), abs(float(np.max(op.diag)) + spread))
     radius = bounds + 16.0 * np.finfo(float).eps * norm
     if np.any(values[:-1] + radius[:-1] >= values[1:] - radius[1:]):
         return False
-    low = lo - 1.0 - abs(lo)
-    top = float(values[-1] + 2.0 * radius[-1])
-    if not low < top:
-        return False
-    # a tolerance wider than (low, top] makes stebz count and not bisect
-    found, *_, info = scipy.linalg.lapack.dstebz(
-        op.diag, op.off, 1, low, top, 0, 0, 2.0 * (top - low), b"E")
-    return info == 0 and found == values.size
+    factors = _ldl(op, float(values[-1] + 2.0 * radius[-1]))
+    return factors is not None and factors[2] == values.size
+
+
+def _ldl(op: TridiagonalOperator, shift: float):
+    """(d, l, negatives) of M - shift = L D L^T for the symmetric matrix M of
+    `op`, factored without pivoting: D = diag(d), L unit lower bidiagonal
+    with subdiagonal l, and `negatives` the number of pivots d_i <= 0; None
+    where an entry of d or l is not finite.
+
+    By Sylvester's law of inertia, `negatives` is the number of eigenvalues
+    of M below the shift, and as a count of pivots it is backward stable
+    (Kahan 1966): the Sturm count of bisection in the form of a
+    factorization.  (d, l) is what LAPACK pttrs solves with.  LAPACK pttrf
+    factors in place but stops at a pivot <= 0, so each such pivot is
+    counted, its step l_i = e_i / d_i, d_(i+1) -= l_i e_i taken here, and
+    pttrf restarted past it.  A zero pivot makes l_i infinite, hence None;
+    only the last one is counted, and a pttrs solve with it is not
+    finite."""
+    import scipy.linalg
+
+    dpttrf = scipy.linalg.lapack.dpttrf
+    d = op.diag - shift
+    l = op.off.copy()
+    n, start, negatives = d.size, 0, 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while start < n - 1:  # pttrf takes no empty l: the last pivot is read below
+            info = dpttrf(d[start:], l[start:], overwrite_d=1, overwrite_e=1)[2]
+            if info == 0:
+                break
+            pivot = start + info - 1
+            negatives += 1
+            if pivot == n - 1:
+                break
+            e = l[pivot]
+            l[pivot] = e / d[pivot]
+            d[pivot + 1] -= l[pivot] * e
+            start = pivot + 1
+        else:
+            negatives += int(d[-1] <= 0)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(l))):
+        return None
+    return d, l, negatives
 
 
 def extrapolate(coarse: SpectrumResult, fine: SpectrumResult) -> SpectrumResult:

@@ -944,8 +944,36 @@ def test_verify_non_finite_residual_exits_1_with_one_line(tmp_path, capsys):
                                 "output": {"path": str(tmp_path / "reports")}}))
     code, out, err = run(["verify", "--config", str(path)], capsys)
     assert code == 1 and out == ""
-    assert err == ("error: closed-form residual of the degree-1 X1 wavefunction "
-                   "is not finite (nan)\n")
+    assert err == ("error: system 0 (HartmannAngularI): closed-form residual of the "
+                   "degree-1 X1 wavefunction is not finite (nan)\n")
+
+
+def test_verify_reports_the_systems_after_one_that_raises(tmp_path, capsys):
+    """A system whose Gram mass overflows gets one error line naming its
+    index and kind; the system after it is still verified, reported and
+    printed, and the exit code says that one failed."""
+    path = write_config(tmp_path, levels=4, grid={"points": 2000}, systems=[
+        {"kind": "HartmannAngularII", "params": {"lambda_a": 2.0, "s": 1e4}},
+        {"kind": "HartmannRadial", "params": {"l": 0, "omega": 1.0}}])
+    code, out, err = run(["verify", "--config", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: system 0 (HartmannAngularII): ") and err.count("\n") == 1
+    assert os.listdir(tmp_path / "reports") == ["report_1_HartmannRadial.json"]
+    assert out.startswith("PASS HartmannRadial ") and out.count("\n") == 1
+    report = json.loads((tmp_path / "reports" / "report_1_HartmannRadial.json").read_text())
+    assert report["passed"] is True
+
+
+def test_verify_usage_error_exits_2_before_any_system(tmp_path, capsys):
+    """A level count out of range is a usage error: exit 2, and no system
+    is verified, the one that raises included."""
+    path = write_config(tmp_path, systems=[
+        {"kind": "HartmannAngularII", "params": {"lambda_a": 2.0, "s": 1e4}},
+        json.loads(DIRAC)])
+    code, out, err = run(["verify", "--config", str(path), "--levels", "9"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: levels must lie in 1..8, got 9\n"
+    assert not (tmp_path / "reports").exists()
 
 
 OUT_OF_DOMAIN_OVERRIDES = [

@@ -2,11 +2,14 @@
 
 import dataclasses
 import itertools
+import types
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from xop import (
     DiracOscillator,
@@ -31,7 +34,7 @@ from xop import (
     solve_variants,
 )
 from xop.exceptional import x1_eigenpairs
-from xop.spectral import _prolonged, _residual_bound, residual_on_operator
+from xop.spectral import _ldl, _prolonged, _residual_bound, residual_on_operator
 from xop.systems import _closed_form, _level_samples
 from xop.verify import _closed_form_residuals, variant_operator
 
@@ -272,6 +275,111 @@ def test_spectrum_result_refuses_non_finite_eigenvalues():
         SpectrumResult([1.0, 4.0], None, grid, np.nan)
 
 
+# --- the LDL^T kernel: its solves and its count -------------------------------------
+
+def _tridiagonal(rng, n):
+    """A symmetric tridiagonal matrix as the (diag, off) that `_ldl` reads:
+    entries of random sign and magnitudes from 1e-8 to 1e8, each its own."""
+    def entries(size):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+
+    return types.SimpleNamespace(diag=entries(n), off=entries(n - 1))
+
+
+def _stebz_count(matrix, shift):
+    """LAPACK stebz's Sturm count of the eigenvalues at or below `shift`."""
+    gershgorin = float(np.min(matrix.diag)) - 2.0 * float(np.max(np.abs(matrix.off)))
+    below = min(gershgorin, shift) - 1.0  # under every eigenvalue and the shift
+    found, *_, info = scipy.linalg.lapack.dstebz(
+        matrix.diag, matrix.off, 1, below, shift, 0, 0, 2.0 * (shift - below), b"E")
+    assert info == 0
+    return found
+
+
+def _assert_count(matrix, shift, negatives):
+    """`negatives` is stebz's count exactly where the shift lies farther than
+    1e-12 ||M|| from every eigenvalue, and within one of it nearer."""
+    levels = scipy.linalg.eigvalsh_tridiagonal(matrix.diag, matrix.off)
+    gap = np.min(np.abs(levels - shift)) / np.max(np.abs(levels))
+    if gap > 1e-12:
+        assert negatives == _stebz_count(matrix, shift), (gap, negatives)
+    else:
+        assert abs(negatives - _stebz_count(matrix, shift)) <= 1
+
+
+SHIFTS = {
+    # anywhere in the spectrum's span, widened by a tenth at each end
+    "uniform": lambda rng, levels, scale: rng.uniform(levels[0], levels[-1])
+    + 0.1 * (levels[-1] - levels[0]) * rng.uniform(-1.0, 1.0),
+    # between two neighbouring levels
+    "midway": lambda rng, levels, scale: (0.5 * (levels[:-1] + levels[1:]))[
+        rng.integers(levels.size - 1)],
+    # 1e-16 to 1e-6 of ||M|| from a level, on either side
+    "near": lambda rng, levels, scale: (levels[rng.integers(levels.size)]
+                                        + rng.choice([-1.0, 1.0]) * scale
+                                        * 10.0 ** rng.uniform(-16.0, -6.0)),
+}
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 2**32 - 1), st.sampled_from(sorted(SHIFTS)))
+def test_ldl_negatives_are_the_sturm_count(n, draw, kind):
+    """The negative pivots of M - shift count the eigenvalues of M below
+    the shift exactly as stebz's Sturm count does, down to 1e-12 ||M|| from
+    a level; closer, where both counts may round either way, within one."""
+    rng = np.random.default_rng(draw)
+    matrix = _tridiagonal(rng, n)
+    levels = scipy.linalg.eigvalsh_tridiagonal(matrix.diag, matrix.off)
+    shift = float(SHIFTS[kind](rng, levels, np.max(np.abs(levels))))
+    factors = _ldl(matrix, shift)
+    gap = np.min(np.abs(levels - shift)) / np.max(np.abs(levels))
+    assert factors is not None or gap <= 1e-12
+    if factors is not None:
+        _assert_count(matrix, shift, factors[2])
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 2**32 - 1), st.data())
+def test_ldl_zero_pivot_gives_none_or_the_right_count(n, draw, data):
+    """A shift that makes a pivot exactly zero, the first one (shift = M_00)
+    or a later one (shift 0, and M_kk set to what the recurrence subtracts
+    from it), yields None or the right count, never a wrong count."""
+    rng = np.random.default_rng(draw)
+    matrix = _tridiagonal(rng, n)
+    k = data.draw(st.integers(0, n - 1))
+    if k == 0:
+        shift = float(matrix.diag[0])
+    else:
+        shift, pivot = 0.0, matrix.diag[0]
+        with np.errstate(all="ignore"):
+            for i in range(k - 1):
+                pivot = matrix.diag[i + 1] - (matrix.off[i] / pivot) * matrix.off[i]
+            matrix.diag[k] = (matrix.off[k - 1] / pivot) * matrix.off[k - 1]
+        assume(np.isfinite(matrix.diag[k]))
+    factors = _ldl(matrix, shift)
+    if factors is not None:
+        assert np.all(np.isfinite(factors[0])) and np.all(np.isfinite(factors[1]))
+        _assert_count(matrix, shift, factors[2])
+
+
+def test_ldl_factors_solve_and_count():
+    """On an operator of the verify path, between its third and fourth
+    levels: three negative pivots, and pttrs with the factors solves
+    (M - shift) y = b to the accuracy of a pivoting LU solve."""
+    op = _hydrogen_operator()
+    levels = eigen_lowest(op, 4, vectors=False).eigenvalues
+    shift = 0.5 * (levels[2] + levels[3])
+    d, l, negatives = _ldl(op, shift)
+    assert negatives == 3
+    b = np.linspace(1.0, 2.0, op.v.size)
+    y, info = scipy.linalg.lapack.dpttrs(d, l, b)
+    assert info == 0
+    lu = scipy.linalg.lapack.dgtsv(op.off, op.diag - shift, op.off, b)[3]
+    assert np.max(np.abs(y - lu)) <= 1e-10 * np.max(np.abs(lu))
+
+
 # --- the verify solve path ----------------------------------------------------------
 
 @pytest.fixture
@@ -331,15 +439,30 @@ def test_compare_bisects_no_grid(params, grid_points, levels, solves):
     assert [op.grid.n_points for op, _ in polishes] == [grid_points, 2 * grid_points + 1] * 2
 
 
+@pytest.mark.parametrize("params", BENCH_SYSTEMS, ids=lambda params: type(params).__name__)
+def test_certified_path_needs_no_pivoting_solve_and_no_stebz(params, solves, monkeypatch):
+    """With LAPACK gtsv and stebz made to raise, the polished compare at 8
+    levels and 20000 points still passes, bisecting no grid: the solves and
+    the certificate's count all run on the LDL^T kernel."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the certified path called a refused LAPACK routine")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", refused)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", refused)
+    bisections, polishes = solves
+    assert isospectral_compare(params, 8, grid_points=20000).passed
+    assert bisections == [] and len(polishes) == 4
+
+
 def _solve_counts(monkeypatch):
     """Grid sizes of the tridiagonal solves `refine_lowest` makes, in order."""
-    sizes, dgtsv = [], scipy.linalg.lapack.dgtsv
+    sizes, dpttrs = [], scipy.linalg.lapack.dpttrs
 
     def counted(*args, **kwargs):
-        sizes.append(args[1].size)
-        return dgtsv(*args, **kwargs)
+        sizes.append(args[0].size)
+        return dpttrs(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counted)
     return sizes
 
 
@@ -657,11 +780,11 @@ def _per_level_solves(op, start, monkeypatch):
 
     def counted(*args, **kwargs):
         counts[-1] += 1
-        return dgtsv(*args, **kwargs)
+        return dpttrs(*args, **kwargs)
 
-    dgtsv = scipy.linalg.lapack.dgtsv
+    dpttrs = scipy.linalg.lapack.dpttrs
     monkeypatch.setattr(xop.spectral, "_scaled", started)
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counted)
     values = refine_lowest(op, start).eigenvalues
     monkeypatch.undo()
     return counts, values
