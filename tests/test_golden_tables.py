@@ -39,6 +39,16 @@ CASES = {
                               "--n-max", "16"],
     "gram_x1_laguerre": ["gram", "--family", _family("X1Laguerre", k=0.5), "--n-max", "16"],
     "gram_x1_jacobi": ["gram", "--family", _family("X1Jacobi", a=2.0, b=1.25), "--n-max", "16"],
+    # hidden classical exponents (-2.6, -6.6): tabulated, though its Gram is refused
+    "eval_x1_jacobi_exponents_below_minus_one": [
+        "eval-poly", "--family", _family("X1Jacobi", a=-2.0, b=2.3),
+        "--n", "5", "--range", "-1", "1", "--count", "41"],
+    # ab < 0: both hidden exponents in (-1, 0)
+    "gram_x1_jacobi_negative_ab": ["gram", "--family", _family("X1Jacobi", a=0.125, b=-3.0),
+                                   "--n-max", "16"],
+    # the pole 1e-5 from +1: the long-double continued-fraction sweep
+    "gram_x1_jacobi_pole_near_one": ["gram", "--family", _family("X1Jacobi", a=1.0, b=1.00001),
+                                     "--n-max", "16"],
 }
 
 
