@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -31,16 +30,8 @@ from .errors import (
     SingularityError,
     UsageError,
 )
-from .exceptional import (
-    ClassicalJacobi,
-    ClassicalLaguerre,
-    _member_values,
-    family_from_dict,
-    family_members,
-    gram_matrix,
-    x1_polynomial,
-)
-from .io_utils import csv_lines, format_json, write_atomic
+from .exceptional import _FAMILY_KINDS, family_members, gram_matrix
+from .io_utils import _record_from_json, csv_lines, format_json, write_atomic
 from .systems import _closed_form, reduce_system, system_from_json, system_to_dict
 from .verify import _solve_with_eigenfunctions, isospectral_compare
 
@@ -54,14 +45,6 @@ def _emit(text: str, out: str | None) -> None:
         write_atomic(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _parse_family(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"family spec is not valid JSON: {exc}") from exc
-    return family_from_dict(data)
 
 
 def _parse_points(args) -> np.ndarray:
@@ -102,19 +85,14 @@ def _finite_table(header: list, columns: list) -> str:
 
 
 def cmd_eval_poly(args) -> int:
-    family = _parse_family(args.family)
+    family = _record_from_json(args.family, _FAMILY_KINDS, "family")
     x = _parse_points(args)
     if args.n < 0:
         raise UsageError(f"--n must be non-negative, got {args.n}")
-    poly = None
     # every requested output is built before any is written; overflow shows
     # as a non-finite row or coefficient, never as a numpy warning
     with np.errstate(all="ignore"):
-        if isinstance(family, (ClassicalLaguerre, ClassicalJacobi)):
-            values = _member_values(family, args.n + 1, x)[args.n]
-        else:
-            poly = x1_polynomial(family, args.n).polynomial
-            values = poly(x)
+        values, poly = family._tabulated(args.n, x)
         table = _finite_table(["x", "value"], [x, values])
         if args.coeffs_out and poly is None:
             try:
@@ -130,7 +108,7 @@ def cmd_eval_poly(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    family = _parse_family(args.family)
+    family = _record_from_json(args.family, _FAMILY_KINDS, "family")
     g = gram_matrix(family, args.n_max)
     i, j = np.indices(g.shape)
     _emit(csv_lines(["i", "j", "value"], [i.ravel(), j.ravel(), g.ravel()]), args.out)

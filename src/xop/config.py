@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import UsageError
-from .systems import _SYSTEM_KINDS, SystemParams, _finite_number, reduce_system, system_from_dict
+from .io_utils import _finite_number
+from .systems import _SYSTEM_KINDS, SystemParams, reduce_system, system_from_dict
 from .verify import Tolerances
 
 __all__ = ["RunConfig", "GridConfig", "OutputConfig", "load_config", "default_config"]

@@ -21,7 +21,6 @@ degrees have none (see tests), which is how the convention was pinned.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -37,15 +36,14 @@ from .errors import (
     ParameterError,
     UsageError,
 )
+from .io_utils import _record_from_dict
 from .polynomials import (
     Polynomial,
     _classical_leads,
     _classical_monic,
     _jacobi_lead_ratios,
-    _jacobi_rows,
-    _laguerre_rows,
 )
-from .quadrature import QuadratureRule, _half_line_rule, gauss_jacobi_rule
+from .quadrature import _half_line_rule, gauss_jacobi_rule
 
 __all__ = [
     "ClassicalLaguerre",
@@ -72,18 +70,160 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # family specifications
+#
+# Each kind's facts are private methods and class attributes of its class,
+# never dataclass fields (`family_to_dict` reads the fields), from two axes:
+# `_Laguerre` or `_Jacobi` (domain, weight, sample window, classical rows,
+# first Gram rule) and `_Classical` or `_X1` (members, pole).
+
+class _Laguerre:
+    """Laguerre facts: the classical weight x^k e^-x on the half line."""
+
+    _domain = (0.0, math.inf)
+    _window = (0.0, 40.0)  # of `_sample_points`
+    # near the NumericError bound a coarse panel level can overshoot the float
+    # range; its inf entries then fail the Gram comparison like any other miss
+    _gram_errors = {"over": "ignore", "invalid": "ignore"}
+
+    def _log_classical_weight(self, x):
+        return self.k * np.log(x) - x
+
+    def _member_values(self, count, x):
+        """Row m (m = 0..count-1): the classical member L_m^(k) at the points x."""
+        k = self.k
+        p = np.empty((count,) + x.shape)
+        p[0] = 1.0
+        if count > 1:
+            p[1] = 1.0 + k - x
+        for i in range(1, count - 1):
+            p[i + 1] = ((2 * i + k + 1 - x) * p[i] - (i + k) * p[i - 1]) / (i + 1)
+        return p
+
+    def _first_rule(self, n_max):
+        """The graded half-line panels; a Gram whose entries pass the float
+        range is refused before its weight overflows."""
+        try:
+            log_top = self._log_largest_entry(n_max)
+        except OverflowError:  # lgamma past ~2.5e305
+            log_top = math.inf
+        if not log_top < _LOG_GRAM_RANGE:
+            raise NumericError(
+                f"the Gram matrix of {family_to_dict(self)} at n_max {n_max} has "
+                f"entries of e^{log_top:.1f}, beyond the float64 range"
+            )
+        return _half_line_rule(functools.partial(weight, self), self.k)
+
+
+class _Jacobi:
+    """Jacobi facts: the classical weight (1-x)^alpha (1+x)^beta on (-1, 1),
+    (alpha, beta) = `_exponents`."""
+
+    _domain = (-1.0, 1.0)
+    _window = (-0.99, 0.99)
+    _gram_errors = {}  # Gauss levels are exact, so an overflow still warns
+
+    def _log_classical_weight(self, x):
+        al, be = self._exponents
+        return al * np.log1p(-x) + be * np.log1p(x)
+
+    def _member_values(self, count, x):
+        """Row m (m = 0..count-1): the classical member P_m^(alpha,beta) at
+        the points x."""
+        alpha, beta = self._exponents
+        p = np.empty((count,) + x.shape)
+        p[0] = 1.0
+        if count > 1:
+            p[1] = 0.5 * ((alpha - beta) + (alpha + beta + 2) * x)
+        ab = alpha + beta
+        for i in range(2, count):
+            c1 = 2 * i * (i + ab) * (2 * i + ab - 2)
+            c2 = (2 * i + ab - 1) * (alpha**2 - beta**2)
+            c3 = (2 * i + ab - 1) * (2 * i + ab) * (2 * i + ab - 2)
+            c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
+            p[i] = ((c2 + c3 * x) * p[i - 1] - c4 * p[i - 2]) / c1
+        return p
+
+    def _first_rule(self, n_max):
+        """The Gauss rule of the whole weight with n_max + 1 nodes, which
+        already integrates every product of two members exactly."""
+        return gauss_jacobi_rule(*self._exponents, n_max + 1, self._pole)
+
+
+class _Classical:
+    """Classical facts: members of degrees 0, 1, ..., no rational factor."""
+
+    _pole = None
+
+    def _members(self, n_max):
+        classical = self._monic_params()
+        rows = _classical_monic(n_max, **classical) * _classical_leads(n_max, **classical)[:, None]
+        return [Polynomial(c) for c in rows.astype(float)]
+
+    def _tabulated(self, degree, x):
+        """The degree-`degree` member at x, and its Polynomial if that was built."""
+        return self._member_values(degree + 1, x)[degree], None
+
+    def _certified(self, n_max):
+        """The first n_max members as certified for a Gram matrix: none needed."""
+        return None
+
+
+class _X1:
+    """X1 facts: members of degrees 1, 2, ... in two-term form, certified by
+    `x1_eigenpairs` (called through the module, so that a wrapper of it sees
+    every call), over a pole off the domain."""
+
+    _collision = ""  # what makes a member undetermined, for x1_eigenpairs
+
+    def _member_values(self, count, x):
+        """Row n-1: the degree-n member at x from the hidden classical rows
+        (the axis base's member values) over their leads, for gram_matrix
+        (alpha, beta > -1).  From monomial coefficients a degree-16 X1-Laguerre
+        member loses ~1e-9 of its size at large x, noise the Gram refinements
+        cannot pass."""
+        classical, shift, lower = self._two_term_factors(count, np.float64, False)
+        p = super()._member_values(count, x)
+        p /= _classical_leads(count, **classical)[:, None]
+        vals = x + shift[:, None]
+        vals *= p
+        p[:-1] *= lower[1:, None]  # in place: two blocks of values at a time
+        vals[1:] += p[:-1]
+        return vals
+
+    def _members(self, n_max):
+        return [pair.polynomial for pair in x1_eigenpairs(self, n_max)]
+
+    def _tabulated(self, degree, x):
+        poly = x1_polynomial(self, degree).polynomial
+        return poly(x), poly
+
+    def _certified(self, n_max):
+        return x1_eigenpairs(self, n_max)
+
 
 @dataclass(frozen=True)
-class ClassicalLaguerre:
+class ClassicalLaguerre(_Classical, _Laguerre):
     k: float
 
     def __post_init__(self):
         if not self.k > -1:
             raise ParameterError(f"Laguerre parameter must exceed -1, got k={self.k}")
 
+    def _eigenvalue(self, degree):
+        return float(degree)
+
+    def _ode_coefficients(self, x):
+        return -x, -(self.k + 1 - x), 0.0
+
+    def _monic_params(self):
+        return {"k": np.longdouble(self.k)}
+
+    def _log_largest_entry(self, n_max):  # Gamma(n+k+1)/n! for L_n^(k), n < n_max
+        return max(math.lgamma(n + self.k + 1) - math.lgamma(n + 1) for n in range(n_max))
+
 
 @dataclass(frozen=True)
-class ClassicalJacobi:
+class ClassicalJacobi(_Classical, _Jacobi):
     alpha: float
     beta: float
 
@@ -93,9 +233,22 @@ class ClassicalJacobi:
                 f"Jacobi parameters must exceed -1, got ({self.alpha}, {self.beta})"
             )
 
+    _exponents = property(lambda self: (self.alpha, self.beta))
+
+    def _eigenvalue(self, degree):
+        return degree * (degree + self.alpha + self.beta + 1)
+
+    def _ode_coefficients(self, x):
+        al, be = self.alpha, self.beta
+        return -(1 - x**2), -(be - al - (al + be + 2) * x), 0.0
+
+    def _monic_params(self):
+        alpha, beta = np.longdouble(self.alpha), np.longdouble(self.beta)
+        return {"ab": (alpha + beta, beta - alpha)}
+
 
 @dataclass(frozen=True)
-class X1Laguerre:
+class X1Laguerre(_X1, _Laguerre):
     k: float
 
     def __post_init__(self):
@@ -104,11 +257,36 @@ class X1Laguerre:
                 f"pole inside domain: X1-Laguerre needs k > 0 so -k stays off [0, inf), got k={self.k}"
             )
 
+    _pole = property(lambda self: -self.k)
+    _degree0_rows = property(lambda self: ((self.k, self.k), (-1.0, 1.0)))
+
+    def _eigenvalue(self, degree):
+        return float(degree - 1)
+
+    def _ode_coefficients(self, x):
+        k = self.k
+        ratio = (x - k) / (x + k)
+        return -x, ratio * (x + k + 1), -ratio
+
+    def _two_term_factors(self, n_max, dtype, nudge):
+        """shift_n = k+1, lower_n = n-1 (see `_two_term_members`)."""
+        k = dtype(self.k)
+        k = np.nextafter(k, dtype(np.inf)) if nudge else k
+        return {"k": k}, np.full(n_max, k + 1), np.arange(n_max, dtype=dtype)
+
+    def _log_largest_entry(self, n_max):  # (n-1)! (n+k) Gamma(n+k-1), degree n <= n_max
+        k = self.k
+        return max(math.lgamma(n) + math.log(n + k) + math.lgamma(n + k - 1)
+                   for n in range(1, n_max + 1))
+
 
 @dataclass(frozen=True)
-class X1Jacobi:
+class X1Jacobi(_X1, _Jacobi):
     a: float
     b: float
+
+    _collision = ("; near 2ab = -N, N a positive integer, degrees d and N + 1 - d "
+                  "share an eigenvalue")
 
     def __post_init__(self):
         if self.a == 0:
@@ -118,15 +296,36 @@ class X1Jacobi:
                 f"pole inside domain: X1-Jacobi needs |b| > 1, got b={self.b}"
             )
 
+    # the hidden classical (alpha, beta); they may lie at or below -1
+    _exponents = property(lambda self: x1_jacobi_alpha_beta(self.a, self.b))
+    _pole = property(lambda self: self.b)
+    _degree0_rows = property(lambda self: ((-2 * self.a, self.b), (2 * self.a * self.b, -1.0)))
+
+    def _eigenvalue(self, degree):
+        return (degree - 1) * (degree + 2 * self.a * self.b)
+
+    def _ode_coefficients(self, x):
+        a, b = self.a, self.b
+        c = b + 1.0 / a
+        ratio = 2 * a * (1 - b * x) / (b - x)
+        return x**2 - 1, ratio * (x - c), -ratio
+
+    def _two_term_factors(self, n_max, dtype, nudge):
+        """shift_n = -b - 2b/s, lower_n = 2 r_n / s with s = alpha+beta+2n-2
+        and r_n = lead(P_{n-2}) / lead(P_{n-1}) (see `_two_term_members`)."""
+        n = np.arange(1, n_max + 1, dtype=dtype)
+        a, b = dtype(self.a), dtype(self.b)
+        total = 2 * a * b
+        total = np.nextafter(total, dtype(np.inf)) if nudge else total
+        s = (2 * n - 2) + total
+        ratio = _jacobi_lead_ratios(n_max, total)  # entry n-1 is r_n
+        return {"ab": (total, 2 * a)}, -b - 2 * b / s, 2 * ratio / s
+
 
 FamilySpec = Union[ClassicalLaguerre, ClassicalJacobi, X1Laguerre, X1Jacobi]
 
-_FAMILY_KINDS = {
-    "ClassicalLaguerre": ClassicalLaguerre,
-    "ClassicalJacobi": ClassicalJacobi,
-    "X1Laguerre": X1Laguerre,
-    "X1Jacobi": X1Jacobi,
-}
+_FAMILY_KINDS = {cls.__name__: cls for cls in (ClassicalLaguerre, ClassicalJacobi,
+                                               X1Laguerre, X1Jacobi)}
 
 
 def family_to_dict(family: FamilySpec) -> dict:
@@ -135,16 +334,7 @@ def family_to_dict(family: FamilySpec) -> dict:
 
 
 def family_from_dict(data: dict) -> FamilySpec:
-    try:
-        kind = data["kind"]
-        params = data.get("params", {})
-        cls = _FAMILY_KINDS[kind]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"invalid family spec: {data!r}") from exc
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise UsageError(f"invalid parameters for {kind}: {params!r}") from exc
+    return _record_from_dict(data, _FAMILY_KINDS, "family")
 
 
 def x1_jacobi_alpha_beta(a: float, b: float) -> tuple[float, float]:
@@ -164,13 +354,7 @@ class EigenPair:
 def family_eigenvalue(family: FamilySpec, degree: int) -> float:
     """Eigenvalue of the degree-`degree` member under the family's operator
     (classical operators oriented so the eigenvalue is +n resp. +n(n+a+b+1))."""
-    if isinstance(family, ClassicalLaguerre):
-        return float(degree)
-    if isinstance(family, ClassicalJacobi):
-        return degree * (degree + family.alpha + family.beta + 1)
-    if isinstance(family, X1Laguerre):
-        return float(degree - 1)
-    return (degree - 1) * (degree + 2 * family.a * family.b)
+    return family._eigenvalue(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +369,15 @@ _MEMBER_TOL = 1e-14  # largest estimated error, relative to max |coefficient|
 _RESIDUAL_TOL = 1e-9
 
 
-def _two_term_factors(family: FamilySpec, n_max: int, dtype, nudge: bool = False):
-    """Classical parameters (k or ab = (alpha+beta, beta-alpha)) and factors
-    of the monic members (x + shift_n) p_{n-1} + lower_n p_{n-2}, in `dtype`:
-    shift_n = k+1, lower_n = n-1 (X1-Laguerre) resp. shift_n = -b - 2b/s,
-    lower_n = 2 r_n / s with s = alpha+beta+2n-2 and r_n = lead(P_{n-2}) /
-    lead(P_{n-1}) (X1-Jacobi).  alpha+beta = 2ab is rounded once and every
-    factor that can vanish is an integer plus it, so a nearly vanishing factor
-    is exact and the same wherever it recurs.  `nudge`: see _PRECISION_GAIN.
-    """
-    n = np.arange(1, n_max + 1, dtype=dtype)
-    if isinstance(family, X1Laguerre):
-        k = dtype(family.k)
-        k = np.nextafter(k, dtype(np.inf)) if nudge else k
-        return {"k": k}, np.full(n_max, k + 1), n - 1
-    a, b = dtype(family.a), dtype(family.b)
-    total = 2 * a * b
-    total = np.nextafter(total, dtype(np.inf)) if nudge else total
-    s = (2 * n - 2) + total
-    ratio = _jacobi_lead_ratios(n_max, total)  # entry n-1 is r_n
-    return {"ab": (total, 2 * a)}, -b - 2 * b / s, 2 * ratio / s
-
-
 def _two_term_members(family: FamilySpec, n_max: int, dtype, *, nudge: bool = False) -> np.ndarray:
     """Row n-1 (n = 1..n_max): ascending coefficients of the monic degree-n
-    member, in `dtype` (see `_two_term_factors`)."""
-    classical, shift, lower = _two_term_factors(family, n_max, dtype, nudge)
+    member (x + shift_n) p_{n-1} + lower_n p_{n-2}, in `dtype`.  The
+    family's `_two_term_factors` give the classical parameters (k, or ab =
+    (alpha+beta, beta-alpha)) of the monic p and the factors.  alpha+beta =
+    2ab is rounded once and every factor that can vanish is an integer plus
+    it, so a nearly vanishing factor is exact and the same wherever it
+    recurs.  `nudge`: see _PRECISION_GAIN."""
+    classical, shift, lower = family._two_term_factors(n_max, dtype, nudge)
     p = _classical_monic(n_max, **classical)
     out = np.zeros((n_max, n_max + 1), dtype=dtype)
     out[:, 1:] = p
@@ -219,27 +386,9 @@ def _two_term_members(family: FamilySpec, n_max: int, dtype, *, nudge: bool = Fa
     return out
 
 
-def _two_term_values(family: FamilySpec, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Row n-1: the degree-n member at x from the classical recurrence rows
-    over their leads, for gram_matrix (alpha, beta > -1).  From monomial
-    coefficients a degree-16 X1-Laguerre member loses ~1e-9 of its size at
-    large x, noise the Gram refinements cannot pass."""
-    classical, shift, lower = _two_term_factors(family, n_max, np.float64)
-    if isinstance(family, X1Laguerre):
-        p = _laguerre_rows(n_max, classical["k"], x)
-    else:
-        p = _jacobi_rows(n_max, *x1_jacobi_alpha_beta(family.a, family.b), x)
-    p /= _classical_leads(n_max, **classical)[:, None]
-    vals = x + shift[:, None]
-    vals *= p
-    p[:-1] *= lower[1:, None]  # in place: two blocks of values at a time
-    vals[1:] += p[:-1]
-    return vals
-
-
 def _sample_points(family: FamilySpec, count: int = 50) -> np.ndarray:
     """Chebyshev points on the family's test window ([0, 40] or [-0.99, 0.99])."""
-    lo, hi = (0.0, 40.0) if isinstance(family, (ClassicalLaguerre, X1Laguerre)) else (-0.99, 0.99)
+    lo, hi = family._window
     theta = (2 * np.arange(1, count + 1) - 1) * np.pi / (2 * count)
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
 
@@ -272,6 +421,11 @@ def _uncertified(family: FamilySpec, coeffs: np.ndarray, eigenvalues: np.ndarray
     return [int(d) for d in np.flatnonzero(~ok) + 1]
 
 
+def _require_x1(family) -> None:
+    if not isinstance(family, _X1):
+        raise UsageError(f"{type(family).__name__} is not an X1 family")
+
+
 def x1_eigenpairs(family: FamilySpec, n_max: int):
     """All X1 eigenpairs with degrees 1..n_max, monic, ascending by degree.
 
@@ -286,10 +440,7 @@ def x1_eigenpairs(family: FamilySpec, n_max: int):
     and 1 - 2ab - d share an eigenvalue: the higher member is not unique, and
     near the collision the two-term form cancels, so such degrees fail.
     """
-    if not isinstance(family, (X1Laguerre, X1Jacobi)):
-        raise UsageError(
-            f"x1_eigenpairs needs an X1 family, got {type(family).__name__}"
-        )
+    _require_x1(family)
     if not 1 <= n_max <= 32:
         raise UsageError(f"n_max must lie in 1..32, got {n_max}")
     with np.errstate(all="ignore"):  # a collision divides by zero; caught below
@@ -300,8 +451,7 @@ def x1_eigenpairs(family: FamilySpec, n_max: int):
     if unresolved:
         raise ConsistencyError(
             f"X1 members of degrees {unresolved} of {family_to_dict(family)} are "
-            f"not determined to {_MEMBER_TOL:g} relative; near 2ab = -N, N a positive "
-            "integer, degrees d and N + 1 - d share an eigenvalue"
+            f"not determined to {_MEMBER_TOL:g} relative{family._collision}"
         )
     eigenvalues = np.array([family_eigenvalue(family, d) for d in range(1, n_max + 1)])
     failed = _uncertified(family, coeffs, eigenvalues)
@@ -330,14 +480,8 @@ def degree0_eigenfunction_exists(family: FamilySpec) -> bool:
     S 1 = x+k (X1-Laguerre), T 1 = -2a(1-bx) and S 1 = b-x (X1-Jacobi).
     Each row fixes lam = t_i / s_i, and a constant solves only if they agree.
     """
-    if isinstance(family, X1Laguerre):
-        rows = ((family.k, family.k), (-1.0, 1.0))
-    elif isinstance(family, X1Jacobi):
-        a, b = family.a, family.b
-        rows = ((-2 * a, b), (2 * a * b, -1.0))
-    else:
-        raise UsageError(f"{type(family).__name__} is not an X1 family")
-    (t0, s0), (t1, s1) = rows
+    _require_x1(family)
+    (t0, s0), (t1, s1) = family._degree0_rows
     return abs(t0 / s0 - t1 / s1) < 1e-12 * (1 + abs(t0 / s0))
 
 
@@ -347,20 +491,7 @@ def degree0_eigenfunction_exists(family: FamilySpec) -> bool:
 def _ode_terms(family, lam, y, y1, y2, x):
     """Additive terms of L[y] - lam y from the jets of y at the points x;
     arrays broadcast, so one call serves a stack of members."""
-    if isinstance(family, ClassicalLaguerre):
-        f2, f1, f0 = -x, -(family.k + 1 - x), 0.0
-    elif isinstance(family, ClassicalJacobi):
-        al, be = family.alpha, family.beta
-        f2, f1, f0 = -(1 - x**2), -(be - al - (al + be + 2) * x), 0.0
-    elif isinstance(family, X1Laguerre):
-        k = family.k
-        ratio = (x - k) / (x + k)
-        f2, f1, f0 = -x, ratio * (x + k + 1), -ratio
-    else:
-        a, b = family.a, family.b
-        c = b + 1.0 / a
-        ratio = 2 * a * (1 - b * x) / (b - x)
-        f2, f1, f0 = x**2 - 1, ratio * (x - c), -ratio
+    f2, f1, f0 = family._ode_coefficients(x)
     return [f2 * y2, f1 * y1, f0 * y, -lam * y]
 
 
@@ -375,10 +506,9 @@ def ode_residual(family: FamilySpec, pair: EigenPair, sample_points,
     x = np.asarray(sample_points, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("sample points must be finite")
-    if isinstance(family, X1Laguerre) and np.any(x == -family.k):
-        raise DomainError(f"sample point at pole x = {-family.k}")
-    if isinstance(family, X1Jacobi) and np.any(x == family.b):
-        raise DomainError(f"sample point at pole x = {family.b}")
+    pole = family._pole
+    if pole is not None and np.any(x == pole):
+        raise DomainError(f"sample point at pole x = {pole}")
     p = pair.polynomial
     terms = _ode_terms(family, pair.eigenvalue, p(x), p.derivative()(x),
                        p.derivative(2)(x), x)
@@ -392,38 +522,17 @@ def ode_residual(family: FamilySpec, pair: EigenPair, sample_points,
 # ---------------------------------------------------------------------------
 # weights, members, Gram matrices
 
-def _jacobi_exponents(family: FamilySpec) -> tuple[float, float]:
-    """(alpha, beta) of the classical Jacobi weight of a Jacobi family."""
-    if isinstance(family, ClassicalJacobi):
-        return family.alpha, family.beta
-    return x1_jacobi_alpha_beta(family.a, family.b)
-
-
-def _rational_factor(family: FamilySpec, x: np.ndarray):
-    """The weight over its classical part: 1/(x+k)^2 (X1-Laguerre),
-    1/(x-b)^2 (X1-Jacobi), 1 (classical families)."""
-    if isinstance(family, X1Laguerre):
-        return 1.0 / (x + family.k) ** 2
-    if isinstance(family, X1Jacobi):
-        return 1.0 / (x - family.b) ** 2
-    return 1.0
-
-
 def weight(family: FamilySpec, x):
-    """Orthogonality weight at points strictly inside the family domain,
-    the classical part x^k e^-x or (1-x)^alpha (1+x)^beta formed in log
-    form (a product of powers overflows to inf * 0 at large exponents)."""
+    """Orthogonality weight at points strictly inside the family domain, the
+    classical part x^k e^-x or (1-x)^alpha (1+x)^beta formed in log form
+    (a product of powers overflows to inf * 0 at large exponents), over
+    (x-pole)^2 for X1 families."""
     x = np.asarray(x, dtype=float)
-    laguerre = isinstance(family, (ClassicalLaguerre, X1Laguerre))
-    lo, hi = (0.0, math.inf) if laguerre else (-1.0, 1.0)
+    lo, hi = family._domain
     if np.any(x <= lo) or np.any(x >= hi):
         raise DomainError(f"weight argument outside open domain ({lo}, {hi})")
-    if laguerre:
-        log_classical = family.k * np.log(x) - x
-    else:
-        al, be = _jacobi_exponents(family)
-        log_classical = al * np.log1p(-x) + be * np.log1p(x)
-    return np.exp(log_classical) * _rational_factor(family, x)
+    classical = np.exp(family._log_classical_weight(x))
+    return classical * (1.0 if family._pole is None else 1.0 / (x - family._pole) ** 2)
 
 
 def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
@@ -432,15 +541,7 @@ def family_members(family: FamilySpec, n_max: int) -> list[Polynomial]:
     np.longdouble, rounded once; degrees 1..n_max for X1 families."""
     if n_max < 1:
         raise UsageError("n_max must be positive")
-    if isinstance(family, (X1Laguerre, X1Jacobi)):
-        return [pair.polynomial for pair in x1_eigenpairs(family, n_max)]
-    if isinstance(family, ClassicalLaguerre):
-        classical = {"k": np.longdouble(family.k)}
-    else:
-        alpha, beta = np.longdouble(family.alpha), np.longdouble(family.beta)
-        classical = {"ab": (alpha + beta, beta - alpha)}
-    rows = _classical_monic(n_max, **classical) * _classical_leads(n_max, **classical)[:, None]
-    return [Polynomial(c) for c in rows.astype(float)]
+    return family._members(n_max)
 
 
 # Gram convergence: two successive rule levels agree to _GRAM_TOL relative to
@@ -451,58 +552,16 @@ _MAX_REFINEMENTS = 6
 _LOG_GRAM_RANGE = math.log(np.finfo(float).max / 2)
 
 
-def _log_largest_laguerre_entry(family, n_max: int) -> float:
-    """Log of the largest entry, a diagonal one, of a Laguerre family's Gram
-    matrix: Gamma(n+k+1)/n! for L_n^(k), n < n_max, and (n-1)! (n+k)
-    Gamma(n+k-1) for the monic X1 member of degree n <= n_max."""
-    k = family.k
-    try:
-        if isinstance(family, ClassicalLaguerre):
-            return max(math.lgamma(n + k + 1) - math.lgamma(n + 1) for n in range(n_max))
-        return max(math.lgamma(n) + math.log(n + k) + math.lgamma(n + k - 1)
-                   for n in range(1, n_max + 1))
-    except OverflowError:  # lgamma past ~2.5e305
-        return math.inf
-
-
-def _first_rule(family: FamilySpec, n_max: int) -> QuadratureRule:
-    """First rule of `gram_matrix`: the graded half-line panels, or the Gauss
-    rule of the family's whole weight with n_max + 1 nodes, which already
-    integrates every product of two members exactly.  A Laguerre Gram whose
-    entries pass the float range is refused before its weight overflows."""
-    if isinstance(family, (ClassicalLaguerre, X1Laguerre)):
-        log_top = _log_largest_laguerre_entry(family, n_max)
-        if not log_top < _LOG_GRAM_RANGE:
-            raise NumericError(
-                f"the Gram matrix of {family_to_dict(family)} at n_max {n_max} has "
-                f"entries of e^{log_top:.1f}, beyond the float64 range"
-            )
-        return _half_line_rule(functools.partial(weight, family), family.k)
-    alpha, beta = _jacobi_exponents(family)
-    pole = family.b if isinstance(family, X1Jacobi) else None
-    return gauss_jacobi_rule(alpha, beta, n_max + 1, pole)
-
-
-def _member_values(family: FamilySpec, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Row m: the (m+1)-th member of `family` (`family_members`) at x, from
-    the classical recurrences (X1 members through `_two_term_values`)."""
-    if isinstance(family, ClassicalLaguerre):
-        return _laguerre_rows(n_max, family.k, x)
-    if isinstance(family, ClassicalJacobi):
-        return _jacobi_rows(n_max, family.alpha, family.beta, x)
-    return _two_term_values(family, n_max, x)
-
-
 def _gram_on_rule(family, n_max, rule):
-    vals = _member_values(family, n_max, rule.nodes)
+    vals = family._member_values(n_max, rule.nodes)
     g = (vals * rule.weights) @ vals.T
     return 0.5 * (g + g.T)
 
 
 def gram_matrix(family: FamilySpec, n_max: int) -> np.ndarray:
     """Gram matrix G_ij = integral p_i p_j w over the first n_max members,
-    evaluated through the classical recurrences (X1 members through
-    `_two_term_values`, after `x1_eigenpairs` has certified them).
+    evaluated through the classical recurrences (X1 members as two-term
+    forms of them, after `x1_eigenpairs` has certified them).
 
     Every rule carries the family's whole weight w.  Jacobi families
     integrate on the Gauss rule of (1-x)^alpha (1+x)^beta, over (x-b)^2 for
@@ -516,41 +575,30 @@ def gram_matrix(family: FamilySpec, n_max: int) -> np.ndarray:
     families and one or two for Laguerre families; disagreement past 6
     refinements raises AccuracyError.
     """
-    if isinstance(family, (X1Laguerre, X1Jacobi)):
-        return x1_members_and_gram(family, n_max)[1]
-    _check_gram_size(n_max)
-    return _gram(family, n_max)
+    return _certified_gram(family, n_max)[1]
 
 
 def x1_members_and_gram(family: FamilySpec, n_max: int) -> tuple[list[EigenPair], np.ndarray]:
     """The first n_max members of an X1 family as certified by
     `x1_eigenpairs`, and their `gram_matrix`, from one build of them."""
-    if not isinstance(family, (X1Laguerre, X1Jacobi)):
-        raise UsageError(f"not an X1 family: {family_to_dict(family)}")
-    _check_gram_size(n_max)
-    members = x1_eigenpairs(family, n_max)
-    return members, _gram(family, n_max)
+    _require_x1(family)
+    return _certified_gram(family, n_max)
 
 
-def _check_gram_size(n_max: int) -> None:
+def _certified_gram(family: FamilySpec, n_max: int):
+    """The family's `_certified` members (None for classical families) and
+    their `gram_matrix`."""
     if not 1 <= n_max <= 16:
         raise UsageError(f"n_max must lie in 1..16, got {n_max}")
-
-
-def _gram(family: FamilySpec, n_max: int) -> np.ndarray:
-    """`gram_matrix` without the certification of X1 members."""
-    rule = _first_rule(family, n_max)
-    # near the NumericError bound a coarse Laguerre level can overshoot the
-    # float range; its inf entries then fail the comparison like any other
-    # miss.  Jacobi levels are exact, so there an overflow still warns.
-    laguerre = isinstance(family, (ClassicalLaguerre, X1Laguerre))
-    with np.errstate(over="ignore", invalid="ignore") if laguerre else contextlib.nullcontext():
+    members = family._certified(n_max)
+    rule = family._first_rule(n_max)
+    with np.errstate(**family._gram_errors):
         g_prev = _gram_on_rule(family, n_max, rule)
         for _ in range(_MAX_REFINEMENTS):
             rule = rule.refined()
             g = _gram_on_rule(family, n_max, rule)
             if np.max(np.abs(g - g_prev)) <= _GRAM_TOL * (1.0 + np.max(np.abs(g))):
-                return g
+                return members, g
             g_prev = g
     raise AccuracyError(
         f"Gram quadrature did not converge to {_GRAM_TOL} within "

@@ -1,5 +1,6 @@
 """Deterministic output formatting: 17 significant digits in JSON (round-trip
-safe), 12 in CSV (readable), atomic file replacement.
+safe), 12 in CSV (readable), atomic file replacement; and the one parser of
+the {"kind": ..., "params": {...}} records of family and system JSON.
 
 CSV tables are built from numeric columns: integer columns print as decimal
 integers, float columns with 12 significant digits (`%.12g`, the same digits
@@ -9,6 +10,8 @@ in both formats."""
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import os
 
 import numpy as np
@@ -85,6 +88,47 @@ def format_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _finite_number(value) -> bool:
+    """True for an int or float (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _record_from_dict(data: dict, kinds: dict, what: str):
+    """`kinds[data["kind"]](**data["params"])`, `params` (default {}) an
+    object of finite numbers; anything else raises UsageError naming `what`."""
+    try:
+        kind = data["kind"]
+        cls = kinds[kind]
+        params = data.get("params", {})
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"invalid {what} spec: {data!r}") from exc
+    if not isinstance(params, dict):
+        raise UsageError(f"parameters of {kind} must be a JSON object, got {params!r}")
+    for key, value in params.items():
+        if not _finite_number(value):
+            raise UsageError(
+                f"parameter {key!r} of {kind} must be a finite number, got {value!r}"
+            )
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise UsageError(f"invalid parameters for {kind}: {params!r}") from exc
+
+
+def _record_from_json(text: str, kinds: dict, what: str):
+    """`_record_from_dict` of the JSON document `text`."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} spec is not valid JSON: {exc}") from exc
+    return _record_from_dict(data, kinds, what)
 
 
 def write_atomic(path: str, text: str) -> None:

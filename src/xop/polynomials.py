@@ -2,12 +2,11 @@
 
 The family objects of `exceptional` (`ClassicalLaguerre`, `ClassicalJacobi`
 and the X1 families) are the one public route to name, tabulate and expand a
-polynomial; they are built from the pieces here, each returning all degrees
-at once.  Values come from the normalized three-term recurrences
-(`_laguerre_rows`, `_jacobi_rows`).  Coefficient vectors come from the
-classical ODE: the monic coefficients solved top-down (`_classical_monic`)
-times the leading coefficients (`_classical_leads`), both in np.longdouble
-and rounded once to double.
+polynomial.  They tabulate members with the normalized three-term
+recurrences themselves, and expand them with the pieces here, each returning
+all degrees at once: the monic coefficients solved top-down from the
+classical ODE (`_classical_monic`) times the leading coefficients
+(`_classical_leads`), both in np.longdouble and rounded once to double.
 """
 
 from __future__ import annotations
@@ -59,33 +58,6 @@ class Polynomial:
     def to_json(self) -> str:
         """Serialize as a JSON array of coefficients, ascending degree."""
         return json.dumps([float(c) for c in self.coeffs])
-
-
-def _laguerre_rows(count: int, k, x: np.ndarray) -> np.ndarray:
-    """Row m (m = 0..count-1): L_m^(k) at the points x."""
-    p = np.empty((count,) + x.shape)
-    p[0] = 1.0
-    if count > 1:
-        p[1] = 1.0 + k - x
-    for i in range(1, count - 1):
-        p[i + 1] = ((2 * i + k + 1 - x) * p[i] - (i + k) * p[i - 1]) / (i + 1)
-    return p
-
-
-def _jacobi_rows(count: int, alpha, beta, x: np.ndarray) -> np.ndarray:
-    """Row m (m = 0..count-1): P_m^(alpha,beta) at the points x."""
-    p = np.empty((count,) + x.shape)
-    p[0] = 1.0
-    if count > 1:
-        p[1] = 0.5 * ((alpha - beta) + (alpha + beta + 2) * x)
-    ab = alpha + beta
-    for i in range(2, count):
-        c1 = 2 * i * (i + ab) * (2 * i + ab - 2)
-        c2 = (2 * i + ab - 1) * (alpha**2 - beta**2)
-        c3 = (2 * i + ab - 1) * (2 * i + ab) * (2 * i + ab - 2)
-        c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
-        p[i] = ((c2 + c3 * x) * p[i - 1] - c4 * p[i - 2]) / c1
-    return p
 
 
 def _classical_monic(count: int, *, k=None, ab=None) -> np.ndarray:

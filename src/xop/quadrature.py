@@ -89,8 +89,9 @@ def _gauss_jacobi(alpha, beta, pole, count, recurrence):
     """gauss_jacobi_rule from a recurrence computed for at least `count`
     nodes, or computed here for 2 count, so that the refinement reuses it."""
     if recurrence is None or recurrence[0].size < count:
-        recurrence = (_jacobi_recurrence(alpha, beta, 0, 2 * count) if pole is None
-                      else _divided_twice(alpha, beta, pole, 2 * count))
+        with np.errstate(all="ignore"):  # a recurrence past the float range is refused below
+            recurrence = (_jacobi_recurrence(alpha, beta, 0, 2 * count) if pole is None
+                          else _divided_twice(alpha, beta, pole, 2 * count))
     diag, off2 = (c[:count] for c in recurrence)
     s = alpha + beta
     log_mass = ((s + 1) * math.log(2) + math.lgamma(alpha + 1) + math.lgamma(beta + 1)
@@ -98,8 +99,11 @@ def _gauss_jacobi(alpha, beta, pole, count, recurrence):
     if log_mass >= math.log(np.finfo(float).max):
         raise NumericError(
             f"the weight {_weight_text(alpha, beta, pole)} has total mass "
-            f"e^{log_mass:.1f}, beyond the float64 range"
+            f"e^{log_mass:g}, beyond the float64 range"
         )
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off2))):
+        raise NumericError(f"the recurrence of the weight {_weight_text(alpha, beta, pole)} "
+                           f"passes the float64 range within {count} nodes")
     mass = math.exp(log_mass)
     nodes, weights = _gauss_rule(diag, off2, mass, vectors=pole is not None)
     keep = weights > 0

@@ -58,7 +58,6 @@ couplings as levels and the same families and pole: the grid solves that
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
@@ -73,10 +72,10 @@ from .exceptional import (
     FamilySpec,
     X1Jacobi,
     X1Laguerre,
-    _member_values,
     family_members,
     x1_polynomial,
 )
+from .io_utils import _record_from_dict, _record_from_json
 from .polynomials import Polynomial
 
 __all__ = [
@@ -244,41 +243,12 @@ def system_to_dict(params: SystemParams) -> dict:
     return {"kind": type(params).__name__, "params": fields}
 
 
-def _finite_number(value) -> bool:
-    """True for an int or float (not a bool) with a finite float value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def system_from_dict(data: dict) -> SystemParams:
-    try:
-        cls = _SYSTEM_KINDS[data["kind"]]
-        params = data.get("params", {})
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"invalid system spec: {data!r}") from exc
-    if not isinstance(params, dict):
-        raise UsageError(f"parameters of {data['kind']} must be a JSON object, got {params!r}")
-    for key, value in params.items():
-        if not _finite_number(value):
-            raise UsageError(
-                f"parameter {key!r} of {data['kind']} must be a finite number, got {value!r}"
-            )
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise UsageError(f"invalid parameters for {data['kind']}: {params!r}") from exc
+    return _record_from_dict(data, _SYSTEM_KINDS, "system")
 
 
 def system_from_json(text: str) -> SystemParams:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"system spec is not valid JSON: {exc}") from exc
-    return system_from_dict(data)
+    return _record_from_json(text, _SYSTEM_KINDS, "system")
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +506,7 @@ def _level_samples(system: ReducedSystem, variant: str, count: int, x: np.ndarra
     family = system.classical_family if variant == "original" else system.x1_family
     with np.errstate(all="ignore"):
         z = system.coordinate_jet(x).val
-        rows = _member_values(family, count, z)
+        rows = family._member_values(count, z)
         rows *= system.prefactor_jet(z)
         if variant != "original":
             c0, c1 = system.pole_offset

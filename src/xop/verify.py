@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .exceptional import EigenPair, max_offdiag_ratio, x1_members_and_gram
+from .io_utils import _finite_number
 from .spectral import (
     Grid,
     SpectrumResult,
@@ -45,7 +46,6 @@ from .systems import (
     ReducedSystem,
     SystemParams,
     _closed_form,
-    _finite_number,
     _level_samples,
     reduce_system,
     system_to_dict,

@@ -158,6 +158,37 @@ def test_gram_past_the_float_range_prints_no_warning():
                            "float64 range\n")
 
 
+@pytest.mark.parametrize("family", [
+    {"kind": "X1Jacobi", "params": {"a": 1e100, "b": 2.0}},
+    {"kind": "X1Jacobi", "params": {"a": 1e300, "b": 2.0}},
+    {"kind": "ClassicalJacobi", "params": {"alpha": 1e300, "beta": 0.5}},
+])
+def test_gram_of_a_jacobi_weight_past_the_float_range_exits_1_with_one_line(family, capsys):
+    """A Gauss-Jacobi recurrence or mass past the float range ends in one
+    short line naming the weight, with no warning and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["gram", "--family", json.dumps(family), "--n-max", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the ") and "weight (1-x)^" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("family, names_collision", [
+    ('{"kind": "X1Jacobi", "params": {"a": 1.0, "b": -3.0}}', True),
+    ('{"kind": "X1Laguerre", "params": {"k": 1e300}}', False),
+])
+def test_undetermined_members_name_the_collision_only_for_x1_jacobi(family, names_collision,
+                                                                     capsys):
+    """X1-Jacobi degrees d and N + 1 - d collide near 2ab = -N; X1-Laguerre
+    has no such collision, so its message does not name one."""
+    code, out, err = run(["eval-poly", "--family", family, "--n", "5", "--points", "0.1"],
+                         capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "are not determined to 1e-14 relative" in err
+    assert ("near 2ab = -N" in err) == names_collision
+
+
 # --- spectrum ----------------------------------------------------------------------
 
 def test_spectrum_dirac(capsys):
@@ -640,19 +671,40 @@ SUBCOMMANDS = {
 }
 
 
-def bad_system(kind, key, value):
+def bad_spec(table, kind, key, value):
     fields = ", ".join(f'"{k}": {value if k == key else json.dumps(v)}'
-                       for k, v in SYSTEM_PARAMS[kind].items())
+                       for k, v in table[kind].items())
     return f'{{"kind": "{kind}", "params": {{{fields}}}}}'
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 @pytest.mark.parametrize("system", [
-    bad_system(kind, key, value)
+    bad_spec(SYSTEM_PARAMS, kind, key, value)
     for kind, params in SYSTEM_PARAMS.items() for key in params for value in BAD_VALUES
 ])
 def test_bad_system_values_exit_2(command, system, capsys):
     assert main([command, "--system", system] + SUBCOMMANDS[command]) == 2
+
+
+FAMILY_PARAMS = {
+    "ClassicalLaguerre": {"k": 0.5},
+    "ClassicalJacobi": {"alpha": 0.5, "beta": 1.5},
+    "X1Laguerre": {"k": 0.5},
+    "X1Jacobi": {"a": 2.0, "b": 1.25},
+}
+FAMILY_SUBCOMMANDS = {"eval-poly": ["--n", "1", "--points", "0.5"], "gram": ["--n-max", "2"]}
+
+
+@pytest.mark.parametrize("command", FAMILY_SUBCOMMANDS)
+@pytest.mark.parametrize("family", [
+    bad_spec(FAMILY_PARAMS, kind, key, value)
+    for kind, params in FAMILY_PARAMS.items() for key in params for value in BAD_VALUES
+])
+def test_bad_family_values_exit_2(command, family, capsys):
+    """Family parameters are checked like system parameters: a bool, string,
+    null, list or non-finite number exits 2 with one error line."""
+    code, out, err = run([command, "--family", family] + FAMILY_SUBCOMMANDS[command], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
 
 
 # finite but extreme system values: overflow, or levels the fixed grids cannot

@@ -435,11 +435,9 @@ def test_recurrence_values_match_the_members(fam):
     """gram_matrix evaluates members by the classical recurrences; on
     families with an integrable weight the values agree with the
     coefficients to well within the Gram tolerance."""
-    from xop.exceptional import _two_term_values
-
     x = _sample_points(fam)
     pairs = x1_eigenpairs(fam, 16)
-    values = _two_term_values(fam, 16, x)
+    values = fam._member_values(16, x)
     for row, pair in zip(values, pairs):
         size = Polynomial(np.abs(pair.polynomial.coeffs))(np.abs(x))
         assert np.max(np.abs(row - pair.polynomial(x)) / size) <= 1e-12
@@ -447,11 +445,9 @@ def test_recurrence_values_match_the_members(fam):
 
 def test_recurrence_values_at_alpha_plus_beta_minus_one():
     """alpha + beta = -1 (2ab = -1) makes no 0/0 in the recurrence rows."""
-    from xop.exceptional import _two_term_values
-
     fam = X1Jacobi(a=-0.25, b=2.0)
     assert sum(x1_jacobi_alpha_beta(fam.a, fam.b)) == -1.0
-    values = _two_term_values(fam, 4, _sample_points(fam))
+    values = fam._member_values(4, _sample_points(fam))
     assert np.all(np.isfinite(values))
 
 

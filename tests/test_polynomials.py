@@ -11,18 +11,17 @@ from hypothesis import strategies as st
 from scipy import special
 
 from xop import ClassicalJacobi, ClassicalLaguerre, ParameterError, Polynomial, family_members
-from xop.exceptional import _member_values
 
 
 # --- the routes under test ---------------------------------------------------
 
 def laguerre_values(n, k, x):
     """L_n^(k) at x: the last recurrence row of the family's members."""
-    return _member_values(ClassicalLaguerre(k), n + 1, np.asarray(x, dtype=float))[n]
+    return ClassicalLaguerre(k)._member_values(n + 1, np.asarray(x, dtype=float))[n]
 
 
 def jacobi_values(n, alpha, beta, x):
-    return _member_values(ClassicalJacobi(alpha, beta), n + 1, np.asarray(x, dtype=float))[n]
+    return ClassicalJacobi(alpha, beta)._member_values(n + 1, np.asarray(x, dtype=float))[n]
 
 
 def laguerre_coefficients(n, k):
