@@ -174,6 +174,15 @@ def test_gram_of_a_jacobi_weight_past_the_float_range_exits_1_with_one_line(fami
     assert err.count("\n") == 1 and len(err) < 200
 
 
+def test_x1_jacobi_hidden_exponents_below_minus_one_have_no_gram(capsys):
+    """X1Jacobi(-2, 2.3) hides (-2.6, -6.6): eval-poly tabulates it (a
+    golden table), and its weight is not integrable, so gram exits 2."""
+    family = '{"kind": "X1Jacobi", "params": {"a": -2.0, "b": 2.3}}'
+    code, out, err = run(["gram", "--family", family, "--n-max", "4"], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "must be finite and exceed -1" in err
+
+
 @pytest.mark.parametrize("family, names_collision", [
     ('{"kind": "X1Jacobi", "params": {"a": 1.0, "b": -3.0}}', True),
     ('{"kind": "X1Laguerre", "params": {"k": 1e300}}', False),
