@@ -43,6 +43,12 @@ CASES = {
     "eval_x1_jacobi_exponents_below_minus_one": [
         "eval-poly", "--family", _family("X1Jacobi", a=-2.0, b=2.3),
         "--n", "5", "--range", "-1", "1", "--count", "41"],
+    # degree 32 uses every column of the monic recurrence; the coefficient
+    # JSON prints round-trip digits
+    "eval_x1_laguerre_degree_32": ["eval-poly", "--family", _family("X1Laguerre", k=2.3),
+                                   "--n", "32", "--range", "0", "20", "--count", "41"],
+    "eval_x1_jacobi_degree_32": ["eval-poly", "--family", _family("X1Jacobi", a=1.2, b=2.5),
+                                 "--n", "32", "--range", "-1", "1", "--count", "41"],
     # ab < 0: both hidden exponents in (-1, 0)
     "gram_x1_jacobi_negative_ab": ["gram", "--family", _family("X1Jacobi", a=0.125, b=-3.0),
                                    "--n-max", "16"],

@@ -6,7 +6,7 @@ import json
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -245,6 +245,22 @@ def test_polynomial_derivative():
     p = Polynomial([1.0, 2.0, 3.0])  # 1 + 2x + 3x^2
     d = p.derivative()
     assert np.allclose(d.coeffs, [2.0, 6.0])
+
+
+@seed(24)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    coeffs=st.lists(st.floats(min_value=-1e290, max_value=1e290), min_size=1, max_size=40),
+    order=st.integers(min_value=1, max_value=3),
+    past_degree=st.booleans(),
+)
+def test_polynomial_derivative_is_polyder_bit_for_bit(coeffs, order, past_degree):
+    """Orders 1-3 and orders above the degree, which leave the zero
+    polynomial."""
+    order = len(coeffs) + order - 1 if past_degree else order
+    got = Polynomial(coeffs).derivative(order).coeffs
+    want = Polynomial(np.polynomial.polynomial.polyder(coeffs, order)).coeffs
+    assert got.tobytes() == want.tobytes()
 
 
 def test_polynomial_to_json():
