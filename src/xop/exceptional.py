@@ -95,8 +95,13 @@ class _Laguerre:
         p[0] = 1.0
         if count > 1:
             p[1] = 1.0 + k - x
-        for i in range(1, count - 1):
-            p[i + 1] = ((2 * i + k + 1 - x) * p[i] - (i + k) * p[i - 1]) / (i + 1)
+        spare = np.empty_like(p[0])
+        for i in range(1, count - 1):  # p[i+1] = ((2i+k+1 - x) p[i] - (i+k) p[i-1]) / (i+1)
+            out = p[i + 1, ...]  # a view also where x is a scalar
+            np.subtract(2 * i + k + 1, x, out=out)
+            out *= p[i]
+            out -= np.multiply(i + k, p[i - 1], out=spare)
+            out /= i + 1
         return p
 
     def _first_rule(self, n_max):
@@ -135,12 +140,18 @@ class _Jacobi:
         if count > 1:
             p[1] = 0.5 * ((alpha - beta) + (alpha + beta + 2) * x)
         ab = alpha + beta
-        for i in range(2, count):
+        spare = np.empty_like(p[0])
+        for i in range(2, count):  # p[i] = ((c2 + c3 x) p[i-1] - c4 p[i-2]) / c1
             c1 = 2 * i * (i + ab) * (2 * i + ab - 2)
             c2 = (2 * i + ab - 1) * (alpha**2 - beta**2)
             c3 = (2 * i + ab - 1) * (2 * i + ab) * (2 * i + ab - 2)
             c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
-            p[i] = ((c2 + c3 * x) * p[i - 1] - c4 * p[i - 2]) / c1
+            out = p[i, ...]
+            np.multiply(c3, x, out=out)
+            out += c2
+            out *= p[i - 1]
+            out -= np.multiply(c4, p[i - 2], out=spare)
+            out /= c1
         return p
 
     def _first_rule(self, n_max):
@@ -398,25 +409,38 @@ def _uncertified(family: FamilySpec, coeffs: np.ndarray, eigenvalues: np.ndarray
     in one evaluation: max |L[y] - lam y| must be at most 1e-9 (1 + max |term|)
     or the float64 noise floor, 64 eps times the largest sum of term
     magnitudes (|coefficients| at |x|), which past degree ~18 of X1-Laguerre
-    lies above the 1e-9 target."""
+    lies above the 1e-9 target.
+
+    The powers x^j are cumulative products, and their absolute values are
+    the powers of |x|; one product with the jet table gives every member's
+    (y'', y', y), and each member's four terms are reduced as one array."""
     x = _sample_points(family)
+    size = coeffs.shape[1]
+    j = np.arange(size)
+    power = np.empty((size, x.size))
+    power[0], power[1:] = 1.0, x
+    np.multiply.accumulate(power, axis=0, out=power)
+    table = np.zeros((size, 3, x.size))  # column blocks (x^j)'', (x^j)', x^j
+    table[2:, 0] = (j[2:] * j[1:-1])[:, None] * power[:-2]
+    table[1:, 1] = j[1:, None] * power[:-1]
+    table[:, 2] = power
+    table = table.reshape(size, -1)
+
+    def terms(c, t, coefficients, lam):
+        """Entry (member, k, point): f2 y'', f1 y', f0 y, -lam y for k = 0..3."""
+        jets = (c @ t).reshape(len(c), 3, -1)
+        out = np.empty((len(c), 4, jets.shape[2]))
+        np.multiply(jets, np.array(coefficients), out=out[:, :3])
+        np.multiply(-lam, jets[:, 2], out=out[:, 3])
+        return out
+
     lam = eigenvalues[:, None]
-
-    def jets(c, t):
-        j = np.arange(c.shape[1])
-        power = t[:, None] ** j
-        first, second = np.zeros_like(power), np.zeros_like(power)
-        first[:, 1:] = j[1:] * power[:, :-1]
-        second[:, 2:] = (j[2:] * j[1:-1]) * power[:, :-2]
-        return c @ power.T, c @ first.T, c @ second.T
-
-    terms = _ode_terms(family, lam, *jets(coeffs, x), x)
-    resid = np.max(np.abs(sum(terms)), axis=1)
-    scale = 1.0 + np.max([np.max(np.abs(t), axis=1) for t in terms], axis=0)
-    magnitude = sum(np.abs(t) for t in _ode_terms(family, np.abs(lam),
-                                                  *jets(np.abs(coeffs), np.abs(x)),
-                                                  np.abs(x)))
-    floor = 64 * np.finfo(float).eps * np.max(magnitude, axis=1)
+    signed = terms(coeffs, table, family._ode_coefficients(x), lam)
+    resid = np.abs(signed.sum(axis=1)).max(axis=1)
+    scale = 1.0 + np.abs(signed).reshape(len(coeffs), -1).max(axis=1)
+    magnitude = np.abs(terms(np.abs(coeffs), np.abs(table),
+                             family._ode_coefficients(np.abs(x)), np.abs(lam))).sum(axis=1)
+    floor = 64 * np.finfo(float).eps * magnitude.max(axis=1)
     ok = resid <= np.maximum(_RESIDUAL_TOL * scale, floor)
     return [int(d) for d in np.flatnonzero(~ok) + 1]
 
@@ -460,8 +484,12 @@ def x1_eigenpairs(family: FamilySpec, n_max: int):
             f"X1 members of degrees {failed} of {family_to_dict(family)} fail "
             "the rational-ODE residual check"
         )
-    return [EigenPair(float(lam), Polynomial(c[: d + 1]))
-            for d, (lam, c) in enumerate(zip(eigenvalues, coeffs), start=1)]
+    # every row passed the checks above, so it is finite and ends in its
+    # leading 1; packed, degree d takes entries (d-1)(d+2)/2 .. d(d+3)/2 - 1
+    packed = coeffs[np.tri(n_max, n_max + 1, 1, dtype=bool)]
+    packed.setflags(write=False)
+    return [EigenPair(lam, Polynomial._trusted(packed[(d - 1) * (d + 2) // 2:d * (d + 3) // 2]))
+            for d, lam in enumerate(eigenvalues.tolist(), start=1)]
 
 
 def x1_polynomial(family: FamilySpec, degree: int) -> EigenPair:

@@ -45,6 +45,14 @@ class Polynomial:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _trusted(cls, coeffs: np.ndarray) -> "Polynomial":
+        """The polynomial of a read-only finite float64 vector whose last
+        entry is nonzero, taken as it is: what the checks above would keep."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
@@ -53,7 +61,16 @@ class Polynomial:
         return _P.polyval(np.asarray(x, dtype=float), self.coeffs)
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        return Polynomial(_P.polyder(self.coeffs, order))
+        """The order-th derivative: j c_j formed once per order, the products
+        numpy's polyder forms, without its axis handling."""
+        if order < 0:
+            raise ValueError("The order of derivation must be non-negative")
+        c = self.coeffs
+        if order >= c.size:
+            return Polynomial(np.zeros(1))
+        for _ in range(order):
+            c = c[1:] * np.arange(1, c.size)
+        return Polynomial(c)
 
     def to_json(self) -> str:
         """Serialize as a JSON array of coefficients, ascending degree."""
@@ -72,18 +89,29 @@ def _classical_monic(count: int, *, k=None, ab=None) -> np.ndarray:
                          / ((m-j)(m+j+1 + alpha+beta))
     """
     dtype = type(k if ab is None else ab[0])
-    c = np.zeros((count, count + 1), dtype=dtype)  # spare column for c_{j+2}
+    # column-major: c[j] holds c_j of every row, so each step writes one
+    # contiguous run in place, every entry in the order of arithmetic above
+    c = np.zeros((count + 1, count), dtype=dtype)  # spare row for c_{j+2}
     c[np.arange(count), np.arange(count)] = 1
     m = np.arange(count, dtype=dtype)
-    for j in range(count - 2, -1, -1):
-        rows = m[j + 1:]
-        if ab is None:
-            c[j + 1:, j] = -(j + 1) * ((j + 1) + k) * c[j + 1:, j + 1] / (rows - j)
-        else:
-            c[j + 1:, j] = -((j + 2) * (j + 1) * c[j + 1:, j + 2]
-                             + ab[1] * (j + 1) * c[j + 1:, j + 1]) / (
-                (rows - j) * ((rows + j + 1) + ab[0]))
-    return c[:, :count]
+    j1 = m + 1  # j + 1 for j = 0..count-1
+    den = m - m[:, None]  # entry (j, m): the denominator of c_j, negated for Jacobi
+    if ab is None:
+        factor = -j1 * (j1 + k)
+        for j in range(count - 2, -1, -1):
+            out = c[j, j + 1:]
+            np.multiply(c[j + 1, j + 1:], factor[j], out=out)
+            np.divide(out, den[j, j + 1:], out=out)
+    else:
+        den *= -((m[:, None] + m + 1) + ab[0])
+        factors = np.stack([ab[1] * j1, (j1 + 1) * j1], axis=1)[:, :, None]
+        terms = np.empty((2, count), dtype=dtype)
+        for j in range(count - 2, -1, -1):
+            out, products = c[j, j + 1:], terms[:, j + 1:]
+            np.multiply(c[j + 1:j + 3, j + 1:], factors[j], out=products)
+            np.add(products[0], products[1], out=out)
+            np.divide(out, den[j, j + 1:], out=out)
+    return c[:count].T
 
 
 def _jacobi_lead_ratios(count: int, total) -> np.ndarray:
