@@ -114,7 +114,7 @@ class _Laguerre:
         if not log_top < _LOG_GRAM_RANGE:
             raise NumericError(
                 f"the Gram matrix of {family_to_dict(self)} at n_max {n_max} has "
-                f"entries of e^{log_top:.1f}, beyond the float64 range"
+                f"entries of e^{log_top:g}, beyond the float64 range"
             )
         return _half_line_rule(functools.partial(weight, self), self.k)
 
@@ -139,13 +139,14 @@ class _Jacobi:
         p[0] = 1.0
         if count > 1:
             p[1] = 0.5 * ((alpha - beta) + (alpha + beta + 2) * x)
-        ab = alpha + beta
+        ab, squares = alpha + beta, alpha**2 - beta**2
         spare = np.empty_like(p[0])
         for i in range(2, count):  # p[i] = ((c2 + c3 x) p[i-1] - c4 p[i-2]) / c1
-            c1 = 2 * i * (i + ab) * (2 * i + ab - 2)
-            c2 = (2 * i + ab - 1) * (alpha**2 - beta**2)
-            c3 = (2 * i + ab - 1) * (2 * i + ab) * (2 * i + ab - 2)
-            c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
+            t = 2 * i + ab
+            c1 = 2 * i * (i + ab) * (t - 2)
+            c2 = (t - 1) * squares
+            c3 = (t - 1) * t * (t - 2)
+            c4 = 2 * (i + alpha - 1) * (i + beta - 1) * t
             out = p[i, ...]
             np.multiply(c3, x, out=out)
             out += c2
@@ -506,11 +507,13 @@ def degree0_eigenfunction_exists(family: FamilySpec) -> bool:
 
     For y = 1 only the lowest two rows are nonzero: T 1 = -(x-k) and
     S 1 = x+k (X1-Laguerre), T 1 = -2a(1-bx) and S 1 = b-x (X1-Jacobi).
-    Each row fixes lam = t_i / s_i, and a constant solves only if they agree.
+    Each row fixes lam = t_i / s_i, and a constant solves only if they agree,
+    decided exactly on the cross-multiplied rows: for X1-Jacobi they agree
+    only at b^2 = 1, however close |b| lies to 1.
     """
     _require_x1(family)
     (t0, s0), (t1, s1) = family._degree0_rows
-    return abs(t0 / s0 - t1 / s1) < 1e-12 * (1 + abs(t0 / s0))
+    return t0 * s1 == t1 * s0
 
 
 # ---------------------------------------------------------------------------

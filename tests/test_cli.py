@@ -154,8 +154,17 @@ def test_gram_past_the_float_range_prints_no_warning():
                           capture_output=True, text=True, env=env, check=False)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == ("error: the Gram matrix of {'kind': 'X1Laguerre', 'params': "
-                           "{'k': 200.0}} at n_max 4 has entries of e^881.0, beyond the "
+                           "{'k': 200.0}} at n_max 4 has entries of e^880.953, beyond the "
                            "float64 range\n")
+
+
+def test_gram_of_a_laguerre_weight_far_past_the_float_range_prints_one_short_line(capsys):
+    """The exponent of the refused entries prints in g form, not as ~300 digits."""
+    family = {"kind": "ClassicalLaguerre", "params": {"k": 1e300}}
+    code, out, err = run(["gram", "--family", json.dumps(family)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the Gram matrix of") and "e^6.89776e+302" in err
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("family", [

@@ -225,6 +225,13 @@ def test_degree_gap():
         assert not degree0_eigenfunction_exists(X1Jacobi(a=a, b=b))
 
 
+@pytest.mark.parametrize("a, b", [(1, 1 + 1e-13), (-1.5, -1 - 1e-13), (2.5, 1 + 1e-14)])
+def test_degree_gap_near_the_unit_pole(a, b):
+    """The two rows' eigenvalues lie ~1e-13 apart, yet a constant solves
+    only at b^2 = 1, which X1Jacobi refuses."""
+    assert not degree0_eigenfunction_exists(X1Jacobi(a=a, b=b))
+
+
 def test_x1_eigenpairs_usage_errors():
     with pytest.raises(UsageError):
         x1_eigenpairs(ClassicalLaguerre(0.5), 3)
