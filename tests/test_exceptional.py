@@ -41,7 +41,7 @@ from xop import (
     x1_jacobi_alpha_beta,
     x1_polynomial,
 )
-from xop.exceptional import _sample_points
+from xop.exceptional import _sample_points, _uncertified
 
 
 def x1_jacobi(alpha, beta):
@@ -291,6 +291,47 @@ def test_perturbed_polynomial_fails_residual():
     assert ode_residual(ClassicalLaguerre(0.5), pair, pts) > 1e-4
 
 
+def uncertified_reference(family, coeffs, eigenvalues):
+    """The residual check with x^j from pow and every term reduced on its
+    own, as a list of arrays."""
+    x = _sample_points(family)
+    lam = eigenvalues[:, None]
+
+    def terms(c, t, lam):
+        j = np.arange(c.shape[1])
+        power = t[:, None] ** j
+        first, second = np.zeros_like(power), np.zeros_like(power)
+        first[:, 1:] = j[1:] * power[:, :-1]
+        second[:, 2:] = (j[2:] * j[1:-1]) * power[:, :-2]
+        f2, f1, f0 = family._ode_coefficients(t)
+        return [f2 * (c @ second.T), f1 * (c @ first.T), f0 * (c @ power.T), -lam * (c @ power.T)]
+
+    signed = terms(coeffs, x, lam)
+    resid = np.max(np.abs(sum(signed)), axis=1)
+    scale = 1.0 + np.max([np.max(np.abs(t), axis=1) for t in signed], axis=0)
+    magnitude = sum(np.abs(t) for t in terms(np.abs(coeffs), np.abs(x), np.abs(lam)))
+    floor = 64 * np.finfo(float).eps * np.max(magnitude, axis=1)
+    return [int(d) for d in np.flatnonzero(~(resid <= np.maximum(1e-9 * scale, floor))) + 1]
+
+
+@pytest.mark.parametrize("fam", [X1Laguerre(k) for k in LAGUERRE_KS + (6.4,)]
+                         + [X1Jacobi(a=a, b=b) for a, b in JACOBI_ABS], ids=repr)
+def test_residual_check_fails_the_degrees_the_reference_fails(fam):
+    """The stacked check on the product power table moves the residuals by
+    rounding only: members pass, and members whose coefficients move by
+    +-1e-6 relative fail at their degrees, as with pow and term-by-term sums."""
+    pairs = x1_eigenpairs(fam, 32)
+    coeffs = np.zeros((32, 33))
+    for row, pair in zip(coeffs, pairs):
+        row[:pair.polynomial.coeffs.size] = pair.polynomial.coeffs
+    eigenvalues = np.array([pair.eigenvalue for pair in pairs])
+    perturbed = coeffs.copy()
+    perturbed[[2, 11, 19]] *= 1 + 1e-6 * (-1.0) ** np.arange(33)
+    for c, want in ((coeffs, []), (perturbed, [3, 12, 20])):
+        assert _uncertified(fam, c, eigenvalues) == uncertified_reference(fam, c, eigenvalues)
+        assert _uncertified(fam, c, eigenvalues) == want
+
+
 def test_residual_pole_rejection():
     pair = x1_polynomial(X1Laguerre(0.5), 1)
     with pytest.raises(DomainError):
@@ -448,6 +489,43 @@ def test_recurrence_values_match_the_members(fam):
     for row, pair in zip(values, pairs):
         size = Polynomial(np.abs(pair.polynomial.coeffs))(np.abs(x))
         assert np.max(np.abs(row - pair.polynomial(x)) / size) <= 1e-12
+
+
+def recurrence_reference(family, count, x):
+    """The classical recurrence rows as plain expressions with fresh arrays:
+    the in-place rows must reproduce them bit for bit."""
+    p = np.empty((count,) + x.shape)
+    p[0] = 1.0
+    if isinstance(family, ClassicalLaguerre):
+        k = family.k
+        if count > 1:
+            p[1] = 1.0 + k - x
+        for i in range(1, count - 1):
+            p[i + 1] = ((2 * i + k + 1 - x) * p[i] - (i + k) * p[i - 1]) / (i + 1)
+        return p
+    alpha, beta = family.alpha, family.beta
+    if count > 1:
+        p[1] = 0.5 * ((alpha - beta) + (alpha + beta + 2) * x)
+    ab = alpha + beta
+    for i in range(2, count):
+        c1 = 2 * i * (i + ab) * (2 * i + ab - 2)
+        c2 = (2 * i + ab - 1) * (alpha**2 - beta**2)
+        c3 = (2 * i + ab - 1) * (2 * i + ab) * (2 * i + ab - 2)
+        c4 = 2 * (i + alpha - 1) * (i + beta - 1) * (2 * i + ab)
+        p[i] = ((c2 + c3 * x) * p[i - 1] - c4 * p[i - 2]) / c1
+    return p
+
+
+@pytest.mark.parametrize("fam", [ClassicalLaguerre(0.5), ClassicalLaguerre(3), ClassicalLaguerre(150.25),
+                                 ClassicalJacobi(0.5, 1.5), ClassicalJacobi(2, 0),
+                                 ClassicalJacobi(-0.6, 1999.5)], ids=repr)
+@pytest.mark.parametrize("shape", [(), (1,), (41,)])
+def test_recurrence_rows_are_the_plain_recurrence(fam, shape):
+    x = np.linspace(0.01, 0.99, 41)[:max(1, math.prod(shape))].reshape(shape)
+    x = 30 * x if isinstance(fam, ClassicalLaguerre) else 2 * x - 1
+    with np.errstate(all="ignore"):
+        got, want = fam._member_values(20, x), recurrence_reference(fam, 20, x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_recurrence_values_at_alpha_plus_beta_minus_one():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from xop import ClassicalJacobi, ClassicalLaguerre, ParameterError, Polynomial, family_members
+from xop.polynomials import _classical_monic
 
 
 # --- the routes under test ---------------------------------------------------
@@ -213,6 +214,44 @@ def test_jacobi_coefficients_match_mpmath(alpha, beta):
         for n in range(25):
             want = jacobi_series_coefficients(n, alpha, beta)
             assert _max_relative_gap(jacobi_coefficients(n, alpha, beta).coeffs, want) <= 5e-16
+
+
+def classical_monic_reference(count, *, k=None, ab=None):
+    """`_classical_monic` as a plain column loop with fresh arrays: the
+    in-place build must reproduce it bit for bit."""
+    dtype = type(k if ab is None else ab[0])
+    c = np.zeros((count, count + 1), dtype=dtype)
+    c[np.arange(count), np.arange(count)] = 1
+    m = np.arange(count, dtype=dtype)
+    for j in range(count - 2, -1, -1):
+        rows = m[j + 1:]
+        if ab is None:
+            c[j + 1:, j] = -(j + 1) * ((j + 1) + k) * c[j + 1:, j + 1] / (rows - j)
+        else:
+            c[j + 1:, j] = -((j + 2) * (j + 1) * c[j + 1:, j + 2]
+                             + ab[1] * (j + 1) * c[j + 1:, j + 1]) / (
+                (rows - j) * ((rows + j + 1) + ab[0]))
+    return c[:, :count]
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+@pytest.mark.parametrize("count", [1, 2, 3, 17, 33])
+@pytest.mark.parametrize("params", [{"k": 0.5}, {"k": -0.85}, {"k": 19.123456789}, {"ab": (6.0, 2.4)},
+                                    {"ab": (0.70710678, -1.3)}, {"ab": (-1.9, 0.1)}, {"ab": (-5.0, -1.0)},
+                                    {"ab": (40.0, -7.5)}], ids=repr)
+def test_classical_monic_is_the_plain_column_loop(dtype, count, params):
+    """Same entries, signs of zero and infinities included (ab = -5 divides
+    by zero: a collision of degrees); a NaN may differ in its sign bit,
+    which no comparison or output reads."""
+    params = {key: dtype(v) if key == "k" else tuple(dtype(u) for u in v)
+              for key, v in params.items()}
+    with np.errstate(all="ignore"):
+        got = _classical_monic(count, **params)
+        want = classical_monic_reference(count, **params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    signed = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
 
 
 def test_jacobi_constant_term_is_exact():
