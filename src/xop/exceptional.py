@@ -489,7 +489,7 @@ def x1_eigenpairs(family: FamilySpec, n_max: int):
     # leading 1; packed, degree d takes entries (d-1)(d+2)/2 .. d(d+3)/2 - 1
     packed = coeffs[np.tri(n_max, n_max + 1, 1, dtype=bool)]
     packed.setflags(write=False)
-    return [EigenPair(lam, Polynomial._trusted(packed[(d - 1) * (d + 2) // 2:d * (d + 3) // 2]))
+    return [EigenPair(float(lam), Polynomial._trusted(packed[(d - 1) * (d + 2) // 2:d * (d + 3) // 2]))
             for d, lam in enumerate(eigenvalues.tolist(), start=1)]
 
 

@@ -232,6 +232,11 @@ def test_degree_gap_near_the_unit_pole(a, b):
     assert not degree0_eigenfunction_exists(X1Jacobi(a=a, b=b))
 
 
+def test_eigenvalues_are_floats_for_integer_parameters():
+    for fam in (X1Jacobi(a=2, b=3), X1Laguerre(3)):
+        assert all(type(pair.eigenvalue) is float for pair in x1_eigenpairs(fam, 4))
+
+
 def test_x1_eigenpairs_usage_errors():
     with pytest.raises(UsageError):
         x1_eigenpairs(ClassicalLaguerre(0.5), 3)
