@@ -104,6 +104,7 @@ def _classical_monic(count: int, *, k=None, ab=None) -> np.ndarray:
             np.divide(out, den[j, j + 1:], out=out)
     else:
         den *= -((m[:, None] + m + 1) + ab[0])
+        # entry j: the factors of c_{j+1} and c_{j+2}, a 2-row block of c
         factors = np.stack([ab[1] * j1, (j1 + 1) * j1], axis=1)[:, :, None]
         terms = np.empty((2, count), dtype=dtype)
         for j in range(count - 2, -1, -1):
