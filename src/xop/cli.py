@@ -33,7 +33,7 @@ from .errors import (
 from .exceptional import _FAMILY_KINDS, family_members, gram_matrix
 from .io_utils import _record_from_json, csv_lines, format_json, write_atomic
 from .systems import _closed_form, reduce_system, system_from_json, system_to_dict
-from .verify import _solve_with_eigenfunctions, isospectral_compare
+from .verify import isospectral_compare, solve_variants
 
 # MemoryError: a size flag numpy cannot allocate, such as --grid-points 10**15
 _USAGE_ERRORS = (UsageError, ParameterError, DomainError, MemoryError)
@@ -118,8 +118,7 @@ def cmd_gram(args) -> int:
 def cmd_spectrum(args) -> int:
     params = system_from_json(args.system)
     reduced = reduce_system(params)
-    original, extended, coarse = _solve_with_eigenfunctions(reduced, args.levels,
-                                                            args.grid_points)
+    original, extended, coarse = solve_variants(reduced, args.levels, args.grid_points)
     columns = [np.arange(args.levels), original.eigenvalues, extended.eigenvalues,
                np.abs(extended.eigenvalues - original.eigenvalues)]
     if args.format == "json":

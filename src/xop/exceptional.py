@@ -81,9 +81,6 @@ class _Laguerre:
 
     _domain = (0.0, math.inf)
     _window = (0.0, 40.0)  # of `_sample_points`
-    # near the NumericError bound a coarse panel level can overshoot the float
-    # range; its inf entries then fail the Gram comparison like any other miss
-    _gram_errors = {"over": "ignore", "invalid": "ignore"}
 
     def _log_classical_weight(self, x):
         return self.k * np.log(x) - x
@@ -125,7 +122,6 @@ class _Jacobi:
 
     _domain = (-1.0, 1.0)
     _window = (-0.99, 0.99)
-    _gram_errors = {}  # Gauss levels are exact, so an overflow still warns
 
     def _log_classical_weight(self, x):
         al, be = self._exponents
@@ -134,7 +130,8 @@ class _Jacobi:
     def _member_values(self, count, x):
         """Row m (m = 0..count-1): the classical member P_m^(alpha,beta) at
         the points x."""
-        alpha, beta = self._exponents
+        # numpy scalars: a square past the float range is inf, not an OverflowError
+        alpha, beta = map(np.float64, self._exponents)
         p = np.empty((count,) + x.shape)
         p[0] = 1.0
         if count > 1:
@@ -288,7 +285,8 @@ class X1Laguerre(_X1, _Laguerre):
 
     def _log_largest_entry(self, n_max):  # (n-1)! (n+k) Gamma(n+k-1), degree n <= n_max
         k = self.k
-        return max(math.lgamma(n) + math.log(n + k) + math.lgamma(n + k - 1)
+        # n - 1 + k, not n + k - 1: at n = 1 a tiny k must not round to lgamma(0)
+        return max(math.lgamma(n) + math.log(n + k) + math.lgamma(n - 1 + k)
                    for n in range(1, n_max + 1))
 
 
@@ -313,8 +311,8 @@ class X1Jacobi(_X1, _Jacobi):
     _pole = property(lambda self: self.b)
     _degree0_rows = property(lambda self: ((-2 * self.a, self.b), (2 * self.a * self.b, -1.0)))
 
-    def _eigenvalue(self, degree):
-        return (degree - 1) * (degree + 2 * self.a * self.b)
+    def _eigenvalue(self, degree):  # a float also for integer a, b with 2ab past int64
+        return (degree - 1) * (degree + 2.0 * self.a * self.b)
 
     def _ode_coefficients(self, x):
         a, b = self.a, self.b
@@ -405,6 +403,7 @@ def _sample_points(family: FamilySpec, count: int = 50) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
 
 
+@np.errstate(all="ignore")  # a non-finite residual fails the check
 def _uncertified(family: FamilySpec, coeffs: np.ndarray, eigenvalues: np.ndarray) -> list[int]:
     """Degrees failing the rational-ODE residual at the sample points, all
     in one evaluation: max |L[y] - lam y| must be at most 1e-9 (1 + max |term|)
@@ -623,7 +622,11 @@ def _certified_gram(family: FamilySpec, n_max: int):
         raise UsageError(f"n_max must lie in 1..16, got {n_max}")
     members = family._certified(n_max)
     rule = family._first_rule(n_max)
-    with np.errstate(**family._gram_errors):
+    # a level whose entries pass the float range (a coarse Laguerre panel
+    # near the NumericError bound, a member beyond it) holds inf or NaN
+    # entries, which fail the comparison like any other miss; leads past the
+    # float range divide by zero, and their entries underflow to 0
+    with np.errstate(all="ignore"):
         g_prev = _gram_on_rule(family, n_max, rule)
         for _ in range(_MAX_REFINEMENTS):
             rule = rule.refined()

@@ -1,6 +1,7 @@
-"""Deterministic output formatting: 17 significant digits in JSON (round-trip
-safe), 12 in CSV (readable), atomic file replacement; and the one parser of
-the {"kind": ..., "params": {...}} records of family and system JSON.
+"""Deterministic output formatting: JSON through the standard encoder
+(shortest round-trip floats, Python's repr), 12 significant digits in CSV
+(readable), atomic file replacement; and the one parser of the
+{"kind": ..., "params": {...}} records of family and system JSON.
 
 CSV tables are built from numeric columns: integer columns print as decimal
 integers, float columns with 12 significant digits (`%.12g`, the same digits
@@ -20,17 +21,7 @@ from .errors import UsageError
 
 __all__ = ["format_json", "csv_lines", "write_atomic"]
 
-_JSON_DIGITS = 17
 _CSV_FLOAT = "%.12g"
-
-
-def _fmt_float(value: float, digits: int) -> str:
-    if value != value:  # NaN
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "Infinity" if value > 0 else "-Infinity"
-    text = f"{value:.{digits}g}"
-    return text
 
 
 def _column_format(column: np.ndarray) -> str:
@@ -65,29 +56,11 @@ def csv_lines(header: list[str], columns) -> str:
     return head + body + "\n"
 
 
-def format_json(obj, indent: int = 0) -> str:
-    """Recursive JSON writer with fixed key order (insertion) and 17-digit floats."""
-    pad = "  " * indent
-    child = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{child}"{key}": {format_json(val, indent + 1)}' for key, val in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{child}{format_json(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj, _JSON_DIGITS)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+def format_json(obj) -> str:
+    """`obj` as JSON: two-space indent, keys in insertion order, floats in
+    their shortest round-trip form (integral ones keep their `.0`), and
+    non-finite floats as NaN, Infinity and -Infinity."""
+    return json.dumps(obj, indent=2)
 
 
 def _finite_number(value) -> bool:

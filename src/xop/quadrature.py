@@ -93,6 +93,9 @@ def _gauss_jacobi(alpha, beta, pole, count, recurrence):
             recurrence = (_jacobi_recurrence(alpha, beta, 0, 2 * count) if pole is None
                           else _divided_twice(alpha, beta, pole, 2 * count))
     diag, off2 = (c[:count] for c in recurrence)
+    if off2[0] == 0:  # the mass over (x-pole)^2 underflows: a pole far out
+        raise NumericError(f"the weight {_weight_text(alpha, beta, pole)} has a total mass "
+                           "below the float64 range")
     s = alpha + beta
     log_mass = ((s + 1) * math.log(2) + math.lgamma(alpha + 1) + math.lgamma(beta + 1)
                 - math.lgamma(s + 2) + math.log(off2[0]))

@@ -21,8 +21,8 @@ coarse fallback to bisection keeps its eigenfunctions for that.  Either
 start's Rayleigh quotient is already within O(h^4) of the grid's level, so
 it counts as the step before the first solve, and a level settles in one
 solve on every grid.  `spectrum --psi-out` writes the original variant's
-coarse eigenfunctions, certified or bisected, from the same solve
-(`_solve_with_eigenfunctions`), so no grid is solved a second time."""
+coarse eigenfunctions, certified or bisected, from the same solve (the third
+result of `solve_variants`), so no grid is solved a second time."""
 
 from __future__ import annotations
 
@@ -129,11 +129,13 @@ def variant_operator(reduced: ReducedSystem, variant: str, grid: Grid) -> Tridia
 
 
 def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
-                   domain: tuple[float, float] | None = None) -> tuple[SpectrumResult, SpectrumResult]:
+                   domain: tuple[float, float] | None = None
+                   ) -> tuple[SpectrumResult, SpectrumResult, SpectrumResult]:
     """Extrapolated lowest `levels` eigenvalues of the original and of the
     extended operator (values-only: eigenfunctions None), from a coarse grid
-    of `grid_points` and its half-spacing refinement; `levels` must lie in
-    1..8.
+    of `grid_points` and its half-spacing refinement, and beside them the
+    coarse original result with its eigenfunctions, which `spectrum
+    --psi-out` orthonormalizes and writes; `levels` must lie in 1..8.
 
     Every solve is a `refine_lowest` polish.  Each coarse grid is polished
     from the analytic levels of the record that the grid solves, each level
@@ -144,43 +146,29 @@ def solve_variants(reduced: ReducedSystem, levels: int, grid_points: int,
     Only the coarse solves keep eigenfunctions, a bisection fallback's
     included.  The polish certifies its values or falls back to bisection,
     so a poor guess or start, wrong physics included, costs time and never
-    changes a result.
+    changes a result.  The extended variant is solved first and its coarse
+    result dropped, so the kept eigenfunctions are never held beside
+    another variant's.
 
     `domain` overrides the grid domain, in the coordinate of `reduced`.
     """
-    return _solve_with_eigenfunctions(reduced, levels, grid_points, domain)[:2]
-
-
-def _solve_with_eigenfunctions(reduced: ReducedSystem, levels: int, grid_points: int,
-                               domain: tuple[float, float] | None = None
-                               ) -> tuple[SpectrumResult, SpectrumResult, SpectrumResult]:
-    """The two results of `solve_variants` and beside them the coarse
-    original one: the certified polish (or its bisection fallback) with its
-    eigenfunctions on the coarse grid, which `spectrum --psi-out`
-    orthonormalizes and writes.
-    The extended variant is solved first, so the kept eigenfunctions are
-    never held beside another variant's."""
     if not 1 <= levels <= 8:
         raise UsageError(f"levels must lie in 1..8, got {levels}")
-    coarse_grid = Grid(*reduced.grid_form(domain)[1], grid_points)
-    extended = _solve_variant(reduced, "extended", levels, coarse_grid)[0]
-    original, coarse = _solve_variant(reduced, "original", levels, coarse_grid)
+    record, bounds = reduced.grid_form(domain)
+    coarse_grid = Grid(*bounds, grid_points)
+    results = []
+    for variant in ("extended", "original"):
+        coarse = None  # the extended coarse result is not held through the original's solves
+        start = SpectrumResult([record.energy(n) for n in range(levels)],
+                               _level_samples(record, variant, levels, coarse_grid.points),
+                               coarse_grid, 0.0)
+        coarse = refine_lowest(variant_operator(reduced, variant, coarse_grid), start,
+                               vectors=True)
+        del start  # not held through the fine polish
+        fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()), coarse)
+        results.append(extrapolate(coarse, fine))
+    extended, original = results
     return original, extended, coarse
-
-
-def _solve_variant(reduced: ReducedSystem, variant: str, levels: int,
-                   coarse_grid: Grid) -> tuple[SpectrumResult, SpectrumResult]:
-    """(extrapolated result, coarse result) of `solve_variants` for one
-    variant.  The coarse result holds its eigenfunctions; its start vectors
-    are freed before the fine polish."""
-    record = reduced.grid_form()[0]
-    start = SpectrumResult([record.energy(n) for n in range(levels)],
-                           _level_samples(record, variant, levels, coarse_grid.points),
-                           coarse_grid, 0.0)
-    coarse = refine_lowest(variant_operator(reduced, variant, coarse_grid), start, vectors=True)
-    del start  # not held through the fine polish
-    fine = refine_lowest(variant_operator(reduced, variant, coarse_grid.refined()), coarse)
-    return extrapolate(coarse, fine), coarse
 
 
 def _closed_form_residuals(reduced: ReducedSystem, members: list[EigenPair]) -> list[float]:
@@ -224,7 +212,7 @@ def isospectral_compare(params: SystemParams, levels: int = 4, *,
     cannot explain, such as one of walls that cut the well short, fails.
     """
     reduced = reduce_system(params)
-    original, extended = solve_variants(reduced, levels, grid_points, domain)
+    original, extended = solve_variants(reduced, levels, grid_points, domain)[:2]
     diffs = np.abs(extended.eigenvalues - original.eigenvalues)
     analytic = np.array([reduced.energy(n) for n in range(levels)])
     errors = [np.abs(result.eigenvalues - analytic) for result in (original, extended)]

@@ -118,7 +118,7 @@ def test_criterion_5_analytic_spectrum_cross_check():
     for params in (HartmannRadial(l=0, omega=1.0), HartmannRadial(l=1, omega=2.0),
                    DiracOscillator(l=0), DiracOscillator(l=1)):
         reduced = reduce_system(params)
-        result, _ = solve_variants(reduced, levels=4, grid_points=2000)
+        result, _, _ = solve_variants(reduced, levels=4, grid_points=2000)
         want = np.array([analytic_energy(params, n) for n in range(4)])
         err = np.max(np.abs(result.eigenvalues - want))
         worst = max(worst, err)

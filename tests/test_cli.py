@@ -1,11 +1,15 @@
 """CLI contract: subcommands, exit codes, output shapes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xop.cli import main
 
@@ -207,6 +211,59 @@ def test_undetermined_members_name_the_collision_only_for_x1_jacobi(family, name
     assert ("near 2ab = -N" in err) == names_collision
 
 
+# inputs at the edge of the float range that once ended in a traceback or in numpy
+# warnings: (argv, exit code, a fragment of the one stderr line, "" for none)
+EDGE_INPUTS = [
+    # a tiny k rounded n + k - 1 to lgamma(0) at n = 1
+    (["gram", "--family", '{"kind":"X1Laguerre","params":{"k":1e-17}}', "--n-max", "1"],
+     1, "did not converge"),
+    (["gram", "--family", '{"kind":"X1Laguerre","params":{"k":1e-300}}', "--n-max", "1"],
+     1, "did not converge"),
+    (["gram", "--family", '{"kind":"X1Laguerre","params":{"k":5e-324}}', "--n-max", "1"],
+     1, "has entries of e^744.44, beyond the float64 range"),
+    # alpha^2 - beta^2 past the float range: Python's float ** raised OverflowError
+    (["eval-poly", "--family", '{"kind":"ClassicalJacobi","params":{"alpha":1,"beta":1e300}}',
+      "--n", "0", "--range", "0", "1"], 0, ""),
+    (["eval-poly", "--family", '{"kind":"ClassicalJacobi","params":{"alpha":1,"beta":1e300}}',
+      "--n", "1", "--range", "0", "1"], 0, ""),
+    (["eval-poly", "--family", '{"kind":"ClassicalJacobi","params":{"alpha":1,"beta":1e300}}',
+      "--n", "2", "--range", "0", "1"], 2, "value is not finite at x = 0"),
+    # the rational-ODE check overflowed with warnings before it failed
+    (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":1.0000000001,"b":1e300}}',
+      "--n-max", "16"], 1, "fail the rational-ODE residual check"),
+    # the degree-1 member x - (b + 1/a) ~ -1e300: its Gram entry passes the float range
+    (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":1e-300,"b":64}}', "--n-max", "16"],
+     1, "did not converge"),
+    # the leads of degrees 10 and up pass the float range: 1/0 in the classical
+    # leads, and the Gram is written with those entries underflowed to 0
+    (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":9007199254740992.0,'
+      '"b":9007199254740992.0}}', "--n-max", "13"], 0, ""),
+    # integer a and b: 2ab past 2^64 made the eigenvalues an object array
+    (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":18446744073709551616,"b":2}}',
+      "--n-max", "13"], 1, "beyond the float64 range"),
+    # the mass of the weight over (x - 1e300)^2 underflows to 0 before its logarithm
+    (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":1e-300,"b":1e300}}', "--n-max", "2"],
+     1, "has a total mass below the float64 range"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", EDGE_INPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in EDGE_INPUTS])
+def test_inputs_at_the_float_range_end_in_an_exit_code(argv, code, message, capsys):
+    """Each ends in its exit code with at most one stderr line, and no
+    warning and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(argv, capsys)
+    assert got == code
+    if message:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+    else:
+        assert err == "" and all(math.isfinite(float(value))
+                                 for line in out.splitlines()[1:] for value in line.split(","))
+
+
 # --- spectrum ----------------------------------------------------------------------
 
 def test_spectrum_dirac(capsys):
@@ -256,6 +313,25 @@ def test_spectrum_json_format(capsys):
     data = json.loads(out)
     assert data["system"]["kind"] == "DiracOscillator"
     assert len(data["levels"]) == 2
+
+
+def test_spectrum_json_levels_are_the_solved_values(capsys):
+    """Every level of the JSON table parses back to the float that
+    `solve_variants` returned, bit for bit."""
+    from xop import reduce_system, system_from_json
+    from xop.verify import solve_variants
+
+    code, out, _ = run(["spectrum", "--system", DIRAC, "--levels", "4", "--grid-points", "1000",
+                        "--format", "json"], capsys)
+    assert code == 0
+    original, extended, _ = solve_variants(reduce_system(system_from_json(DIRAC)), 4, 1000)
+    want = [{"level": n, "E_original": e_o, "E_extended": e_e, "abs_diff": abs(e_e - e_o)}
+            for n, (e_o, e_e) in enumerate(zip(original.eigenvalues.tolist(),
+                                               extended.eigenvalues.tolist()))]
+    levels = json.loads(out)["levels"]
+    assert levels == want
+    assert all(type(level[key]) is float for level in levels
+               for key in ("E_original", "E_extended", "abs_diff"))
 
 
 # --- plot-data ----------------------------------------------------------------------
@@ -1080,3 +1156,50 @@ def test_unknown_override_kind_names_the_known_kinds(tmp_path, capsys):
     assert code == 2
     assert "HartmanRadial" in err
     assert all(kind in err for kind in SYSTEM_PARAMS)
+
+
+# --- a seeded sweep of every family and system kind at extreme finite values -------
+
+EXTREMES = (0.0, 1.0, -1.0, 0.5, 1e-300, 5e-324, 1e-17, 1 + 1e-10, 1e154, 1e155, 1e300, 1e8,
+            2.0**53, 64.0)
+# a JSON parameter may also be an integer, and Python ints do not overflow
+INTEGRAL = sorted({int(v) for v in EXTREMES if v.is_integer()})
+
+
+@st.composite
+def command_lines(draw):
+    """argv of eval-poly, gram, spectrum (<= 500 points, <= 4 levels) or
+    plot-data, every point and range end drawn from EXTREMES, and every
+    parameter from EXTREMES or their integers."""
+    value = st.sampled_from(EXTREMES)
+    parameter = value | st.sampled_from(INTEGRAL)
+    command = draw(st.sampled_from(("eval-poly", "gram", "spectrum", "plot-data")))
+    table, flag = ((FAMILY_PARAMS, "--family") if command in FAMILY_SUBCOMMANDS
+                   else (SYSTEM_PARAMS, "--system"))
+    kind = draw(st.sampled_from(sorted(table)))
+    spec = json.dumps({"kind": kind, "params": {key: draw(parameter) for key in table[kind]}})
+    argv = [command, flag, spec]
+    if command == "eval-poly":
+        points = draw(st.lists(value, min_size=1, max_size=3))
+        argv += ["--n", str(draw(st.integers(0, 32))), "--points=" + ",".join(map(repr, points))]
+    elif command == "gram":
+        argv += ["--n-max", str(draw(st.integers(1, 16)))]
+    elif command == "spectrum":
+        argv += ["--levels", str(draw(st.integers(1, 4))),
+                 "--grid-points", str(draw(st.integers(64, 500)))]
+    else:
+        argv += ["--range", repr(draw(value)), repr(draw(value)),
+                 "--count", str(draw(st.integers(1, 5))), "--levels", str(draw(st.integers(0, 4))),
+                 "--variant", draw(st.sampled_from(("original", "exceptional")))]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(command_lines())
+def test_extreme_values_end_in_an_exit_code(argv):
+    """Every call returns 0, 1 or 2: no exception escapes and no warning is
+    raised, overflow and underflow included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

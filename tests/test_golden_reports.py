@@ -12,6 +12,7 @@ import os
 import pathlib
 
 from xop.cli import main
+from xop.io_utils import format_json
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_reports"
 
@@ -61,3 +62,23 @@ def test_bundled_reports_match_the_golden_reports(tmp_path, capsys):
         ours = json.loads((tmp_path / name).read_text())
         assert_report_matches(ours, golden, name)
         assert ours["passed"] is golden["passed"] is True
+
+
+def test_golden_reports_are_in_the_writers_form():
+    """Each committed report is byte for byte what `format_json` writes of
+    its own values: a stale or hand-edited report fails here."""
+    names = sorted(os.listdir(GOLDEN))
+    assert len(names) == 4
+    for name in names:
+        text = (GOLDEN / name).read_text()
+        assert text == format_json(json.loads(text)) + "\n", name
+
+
+def test_bundled_report_keeps_integral_parameters_as_floats(tmp_path, capsys):
+    """omega = 1.0 of the bundled HartmannRadial system parses back as the
+    float 1.0, and its integer l as the int 0."""
+    assert main(["verify", "--out", str(tmp_path), "--levels", "1", "--grid-points", "200"]) == 0
+    report = json.loads((tmp_path / "report_0_HartmannRadial.json").read_text())
+    params = report["system"]["params"]
+    assert type(params["omega"]) is float and params["omega"] == 1.0
+    assert type(params["l"]) is int and params["l"] == 0

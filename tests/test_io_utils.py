@@ -1,8 +1,11 @@
 """CSV tables: the columnar csv_lines against a per-value reference formatter;
-atomic file replacement."""
+JSON values that parse back with their types and bits; atomic file
+replacement."""
 
+import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xop.errors import UsageError
-from xop.io_utils import csv_lines, write_atomic
+from xop.io_utils import csv_lines, format_json, write_atomic
 
 
 # --- reference: one value at a time -----------------------------------------------
@@ -99,6 +102,44 @@ def test_malformed_columns_raise(header, columns, error):
 
 
 # --- atomic writes ------------------------------------------------------------------
+
+# --- JSON ---------------------------------------------------------------------------
+
+def assert_same_value(got, want, where="value"):
+    """Same type, and for floats the same bits (NaN by isnan)."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_value(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for index, (a, b) in enumerate(zip(got, want)):
+            assert_same_value(a, b, f"{where}[{index}]")
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), where
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), (where, got, want)
+    else:
+        assert got == want, where
+
+
+def test_format_json_gives_back_floats_as_floats_bit_for_bit():
+    """Integral floats (1.0, 1e16, -0.0) stay floats; the shortest
+    round-trip spellings parse to the same bits; ints and bools keep their
+    types; the key order is the insertion order."""
+    data = {
+        "floats": [0.0, -0.0, 1.0, 1e16, 0.1, 5e-324, math.inf, -math.inf, 1 / 3, 1e-7],
+        "nan": math.nan,
+        "ints": [0, -3, 2**64],
+        "bools": [True, False],
+        "nested": {"z": 1.0, "a": {"empty": {}, "none": []}, "text": "DiracOscillator"},
+    }
+    text = format_json(data)
+    assert_same_value(json.loads(text), data)
+    assert '"z": 1.0' in text and "-0.0" in text and "1e-07" in text
+    assert "NaN" in text and "Infinity" in text and "-Infinity" in text
+
 
 def test_write_atomic_never_touches_the_umask(tmp_path, monkeypatch):
     def umask(mask):
