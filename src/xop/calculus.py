@@ -11,7 +11,7 @@ import numpy as np
 
 from .polynomials import Polynomial
 
-__all__ = ["Jet2", "jet_identity", "jet_poly", "jet_pow", "jet_exp"]
+__all__ = ["Jet2", "jet_identity", "jet_poly"]
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,3 @@ def jet_poly(p: Polynomial, u: Jet2) -> Jet2:
     outer = Jet2(p(u.val), p.derivative()(u.val), p.derivative(2)(u.val))
     return outer.compose(u)
 
-
-def jet_pow(u: Jet2, gamma: float) -> Jet2:
-    """Jet of u(x)**gamma (u must stay on one side of zero); for plain
-    values u, their power only."""
-    if not isinstance(u, Jet2):
-        return u**gamma
-    v = u.val**gamma
-    outer = Jet2(v, gamma * u.val ** (gamma - 1), gamma * (gamma - 1) * u.val ** (gamma - 2))
-    return outer.compose(u)
-
-
-def jet_exp(u: Jet2) -> Jet2:
-    """Jet of exp(u(x)); for plain values u, their exponential only."""
-    if not isinstance(u, Jet2):
-        return np.exp(u)
-    v = np.exp(u.val)
-    return Jet2(v, v * u.d1, v * (u.d2 + u.d1**2))

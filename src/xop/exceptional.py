@@ -603,7 +603,8 @@ def gram_matrix(family: FamilySpec, n_max: int) -> np.ndarray:
     nodes doubled, panels halved) until two successive levels agree to 1e-10
     relative to the largest entry, which takes one refinement for Jacobi
     families and one or two for Laguerre families; disagreement past 6
-    refinements raises AccuracyError.
+    refinements raises AccuracyError, and a diagonal entry below the float
+    range (a member's norm underflowed to 0) raises NumericError.
     """
     return _certified_gram(family, n_max)[1]
 
@@ -625,13 +626,18 @@ def _certified_gram(family: FamilySpec, n_max: int):
     # a level whose entries pass the float range (a coarse Laguerre panel
     # near the NumericError bound, a member beyond it) holds inf or NaN
     # entries, which fail the comparison like any other miss; leads past the
-    # float range divide by zero, and their entries underflow to 0
+    # float range divide by zero, and their entries underflow to 0, which a
+    # converged Gram refuses at its first diagonal entry below the float range
     with np.errstate(all="ignore"):
         g_prev = _gram_on_rule(family, n_max, rule)
         for _ in range(_MAX_REFINEMENTS):
             rule = rule.refined()
             g = _gram_on_rule(family, n_max, rule)
             if np.max(np.abs(g - g_prev)) <= _GRAM_TOL * (1.0 + np.max(np.abs(g))):
+                small = np.flatnonzero(np.diag(g) < np.finfo(float).tiny)
+                if small.size:
+                    raise NumericError(f"the Gram matrix of {family_to_dict(family)} has a "
+                                       f"diagonal entry below the float64 range at row {small[0]}")
                 return members, g
             g_prev = g
     raise AccuracyError(

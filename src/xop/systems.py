@@ -16,8 +16,9 @@ builder supplies:
   extended levels;
 * the level-energy law, and the three pieces of the closed-form
   wavefunctions: the jet of the polynomial variable z in the coordinate,
-  the prefactor jet in z (which maps plain values of z to plain values),
-  and the pole offset (c0, c1) of the pole factor c0 + c1 z;
+  the prefactor exp(rate z) prod |c0 + c1 z|^e as its log terms
+  (rate, ((c0, c1, e), ...)), and the pole offset (c0, c1) of the pole
+  factor c0 + c1 z;
 * for a system the grid solves in another coordinate, ``solved_as``: the
   record in that coordinate and the map onto it (its own grid domain and
   residual window are then None).
@@ -64,7 +65,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .calculus import Jet2, jet_exp, jet_identity, jet_poly, jet_pow
+from .calculus import Jet2, jet_identity, jet_poly
 from .errors import DomainError, ParameterError, UsageError
 from .exceptional import (
     ClassicalJacobi,
@@ -271,7 +272,7 @@ class ReducedSystem:
     x1_family: FamilySpec
     level_energy: Callable[[int], float]
     coordinate_jet: Callable[[np.ndarray], Jet2]
-    prefactor_jet: Callable[[Jet2], Jet2]  # plain values of z give values up to a constant
+    prefactor: tuple[float, tuple[tuple[float, float, float], ...]]  # (rate, ((c0, c1, e), ...))
     pole_offset: tuple[float, float]  # (c0, c1): the pole factor is c0 + c1 z
     # the record the grid solves and the map of this coordinate onto its own
     solved_as: tuple[ReducedSystem, Callable[[float], float]] | None = None
@@ -351,7 +352,7 @@ def _oscillator(params: SystemParams, l: float, w: float) -> ReducedSystem:
         x1_family=X1Laguerre(l + 0.5),
         level_energy=lambda n: (2 * n + l + 1.5) * w,
         coordinate_jet=lambda x: Jet2(w * x**2 / 2, w * x, np.full_like(x, w)),
-        prefactor_jet=lambda z: jet_pow(z, (l + 1) / 2) * jet_exp(z * (-0.5)),
+        prefactor=(-0.5, ((0.0, 1.0, (l + 1) / 2),)),
         pole_offset=(l + 0.5, 1.0),
     )
 
@@ -385,21 +386,10 @@ def _hydrogen(params: HydrogenLike) -> ReducedSystem:
         x1_family=in_y.x1_family,
         level_energy=lambda n: n + s + 1,
         coordinate_jet=jet_identity,
-        prefactor_jet=lambda z: jet_pow(z, s + 1) * jet_exp(z * (-0.5)),
+        prefactor=(-0.5, ((0.0, 1.0, s + 1),)),
         pole_offset=in_y.pole_offset,
         solved_as=(in_y, lambda r: 2.0 * math.sqrt(r)),
     )
-
-
-def _jacobi_prefactor(a_exp: float, b_exp: float) -> Callable[[Jet2], Jet2]:
-    """(1 - z)^a_exp (1 + z)^b_exp; for plain values z, exp of its log less
-    the log's maximum, so exponents in the thousands do not overflow."""
-    def prefactor(z: Jet2) -> Jet2:
-        if not isinstance(z, Jet2):
-            log = a_exp * np.log1p(-z) + b_exp * np.log1p(z)
-            return np.exp(log - np.max(log))
-        return jet_pow(1.0 - z, a_exp) * jet_pow(1.0 + z, b_exp)
-    return prefactor
 
 
 def _jacobi_well(params: SystemParams, a: float, b: float, kappa: float) -> ReducedSystem:
@@ -431,7 +421,7 @@ def _jacobi_well(params: SystemParams, a: float, b: float, kappa: float) -> Redu
         x1_family=X1Jacobi(a=(b - a) / 2, b=pole),
         level_energy=lambda n: k2 * (a + b + 2 * n) ** 2,
         coordinate_jet=lambda x: Jet2(np.cos(w * x), -w * np.sin(w * x), -w * w * np.cos(w * x)),
-        prefactor_jet=_jacobi_prefactor(a / 2, b / 2),
+        prefactor=(0.0, ((1.0, -1.0, a / 2), (1.0, 1.0, b / 2))),
         pole_offset=(pole, -1.0),
     )
 
@@ -473,12 +463,30 @@ def wavefunction(params: SystemParams, variant: str, n: int) -> Callable[[np.nda
     return reduce_system(params).wavefunction(variant, n)
 
 
+def _log_factor(system: ReducedSystem, variant: str, z):
+    """log of the prefactor, less log|c0 + c1 z| of the pole factor for a
+    variant other than "original": its jet in x for the jet z in x, its
+    values for plain values z.  In log form, exponents in the thousands
+    do not overflow."""
+    rate, terms = system.prefactor
+    if variant != "original":
+        terms += ((*system.pole_offset, -1.0),)
+    at = z.val if isinstance(z, Jet2) else z
+    log, d1, d2 = rate * at, rate, 0.0
+    for c0, c1, e in terms:
+        u = c0 + c1 * at
+        log = log + e * np.log(np.abs(u))
+        d1, d2 = d1 + e * c1 / u, d2 - e * (c1 / u) ** 2
+    return Jet2(log, d1, d2).compose(z) if isinstance(z, Jet2) else log
+
+
 def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial]):
     """Closed-form eigenfunctions of `system`, one per polynomial of `polys`:
     the prefactor times poly(z), over the pole factor for the exceptional
     variant.  The returned function gives their jets at x as a list; the
-    coordinate, prefactor and pole-factor jets are evaluated once for all
-    of them."""
+    coordinate jet and the factor's jet, exp of `_log_factor` with the
+    sign of the pole factor (constant on the domain), are evaluated once
+    for all of them."""
     c0, c1 = system.pole_offset
     lo, hi = system.domain
 
@@ -487,12 +495,12 @@ def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial
         if not np.all((x > lo) & (x < hi)):
             raise DomainError(f"coordinate outside open domain ({lo}, {hi})")
         z = system.coordinate_jet(x)
-        prefactor = system.prefactor_jet(z)
-        values = [prefactor * jet_poly(poly, z) for poly in polys]
+        log = _log_factor(system, variant, z)
+        f = np.exp(log.val)
         if variant == "exceptional":
-            pole = z * c1 + c0
-            values = [value / pole for value in values]
-        return values
+            f = np.copysign(f, c0 + c1 * z.val)
+        factor = Jet2(f, f * log.d1, f * (log.d2 + log.d1**2))
+        return [factor * jet_poly(poly, z) for poly in polys]
 
     return psis
 
@@ -501,14 +509,13 @@ def _level_samples(system: ReducedSystem, variant: str, count: int, x: np.ndarra
     """Column n (n = 0..count-1): the closed-form eigenfunction of level n of
     the `variant` operator ("original" or "extended") at the points x, values
     only and up to a constant: the prefactor times the classical member of
-    degree n, or times the X1 member of degree n + 1 over the pole factor.
-    Values past the float range come out non-finite, without a warning."""
+    degree n, or times the X1 member of degree n + 1 over the pole factor,
+    the factor as exp of `_log_factor` less its maximum.  Values past the
+    float range come out non-finite, without a warning."""
     family = system.classical_family if variant == "original" else system.x1_family
     with np.errstate(all="ignore"):
         z = system.coordinate_jet(x).val
+        log = _log_factor(system, variant, z)
         rows = family._member_values(count, z)
-        rows *= system.prefactor_jet(z)
-        if variant != "original":
-            c0, c1 = system.pole_offset
-            rows /= c0 + c1 * z
+        rows *= np.exp(log - np.max(log))
     return rows.T

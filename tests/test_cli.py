@@ -1,12 +1,14 @@
 """CLI contract: subcommands, exit codes, output shapes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,9 +237,9 @@ EDGE_INPUTS = [
     (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":1e-300,"b":64}}', "--n-max", "16"],
      1, "did not converge"),
     # the leads of degrees 10 and up pass the float range: 1/0 in the classical
-    # leads, and the Gram is written with those entries underflowed to 0
+    # leads, and the Gram entries of those rows underflow to 0, diagonal included
     (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":9007199254740992.0,'
-      '"b":9007199254740992.0}}', "--n-max", "13"], 0, ""),
+      '"b":9007199254740992.0}}', "--n-max", "13"], 1, "below the float64 range"),
     # integer a and b: 2ab past 2^64 made the eigenvalues an object array
     (["gram", "--family", '{"kind":"X1Jacobi","params":{"a":18446744073709551616,"b":2}}',
       "--n-max", "13"], 1, "beyond the float64 range"),
@@ -670,6 +672,31 @@ def test_plot_data_exceptional_variant(capsys):
     assert header.endswith("psi_1,psi_2")  # X1 degrees start at one
 
 
+def test_plot_data_exceptional_columns_keep_the_pole_factor_sign(capsys):
+    """At HartmannAngularII(4, 2) the pole factor -5/2 - z is negative on the
+    whole domain.  The closed forms take the log of |c0 + c1 z| and put its
+    sign back, so every printed psi entry carries the sign of
+    P_n(z) / (c0 + c1 z) (the prefactor is positive)."""
+    from xop import HartmannAngularII, reduce_system, x1_polynomial
+
+    code, out, _ = run(
+        ["plot-data", "--system", '{"kind":"HartmannAngularII","params":{"lambda_a":4.0,"s":2.0}}',
+         "--range", "0.05", "1.5", "--count", "60", "--variant", "exceptional", "--levels", "4"],
+        capsys,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    reduced = reduce_system(HartmannAngularII(4.0, 2.0))
+    c0, c1 = reduced.pole_offset
+    z = np.cos(2 * np.array([float(row[0]) for row in rows]))
+    assert np.all(c0 + c1 * z < 0)
+    for n in range(1, 5):
+        quotient = x1_polynomial(reduced.x1_family, n).polynomial(z) / (c0 + c1 * z)
+        printed = np.array([row[3 + n].startswith("-") for row in rows])
+        clear = np.abs(quotient) > 1e-6 * np.max(np.abs(quotient))  # off the roots
+        assert np.array_equal(printed[clear], (quotient < 0)[clear]), n
+
+
 # --- no tracebacks ----------------------------------------------------------------------
 
 LAG_X1_RANGE = ["--family", LAG_X1, "--range", "0.1", "5"]
@@ -1083,14 +1110,23 @@ def test_bad_verify_configs_exit_2(overrides, tmp_path, capsys):
     assert not (tmp_path / "reports").exists()
 
 
-def test_verify_non_finite_residual_exits_1_with_one_line(tmp_path, capsys):
-    system = {"kind": "HartmannAngularI", "params": {"lambda_a": 1.0, "s": 3000.0}}
+def test_verify_non_finite_residual_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    """Every accepted system whose closed forms pass the float range is
+    refused earlier, at its Gram mass, so the residual's own refusal is
+    reached through a record whose prefactor is forced to NaN (its start
+    columns are NaN too, and the grid falls back to bisection)."""
+    import xop.verify
+
+    reduce = xop.verify.reduce_system
+    monkeypatch.setattr(xop.verify, "reduce_system", lambda params: dataclasses.replace(
+        reduce(params), prefactor=(math.nan, ())))
+    system = {"kind": "HartmannRadial", "params": {"l": 0, "omega": 1.0}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"systems": [system], "levels": 2, "grid": {"points": 300},
                                 "output": {"path": str(tmp_path / "reports")}}))
     code, out, err = run(["verify", "--config", str(path)], capsys)
     assert code == 1 and out == ""
-    assert err == ("error: system 0 (HartmannAngularI): closed-form residual of the "
+    assert err == ("error: system 0 (HartmannRadial): closed-form residual of the "
                    "degree-1 X1 wavefunction is not finite (nan)\n")
 
 

@@ -264,15 +264,17 @@ def test_wavefunction_domain_and_variant_errors():
 @pytest.mark.parametrize("variant, n", [("original", 2), ("exceptional", 3)])
 def test_reduced_wavefunction_is_built_on_its_own_record(variant, n, monkeypatch):
     """`ReducedSystem.wavefunction` reads the record it is called on and does
-    not reduce the system again: a record whose prefactor is doubled gives
-    twice the jets, and no `reduce_system` call is made."""
+    not reduce the system again: a record whose prefactor is doubled (one
+    more log term, |2 + 0 z|^1) gives twice the jets, to rounding, and no
+    `reduce_system` call is made."""
     reduced = reduce_system(HydrogenLike(s=0.9, lambda_c=1.9))
-    doubled = dataclasses.replace(reduced, prefactor_jet=lambda z: reduced.prefactor_jet(z) * 2.0)
+    rate, terms = reduced.prefactor
+    doubled = dataclasses.replace(reduced, prefactor=(rate, terms + ((2.0, 0.0, 1.0),)))
     monkeypatch.setattr(xop.systems, "reduce_system", None)
     r = np.linspace(0.1, 40.0, 50)
     jets, twice = reduced.wavefunction(variant, n)(r), doubled.wavefunction(variant, n)(r)
     for part in ("val", "d1", "d2"):
-        assert np.array_equal(getattr(twice, part), 2.0 * getattr(jets, part))
+        assert np.allclose(getattr(twice, part), 2.0 * getattr(jets, part), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("params, inside, outside", [
@@ -367,8 +369,7 @@ def test_second_angular_family_is_the_first_in_half_the_angle(lambda_a, s):
     assert np.array_equal(z_second.val, z_first.val)
     assert np.array_equal(z_second.d1, 2 * z_first.d1)
     assert np.array_equal(z_second.d2, 4 * z_first.d2)
-    z = np.linspace(-0.9, 0.9, 7)
-    assert np.array_equal(first.prefactor_jet(z), second.prefactor_jet(z))
+    assert first.prefactor == second.prefactor
     assert [4 * first.energy(n) for n in range(8)] == [second.energy(n) for n in range(8)]
     for one, two in ((first.classical_family, second.classical_family),
                      (first.x1_family, second.x1_family)):
@@ -480,6 +481,21 @@ def test_reduced_record_values(record):
         assert family_to_dict(family) == {"kind": kind, "params": values}
     assert [reduced.energy(n) for n in range(4)] == levels
     assert [analytic_energy(params, n) for n in range(4)] == levels
+
+
+@pytest.mark.parametrize("params, prefactor", [
+    (HartmannRadial(l=2, omega=2.5), (-0.5, ((0.0, 1.0, 1.5),))),
+    (DiracOscillator(l=1), (-0.5, ((0.0, 1.0, 1.0),))),
+    (HydrogenLike(s=0.5, lambda_c=1.9), (-0.5, ((0.0, 1.0, 1.5),))),
+    (HartmannAngularI(lambda_a=1.0, s=2.5), (0.0, ((1.0, -1.0, 0.75), (1.0, 1.0, 1.75)))),
+    (HartmannAngularII(lambda_a=2.0, s=4.0), (0.0, ((1.0, -1.0, 1.0), (1.0, 1.0, 2.0)))),
+], ids=lambda v: repr(v) if not isinstance(v, tuple) else "")
+def test_prefactor_log_terms(params, prefactor):
+    """Each builder states its prefactor exp(rate z) prod |c0 + c1 z|^e as
+    (rate, ((c0, c1, e), ...)): z^((l+1)/2) e^(-z/2) for the oscillators,
+    r^(s+1) e^(-r/2) for hydrogen in r, (1 - z)^(a/2) (1 + z)^(b/2) for the
+    Jacobi wells."""
+    assert reduce_system(params).prefactor == prefactor
 
 
 @pytest.mark.parametrize("s", [0.05, 0.9, 5.0])

@@ -100,19 +100,24 @@ def test_small_s_hydrogen_passes(s):
     assert max(report.analytic_errors_original + report.analytic_errors_extended) <= 1e-6
 
 
-@pytest.mark.parametrize("params", [HartmannAngularI(lambda_a=1.0, s=3000.0),
-                                    HartmannAngularI(lambda_a=1.0, s=1e4)], ids=repr)
+@pytest.mark.parametrize("params", [HartmannAngularII(lambda_a=2.0, s=1e4),
+                                    HartmannAngularII(lambda_a=1e4, s=2.0),
+                                    HartmannAngularI(lambda_a=9999.0, s=1e4)], ids=repr)
 def test_non_finite_residual_raises_naming_the_degree(params):
-    """At s >= 3000 the closed-form X1 wavefunctions overflow and every
-    residual is NaN, which a plain max() would read as 0.0.  RuntimeWarnings
-    fail this suite, so the raise also shows that no overflow warning
-    escapes first."""
+    """At these s = 1e4 wells the closed-form X1 wavefunctions themselves
+    pass the float range in the residual window (the log form keeps only
+    their factors from overflowing), and every residual is NaN, which a
+    plain max() would read as 0.0.  RuntimeWarnings fail this suite, so the
+    raise also shows that no overflow warning escapes first.  `verify`
+    refuses these wells earlier, at their Gram mass."""
+    members = xop.exceptional.x1_eigenpairs(reduce_system(params).x1_family, 3)
     with pytest.raises(NumericError, match="degree-1 X1 wavefunction is not finite"):
-        isospectral_compare(params, levels=2, grid_points=300)
+        xop.verify._closed_form_residuals(reduce_system(params), members)
 
 
 @pytest.mark.parametrize("params", [HartmannAngularI(lambda_a=1.0, s=2000.0),
-                                    HartmannAngularI(lambda_a=500.0, s=1000.0)], ids=repr)
+                                    HartmannAngularI(lambda_a=500.0, s=1000.0),
+                                    HartmannAngularI(lambda_a=1.0, s=3000.0)], ids=repr)
 def test_large_exponent_gram_passes_without_warnings(params):
     """Jacobi exponents in the thousands: the Gauss-Jacobi rule carries
     (1 - x)^alpha (1 + x)^beta in its weights (total mass from log-gammas),
