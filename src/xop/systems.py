@@ -272,7 +272,8 @@ class ReducedSystem:
     x1_family: FamilySpec
     level_energy: Callable[[int], float]
     coordinate_jet: Callable[[np.ndarray], Jet2]
-    prefactor: tuple[float, tuple[tuple[float, float, float], ...]]  # (rate, ((c0, c1, e), ...))
+    # the prefactor exp(rate z) prod |c0 + c1 z|^e, as (rate, ((c0, c1, e), ...))
+    prefactor: tuple[float, tuple[tuple[float, float, float], ...]]
     pole_offset: tuple[float, float]  # (c0, c1): the pole factor is c0 + c1 z
     # the record the grid solves and the map of this coordinate onto its own
     solved_as: tuple[ReducedSystem, Callable[[float], float]] | None = None
@@ -472,12 +473,13 @@ def _log_factor(system: ReducedSystem, variant: str, z):
     if variant != "original":
         terms += ((*system.pole_offset, -1.0),)
     at = z.val if isinstance(z, Jet2) else z
-    log, d1, d2 = rate * at, rate, 0.0
-    for c0, c1, e in terms:
-        u = c0 + c1 * at
-        log = log + e * np.log(np.abs(u))
-        d1, d2 = d1 + e * c1 / u, d2 - e * (c1 / u) ** 2
-    return Jet2(log, d1, d2).compose(z) if isinstance(z, Jet2) else log
+    bases = [(c0 + c1 * at, c1, e) for c0, c1, e in terms]
+    log = sum((e * np.log(np.abs(u)) for u, _, e in bases), rate * at)
+    if not isinstance(z, Jet2):
+        return log
+    d1 = sum((e * c1 / u for u, c1, e in bases), rate)
+    d2 = -sum(e * (c1 / u) ** 2 for u, c1, e in bases)
+    return Jet2(log, d1, d2).compose(z)
 
 
 def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial]):
@@ -487,7 +489,6 @@ def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial
     coordinate jet and the factor's jet, exp of `_log_factor` with the
     sign of the pole factor (constant on the domain), are evaluated once
     for all of them."""
-    c0, c1 = system.pole_offset
     lo, hi = system.domain
 
     def psis(x) -> list[Jet2]:
@@ -498,7 +499,7 @@ def _closed_form(system: ReducedSystem, variant: str, polys: Sequence[Polynomial
         log = _log_factor(system, variant, z)
         f = np.exp(log.val)
         if variant == "exceptional":
-            f = np.copysign(f, c0 + c1 * z.val)
+            f = np.copysign(f, system.pole_offset[0] + system.pole_offset[1] * z.val)
         factor = Jet2(f, f * log.d1, f * (log.d2 + log.d1**2))
         return [factor * jet_poly(poly, z) for poly in polys]
 

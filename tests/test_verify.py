@@ -121,7 +121,8 @@ def test_non_finite_residual_raises_naming_the_degree(params):
 def test_large_exponent_gram_passes_without_warnings(params):
     """Jacobi exponents in the thousands: the Gauss-Jacobi rule carries
     (1 - x)^alpha (1 + x)^beta in its weights (total mass from log-gammas),
-    so nothing overflows, and verify passes with an orthogonal Gram.  The
+    and the closed forms take their factor from its log terms, so nothing
+    overflows, and verify passes with an orthogonal Gram.  The
     levels, near 4e6 and 1e6, miss the analytic ones by up to 0.9 on 300
     points: far past the absolute tolerance 1e-3, but inside the grid's own
     error estimate, which the analytic gate admits."""

@@ -7,10 +7,11 @@ Each commit is exported with `git archive` into a fresh temporary directory,
 and every run starts there, so both sides run from a directory of the same
 kind (throughput has been seen to follow the directory a run starts from).
 Pair i runs `python3 bench/run.py --workload W --seed S_i --seconds T
---trace 0` on both sides (T is `run_seconds` of the change's BENCHMARK.json), one after the other; even pairs run the parent
-first, odd pairs the change, so a process that lands in a fast or a slow
-mode for its whole life does not favour one side.  Seeds are `S..` (S,
-S + 1, ...), `S..E` or a comma list; pair i takes the i-th.
+--trace 0` on both sides, one after the other, T being `run_seconds` of the
+change's BENCHMARK.json; even pairs run the parent first, odd pairs the
+change, so a process that lands in a fast or a slow mode for its whole life
+does not favour one side.  Seeds are `S..` (S, S + 1, ...), `S..E` or a
+comma list; pair i takes the i-th.
 
 Run from the repository.  Every run's result line goes to standard error as
 it ends; then standard output gets, per workload and per end-to-end metric
