@@ -118,10 +118,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds, args.pairs)
     records = []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
         roots = {}
         for side, commit in zip(SIDES, (args.parent, args.change)):
-            roots[side] = os.path.join(scratch, side)
+            roots[side] = os.path.join(workdir, side)
             os.mkdir(roots[side])
             export(commit, roots[side])
         with open(os.path.join(roots["change"], "BENCHMARK.json")) as handle:
